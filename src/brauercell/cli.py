@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-r", type=int, default=5, dest="max_r")
         sp.add_argument("--max-tensor-dim", type=int, default=65536,
                         dest="max_tensor_dim")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="reserved; runs are deterministic and single-process")
 
     b = sub.add_parser("basis", help="dump a cellular basis")
     common(b)
@@ -75,8 +73,6 @@ def _validate(args) -> None:
         raise UsageError("--r must be positive")
     if args.max_r < 1 or args.max_tensor_dim < 1:
         raise UsageError("caps must be positive")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be positive")
     if getattr(args, "field", "Q") == "Fp":
         if args.p is None or not _is_prime(args.p):
             raise UsageError("--field Fp requires a prime --p")

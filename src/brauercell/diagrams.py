@@ -282,7 +282,8 @@ def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int
         while True:
             visited[mid] = True
             back = a.partner(mid + r)
-            assert back > r, "chain from bottom must stay in the middle"
+            if back <= r:
+                raise ArithmeticError("chain from bottom must stay in the middle")
             nxt = back - r
             visited[nxt] = True
             pb2 = b.partner(nxt)

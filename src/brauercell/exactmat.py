@@ -1,21 +1,153 @@
-"""Exact linear algebra: fraction-free (Bareiss) elimination over an
-integral domain, a reusable echelon solver, and rank routines that scale to
-the sparse integer matrices produced by tensor-space representations.
+"""Exact linear algebra on one sparse row echelon.
 
-No floating point enters any rank or determinant decision.  numpy is used in
-two places, both exact: dense elimination mod a small prime (int64), and
-integer Gram matrices via float64 matmul, valid because every intermediate
-value is an integer of magnitude < 2**53 (asserted).
+Every rank, determinant, solve and kernel of the package is computed by
+``Echelon``.  Rows are dicts column -> value with no stored zeros; each
+pivot row is kept under its pivot, its least column, and a row is reduced
+against the pivot rows in increasing pivot order.  The echelon is
+parameterised only by how one row is cancelled against a pivot row, in one
+of three domains:
+
+* Z (``_cancel_z``): fraction-free, with the row gcd removed after every
+  step, so a row stays the primitive integer multiple of its rational value;
+* F_p (``_cancel_mod``);
+* a field (``_cancel_field``): Fraction, or RatFunc for matrices over
+  Z[delta] or Q(delta) and for Poly-valued queries.
+
+Each public entry point fixes its own domain.  Columns are non-negative
+ints.  The tag column ``~i`` (that is, -1 - i) of a row holds the multiple
+of input row i that the row contains, so the same echelon gives solves and
+kernels.
+
+No floating point enters any rank or determinant decision.  numpy is used
+only for the Gram product in ``gram_rank_q``, exact there because every
+value is an integer of magnitude < 2**52 (checked).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-import numpy as np
+from .rings import Poly, RatFunc, as_ratfunc
 
-from .rings import Poly, RatFunc, as_ratfunc, exact_div
+
+def _cancel_z(row: dict, prow: dict, c: int) -> dict:
+    """a*row - b*prow with a*row[c] = b*prow[c], divided by its content;
+    in place when a = 1."""
+    g = gcd(row[c], prow[c])
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        row = {k: a * x for k, x in row.items()}
+    for k, x in prow.items():
+        w = row.get(k, 0) - b * x
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        row = {k: x // g for k, x in row.items()}
+    return row
+
+
+def _cancel_mod(p: int):
+    """Cancellation over F_p, on rows of residues in [0, p); in place."""
+    def cancel(row: dict, prow: dict, c: int) -> dict:
+        f = row[c] * pow(prow[c], -1, p) % p
+        for k, x in prow.items():
+            w = (row.get(k, 0) - f * x) % p
+            if w:
+                row[k] = w
+            else:
+                del row[k]
+        return row
+    return cancel
+
+
+def _cancel_field(row: dict, prow: dict, c: int) -> dict:
+    """row - (row[c] / prow[c]) * prow, in place; row[c] must be a field
+    element (or a Poly), never an int."""
+    f = row[c] / prow[c]
+    for k, x in prow.items():
+        w = row.get(k, 0) - f * x
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
+class Echelon:
+    """Sparse row echelon form over the domain of ``cancel``.  A row given
+    to ``reduce`` or ``add`` may be changed in place."""
+
+    def __init__(self, cancel):
+        self.cancel = cancel
+        self.rows: dict[int, dict] = {}   # pivot column -> pivot row
+        self.cols: list[int] = []         # pivot columns, increasing
+
+    def reduce(self, row: dict, cancel=None) -> dict:
+        """``row`` with every pivot column cancelled.  A pivot row has no
+        column below its pivot, so cancelling at c only adds columns above c
+        and one pass in increasing pivot order suffices.  ``cancel`` replaces
+        the echelon's own domain, to reduce a query over a field."""
+        cancel = cancel or self.cancel
+        for c in self.cols:
+            if c in row:
+                row = cancel(row, self.rows[c], c)
+        return row
+
+    def add(self, row: dict) -> tuple[int | None, dict]:
+        """Reduce ``row`` and keep it as a pivot row unless only tag columns
+        are left.  Returns its pivot (None if it was dependent) and the
+        reduced row."""
+        row = self.reduce(row)
+        piv = min((c for c in row if c >= 0), default=None)
+        if piv is not None:
+            # a compact copy: a row reduced in place keeps the slack of its
+            # growth, which the pivot rows would hold for the whole echelon
+            self.rows[piv] = row = dict(row)
+            insort(self.cols, piv)
+        return piv, row
+
+
+def _z_row(row: dict) -> dict[int, int]:
+    """A row of int/Fraction values scaled to integers, zeros dropped."""
+    den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+    return {c: int(v * den) for c, v in row.items() if v}
+
+
+def _in_domain(rows: list[dict]):
+    """The rows as they are eliminated, and the cancellation to use: over Z
+    (each row scaled to integers) for int/Fraction values, over Q(delta) as
+    soon as one value is a Poly or RatFunc."""
+    if any(isinstance(v, (Poly, RatFunc)) for row in rows for v in row.values()):
+        return ([{c: as_ratfunc(v) for c, v in row.items() if v} for row in rows],
+                _cancel_field)
+    return [_z_row(row) for row in rows], _cancel_z
+
+
+def _rank(rows: list[dict], cancel) -> int:
+    """Rank of ``rows``, which it consumes: a row is popped off the list,
+    shortest first (of equal lengths, the last first) to limit fill-in, and
+    reduced in place."""
+    rows.sort(key=len, reverse=True)
+    echelon = Echelon(cancel)
+    while rows:
+        echelon.add(rows.pop())
+    return len(echelon.cols)
+
+
+def _perm_sign(perm: list[int]) -> int:
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 class ExactMatrix:
@@ -47,317 +179,88 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows!r})"
 
-    def _cleared(self):
-        """Rows with RatFunc/Fraction entries scaled to Poly/int rows.
-
-        Returns (rows, scale_factors); row i was multiplied by scale[i].
-        """
-        out, scales = [], []
-        for row in self.rows:
-            if any(isinstance(x, RatFunc) for x in row):
-                mult = Poly.one()
-                for x in row:
-                    if isinstance(x, RatFunc):
-                        mult = mult * x.den
-                mult_rf = as_ratfunc(mult)
-                new = []
-                for x in row:
-                    v = as_ratfunc(x) * mult_rf
-                    assert v.den == Poly.one()
-                    new.append(v.num)
-                out.append(new)
-                scales.append(as_ratfunc(mult))
-            elif any(isinstance(x, Fraction) for x in row):
-                denom = 1
-                for x in row:
-                    if isinstance(x, Fraction):
-                        denom = denom * x.denominator // gcd(denom, x.denominator)
-                new = []
-                for x in row:
-                    v = x * denom
-                    new.append(int(v) if isinstance(v, Fraction) else v)
-                out.append(new)
-                scales.append(Fraction(denom))
-            else:
-                out.append(list(row))
-                scales.append(1)
-        return out, scales
+    def _columns(self) -> list[dict]:
+        return [{i: row[j] for i, row in enumerate(self.rows)}
+                for j in range(self.ncols)]
 
     def rank(self) -> int:
-        """Rank over the fraction field, by fraction-free elimination."""
-        rows, _ = self._cleared()
-        return _bareiss(rows)[0]
+        """Rank over the fraction field."""
+        return _rank(*_in_domain([dict(enumerate(row)) for row in self.rows]))
 
     def det(self):
-        """Exact determinant (square matrices over an integral domain)."""
+        """Exact determinant (square matrices over an integral domain), by
+        elimination over the fraction field: the product of the pivots times
+        the sign of the row -> pivot column permutation."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return 1
-        rows, scales = self._cleared()
-        rank, d, sign = _bareiss(rows)
-        if rank < self.nrows:
-            d = 0
-        val = d if sign > 0 else -d
-        total_scale = 1
-        for s in scales:
-            total_scale = s * total_scale
-        if total_scale == 1:
-            return val
-        return exact_div(val, total_scale)
+        entries = [x for row in self.rows for x in row]
+        generic = any(isinstance(x, (Poly, RatFunc)) for x in entries)
+        lift = as_ratfunc if generic else Fraction
+        rows = [{j: lift(x) for j, x in enumerate(row) if x} for row in self.rows]
+        echelon = Echelon(_cancel_field)
+        pivots = [0] * self.nrows
+        for i in sorted(range(self.nrows), key=lambda i: len(rows[i])):
+            piv = echelon.add(rows[i])[0]
+            if piv is None:
+                return 0
+            pivots[i] = piv
+        det = _perm_sign(pivots)
+        for c in pivots:
+            det = echelon.rows[c][c] * det
+        if not generic:
+            return det.numerator if det.denominator == 1 else det
+        if any(isinstance(x, RatFunc) for x in entries):
+            return det
+        if det.den != Poly.one():
+            raise ArithmeticError(f"determinant {det} of a Poly matrix is not a Poly")
+        return det.num
 
     def solve(self, b: list) -> list:
-        """Exact solution of self @ x = b (square, invertible)."""
+        """Exact solution of self @ x = b (square, invertible): the
+        coefficients of b in the columns.  Raises ValueError if singular."""
         if self.nrows != self.ncols:
             raise ValueError("solve requires a square matrix")
-        n = self.nrows
-        field_rows = [[as_field(self.rows[i][j]) for j in range(n)] + [as_field(b[i])]
-                      for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if field_rows[i][col] != 0), None)
+        return LinearSolver(self._columns()).solve(dict(enumerate(b)))
+
+    def kernel(self) -> list[list]:
+        """A basis of {v : self @ v = 0}, read off the tag columns of the
+        columns that the echelon of the columns finds dependent."""
+        cols = [{**col, ~j: 1} for j, col in enumerate(self._columns())]
+        rows, cancel = _in_domain(cols)
+        echelon = Echelon(cancel)
+        out = []
+        for row in rows:
+            piv, red = echelon.add(row)
             if piv is None:
-                raise ValueError("singular matrix in solve")
-            field_rows[col], field_rows[piv] = field_rows[piv], field_rows[col]
-            pv = field_rows[col][col]
-            field_rows[col] = [x / pv for x in field_rows[col]]
-            for i in range(n):
-                if i != col and field_rows[i][col] != 0:
-                    f = field_rows[i][col]
-                    field_rows[i] = [x - f * y for x, y in zip(field_rows[i], field_rows[col])]
-        return [field_rows[i][n] for i in range(n)]
-
-
-def matrix_rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def matrix_det(m: ExactMatrix):
-    return m.det()
-
-
-def as_field(x):
-    """Lift a ring element into its fraction field (Fraction or RatFunc)."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Poly):
-        return as_ratfunc(x)
-    return x
-
-
-def _bareiss(rows):
-    """Fraction-free Gaussian elimination (Bareiss).
-
-    Mutates ``rows`` (entries int or Poly).  Returns (rank, last_pivot, sign):
-    for a square matrix of full rank the determinant is sign * last_pivot.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    prev = 1
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not _is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            if _is_zero(ric):
-                if prev != 1:
-                    rows[i] = [exact_div(pivot * x, prev) for x in row_i]
-                else:
-                    rows[i] = [pivot * x for x in row_i]
-            else:
-                new = []
-                for j in range(ncols):
-                    v = pivot * row_i[j] - ric * row_r[j]
-                    if prev != 1:
-                        v = exact_div(v, prev)
-                    new.append(v)
-                rows[i] = new
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r, prev, sign
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (Poly, RatFunc)):
-        return x.is_zero
-    return x == 0
+                out.append([red.get(~j, 0) for j in range(self.ncols)])
+        return out
 
 
 def sparse_rank_q(rows: list[dict[int, int]]) -> int:
-    """Exact rank over Q of sparse integer rows (dict col -> value).
-
-    Fraction-free row echelon with gcd normalization; pivots are chosen in
-    increasing column order, preferring short rows to limit fill-in.
-    """
-    pending = []
-    for row in rows:
-        r = _int_row(row)
-        if r:
-            pending.append(r)
-    echelon: list[tuple[int, dict[int, int]]] = []
-    rank = 0
-    for row in sorted(pending, key=len):
-        row = _reduce_row(row, echelon)
-        if row:
-            piv = min(row)
-            echelon.append((piv, row))
-            echelon.sort(key=lambda t: t[0])
-            rank += 1
-    return rank
-
-
-def _int_row(row: dict) -> dict[int, int]:
-    """Scale a dict row with int/Fraction values to coprime integers."""
-    items = {c: v for c, v in row.items() if v != 0}
-    if not items:
-        return {}
-    denom = 1
-    for v in items.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {c: int(v * denom) for c, v in items.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
-
-
-def _reduce_row(row: dict[int, int], echelon) -> dict[int, int]:
-    for piv, prow in echelon:
-        v = row.get(piv)
-        if not v:
-            continue
-        pv = prow[piv]
-        g = gcd(abs(v), abs(pv))
-        a, b = pv // g, v // g
-        new = {c: a * x for c, x in row.items()}
-        for c, x in prow.items():
-            w = new.get(c, 0) - b * x
-            if w:
-                new[c] = w
-            else:
-                new.pop(c, None)
-        g2 = 0
-        for x in new.values():
-            g2 = gcd(g2, x)
-        if g2 > 1:
-            new = {c: x // g2 for c, x in new.items()}
-        row = new
-        if not row:
-            break
-    return row
+    """Exact rank over Q of sparse integer (or rational) rows, dict col ->
+    value, fraction-free; short rows are placed first to limit fill-in."""
+    return _rank([_z_row(row) for row in rows], _cancel_z)
 
 
 def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] | None:
     """Express ``target`` as a rational combination of ``rows``; None if outside
-    the span.  Small-scale; used for rank-accounting style checks."""
-    n = len(rows)
-    echelon: list[tuple[int, dict]] = []
+    the span.  Rows dependent on earlier ones get coefficient 0."""
+    echelon = Echelon(_cancel_field)
     for i, row in enumerate(rows):
-        aug = {c: Fraction(v) for c, v in row.items() if v != 0}
-        aug[("tag", i)] = Fraction(1)
-        aug = _reduce_frac_row(aug, echelon)
-        if any(not isinstance(c, tuple) for c in aug):
-            piv = min(c for c in aug if not isinstance(c, tuple))
-            echelon.append((piv, aug))
-            echelon.sort(key=lambda t: t[0])
-    t = {c: Fraction(v) for c, v in target.items() if v != 0}
-    t = _reduce_frac_row(t, echelon, negate_tags=True)
-    if any(not isinstance(c, tuple) for c in t):
+        echelon.add({**{c: Fraction(v) for c, v in row.items() if v}, ~i: Fraction(1)})
+    t = echelon.reduce({c: Fraction(v) for c, v in target.items() if v})
+    if any(c >= 0 for c in t):
         return None
-    coeffs = [Fraction(0)] * n
+    coeffs = [Fraction(0)] * len(rows)
     for c, v in t.items():
-        coeffs[c[1]] = v
+        coeffs[~c] = -v
     return coeffs
 
 
-def _reduce_frac_row(row: dict, echelon, negate_tags: bool = False) -> dict:
-    for piv, prow in echelon:
-        v = row.get(piv)
-        if not v:
-            continue
-        f = v / prow[piv]
-        for c, x in prow.items():
-            w = row.get(c, 0) - f * x
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
-    if negate_tags:
-        row = {c: (-v if isinstance(c, tuple) else v) for c, v in row.items()}
-    return row
-
-
 def rank_modp(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    """Rank over F_p.  Dense numpy elimination when the matrices are wide,
-    sparse dict elimination otherwise; both exact."""
-    reduced = []
-    for row in rows:
-        r = {c: v % p for c, v in row.items() if v % p}
-        if r:
-            reduced.append(r)
-    if not reduced:
-        return 0
-    if ncols * len(reduced) > 1_000_000:
-        return _dense_rank_modp(reduced, ncols, p)
-    echelon: list[tuple[int, dict[int, int]]] = []
-    for row in sorted(reduced, key=len):
-        for piv, prow in echelon:
-            v = row.get(piv)
-            if not v:
-                continue
-            f = v * pow(prow[piv], -1, p) % p
-            for c, x in prow.items():
-                w = (row.get(c, 0) - f * x) % p
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        if row:
-            echelon.append((min(row), row))
-            echelon.sort(key=lambda t: t[0])
-    return len(echelon)
-
-
-def _dense_rank_modp(rows, ncols, p):
-    m = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            m[i, c] = v % p
-    rank = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(m[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        hits = np.nonzero(m[:, col])[0]
-        hits = hits[hits != rank]
-        if hits.size:
-            m[hits] = (m[hits] - np.outer(m[hits, col], m[rank])) % p
-        rank += 1
-    return rank
+    """Rank over F_p of sparse integer rows with columns below ``ncols``."""
+    return _rank([{c: v % p for c, v in row.items() if v % p} for row in rows],
+                 _cancel_mod(p))
 
 
 def gram_rank_q(rows: list[dict[int, int]], ncols: int) -> int:
@@ -366,97 +269,56 @@ def gram_rank_q(rows: list[dict[int, int]], ncols: int) -> int:
     Valid because the standard dot product is positive definite over Q, so
     rank(M M^T) = rank(M).  The Gram matrix is assembled with a float64
     matmul, which is exact here: every entry and partial sum is an integer
-    of magnitude < 2**53 (asserted)."""
+    of magnitude < 2**52 (checked before and after).  numpy is imported
+    here, the one place it is used, so other callers do not pay for it."""
+    import numpy as np
+
     n = len(rows)
     if n == 0:
         return 0
     maxabs = max((max(map(abs, r.values())) if r else 0) for r in rows)
     nnz = max(len(r) for r in rows)
-    assert maxabs ** 2 * max(nnz, 1) < 2 ** 52, "float64 Gram trick out of range"
+    if maxabs ** 2 * max(nnz, 1) >= 2 ** 52:
+        raise ArithmeticError("float64 Gram product out of its exact range")
     m = np.zeros((n, ncols), dtype=np.float64)
     for i, row in enumerate(rows):
         for c, v in row.items():
             m[i, c] = v
     g = m @ m.T
-    gi = np.rint(g).astype(object)
-    assert np.all(np.abs(g) < 2 ** 52)
-    return ExactMatrix([[int(gi[i, j]) for j in range(n)] for i in range(n)]).rank()
+    if not np.all(np.abs(g) < 2 ** 52):
+        raise ArithmeticError("float64 Gram entry out of its exact range")
+    gram = np.rint(g).astype(np.int64).tolist()
+    return _rank([{j: v for j, v in enumerate(row) if v} for row in gram], _cancel_z)
 
 
 class LinearSolver:
-    """Reusable exact solver: given basis vectors v_0..v_{n-1} (sparse dict
-    rows over arbitrary hashable column keys), expand further vectors in
-    terms of them.
+    """Reusable exact solver: given independent basis vectors v_0..v_{n-1}
+    (sparse dict rows over non-negative int columns), expand further
+    vectors in terms of them.
 
-    Rows are echelonized once with Fraction arithmetic, carrying an augmented
-    coordinate part; ``solve`` then reduces a query against the echelon and
-    reads the coordinates off the augmented columns.
+    The rows are echelonized once, each carrying its tag column; ``solve``
+    reduces a query over the field and reads the coefficients off the tags.
     """
 
     def __init__(self, rows: list[dict]):
         self.n = len(rows)
-        # Echelon rows are kept in insertion order.  Each new row is reduced
-        # against all earlier ones, so row k is zero at the pivots of rows
-        # < k; a single forward pass in this order therefore fully reduces
-        # any query vector.
-        self.echelon: list[tuple] = []
-        order = sorted(range(self.n), key=lambda i: len(rows[i]))
-        for i in order:
-            aug = {("@", i): Fraction(1)}
-            for c, v in rows[i].items():
-                if v != 0:
-                    aug[c] = Fraction(v)
-            aug = self._reduce(aug)
-            main = [c for c in aug if not isinstance(c, tuple) or c[0] != "@"]
-            if not main:
+        tagged, cancel = _in_domain([{**row, ~i: 1} for i, row in enumerate(rows)])
+        self.echelon = Echelon(cancel)
+        for row in sorted(tagged, key=len):
+            if self.echelon.add(row)[0] is None:
                 raise ValueError("linearly dependent basis rows")
-            piv = min(main)
-            self.echelon.append((piv, aug))
-
-    def _reduce(self, row: dict) -> dict:
-        for piv, prow in self.echelon:
-            v = row.get(piv)
-            if not v:
-                continue
-            f = v / prow[piv]
-            for c, x in prow.items():
-                w = row.get(c, 0) - f * x
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        return row
 
     def solve(self, vec: dict) -> list:
         """Coefficients x with sum_i x_i v_i = vec; raises if inconsistent.
 
-        Values may be int/Fraction/Poly; coefficients come back in the same
-        field (Fraction, or Poly with Fraction coefficients)."""
-        row = {c: v for c, v in vec.items() if not _is_zero(v)}
-        # repeated single-pass reduction: pivots may reappear via Poly values
-        for piv, prow in self.echelon:
-            v = row.get(piv)
-            if v is None or _is_zero(v):
-                continue
-            f = _scale(v, prow[piv])
-            for c, x in prow.items():
-                w = row.get(c, 0) - f * x
-                if _is_zero(w):
-                    row.pop(c, None)
-                else:
-                    row[c] = w
+        Values may be int/Fraction/Poly/RatFunc; coefficients come back in
+        the same field (Fraction, or Poly with Fraction coefficients)."""
+        row = {c: Fraction(v) if isinstance(v, int) else v
+               for c, v in vec.items() if v}
+        row = self.echelon.reduce(row, _cancel_field)
         coeffs = [0] * self.n
-        for c, v in list(row.items()):
-            if isinstance(c, tuple) and c[0] == "@":
-                coeffs[c[1]] = -v
-                row.pop(c)
+        for c in [c for c in row if c < 0]:
+            coeffs[~c] = -row.pop(c)
         if row:
             raise ValueError("vector outside the span of the basis")
         return coeffs
-
-
-def _scale(v, pivot: Fraction):
-    """v / pivot for v int/Fraction/Poly and scalar pivot."""
-    if isinstance(v, Poly):
-        return v / pivot
-    return Fraction(v) / pivot

@@ -377,11 +377,6 @@ def murphy_basis(r: int, flavor: str, max_r: int | None = None) -> MurphyBasis:
     return _cached_basis(r, flavor)
 
 
-def expand_in_murphy(a, basis: MurphyBasis) -> list:
-    """Coefficient vector of an algebra element in the cellular basis."""
-    return basis.expand(a)
-
-
 def gram_matrix(v: Vertex, basis: MurphyBasis):
     return basis.gram_matrix(v)
 

@@ -392,13 +392,6 @@ def as_ratfunc(x) -> RatFunc:
     return out
 
 
-def coeff_evaluate(c: Coeff, d0: Scalar):
-    """Evaluate any supported coefficient type at delta = d0 (None at poles)."""
-    if isinstance(c, (int, Fraction)):
-        return c
-    return c.evaluate(d0)
-
-
 def exact_div(a: Coeff, b: Coeff) -> Coeff:
     """Exact division a / b, raising if the quotient leaves the ring."""
     if isinstance(a, int) and isinstance(b, int):

@@ -142,11 +142,6 @@ def gz_idempotents(basis: MurphyBasis, vertex: Vertex) -> SeminormalData:
     return data
 
 
-def seminormal_vectors(sd: SeminormalData) -> dict[int, list[RatFunc]]:
-    """f_t = m_t F_t in Murphy coordinates, with the Gram diagonal cached."""
-    return sd.vectors
-
-
 def jm_seminormal_check(sd: SeminormalData) -> bool:
     """f_t L_i = kappa_t(i) f_t for every path t and JM index i."""
     for ti, t in enumerate(sd.paths):
@@ -242,7 +237,8 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
     record.add("permissible idempotents evaluable", True)
 
     g0 = [[x.evaluate(delta0) for x in row] for row in sd.gram]
-    assert all(v is not None for row in g0 for v in row)
+    if any(v is None for row in g0 for v in row):
+        raise ArithmeticError(f"Murphy Gram at {sd.vertex} has a pole at {delta0}")
     f0 = {}
     ok = True
     for ti in record.permissible:
@@ -277,7 +273,7 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
                        for i in range(npaths))
 
         # the specialized idempotents preserve the radical ...
-        rad_basis = _gram_kernel(g0)
+        rad_basis = ExactMatrix(g0).kernel()
         preserves = True
         for t in perm:
             for w in rad_basis:
@@ -331,36 +327,3 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
                 agree &= in_radical(row)
         record.add("E_tt = specialized F_t modulo the radical", agree)
     return record
-
-
-def _gram_kernel(g0) -> list[list[Fraction]]:
-    """Basis of the kernel {v : g0 v = 0} of a rational matrix, by full
-    Gauss-Jordan reduction."""
-    n = len(g0)
-    rows = [[Fraction(x) for x in row] for row in g0]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {col for _i, col in pivots}
-    out = []
-    for j in range(n):
-        if j in pivot_cols:
-            continue
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for i, col in pivots:
-            vec[col] = -rows[i][j]
-        out.append(vec)
-    return out

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import brauercell
 from brauercell.cli import main
 
 
@@ -35,6 +40,8 @@ def test_usage_errors(capsys):
                  "--field", "Fp", "--p", "2"]) == 1
     assert main(["certify", "--flavor", "nosuch", "--r", "2", "--N", "1"]) == 1
     assert main(["nosuchcommand"]) == 1
+    assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
+                 "--jobs", "2"]) == 1
     capsys.readouterr()
 
 
@@ -116,3 +123,17 @@ def test_composite_p_rejected(capsys):
     assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--field", "Fp", "--p", "6"]) == 1
     capsys.readouterr()
+
+
+def test_certify_under_python_O():
+    """Exactness checks are raises, not asserts, so -O changes nothing."""
+    src = str(Path(brauercell.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "brauercell.cli", "certify", "--flavor", "symplectic", "--r", "3",
+            "--N", "1"]
+    plain, opt = (subprocess.run([sys.executable, *flags, *argv], env=env,
+                                 capture_output=True, timeout=300)
+                  for flags in ([], ["-O"]))
+    assert plain.returncode == opt.returncode == 0
+    assert opt.stdout == plain.stdout

@@ -60,6 +60,20 @@ def test_det_matches_cofactor_random(rng):
         for _ in range(15):
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             assert ExactMatrix(rows).det() == det_cofactor(rows)
+            # permuted rows and columns pin the sign of the pivot order
+            perm = rng.sample(range(n), n)
+            swapped = [rows[i] for i in perm]
+            assert ExactMatrix(swapped).det() == det_cofactor(swapped)
+            swapped = [[row[j] for j in perm] for row in rows]
+            assert ExactMatrix(swapped).det() == det_cofactor(swapped)
+            if n > 1:
+                # a row that is a combination of two others makes it singular
+                a, b, c = (rng.randrange(n) for _ in range(3))
+                singular = [r[:] for r in rows]
+                singular[a] = [2 * x - 3 * y for x, y in zip(rows[b], rows[c])]
+                if a not in (b, c):
+                    assert ExactMatrix(singular).det() == 0
+                assert ExactMatrix(singular).det() == det_cofactor(singular)
 
 
 def test_det_matches_cofactor_polynomial(rng):
@@ -129,6 +143,11 @@ def test_sparse_rank_matches_dense(rng):
         assert gram_rank_q(sparse, m) == rank_gauss_fraction(rows)
 
 
+def test_gram_rank_range_guard():
+    with pytest.raises(ArithmeticError):
+        gram_rank_q([{0: 2 ** 30}], 1)
+
+
 def test_rank_modp(rng):
     for p in (2, 3, 5, 7):
         for _ in range(15):
@@ -158,18 +177,33 @@ def rank_gauss_fraction_modp(rows, p):
     return rank
 
 
-def test_dense_modp_path_agrees(rng):
-    # force the numpy dense route by inflating the column count
+def test_rank_modp_wide(rng):
+    # 120000 columns, checked against the dense oracle on the used columns
     rows = []
     m = 120000
     for i in range(12):
         rows.append({rng.randrange(m): rng.randint(1, 6) for _ in range(5)})
+    used = sorted({c for r in rows for c in r})
+    dense = [[r.get(c, 0) for c in used] for r in rows]
     for p in (3, 5):
-        # oracle: compress the used columns and run the sparse path
-        used = sorted({c for r in rows for c in r})
-        remap = {c: i for i, c in enumerate(used)}
-        packed = [{remap[c]: v for c, v in r.items()} for r in rows]
-        assert rank_modp(rows, m, p) == rank_modp(packed, len(used), p)
+        modrows = [[x % p for x in r] for r in dense]
+        assert rank_modp(rows, m, p) == rank_gauss_fraction_modp(modrows, p)
+
+
+def test_kernel_random_singular(rng):
+    for _ in range(25):
+        n, rank = rng.randint(2, 6), rng.randint(0, 5)
+        basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(min(rank, n - 1))]
+        coeffs = [[rng.randint(-2, 2) for _ in basis] for _ in range(n)]
+        rows = [[sum((c * b[j] for c, b in zip(cs, basis)), Fraction(0))
+                 for j in range(n)] for cs in coeffs]
+        mat = ExactMatrix(rows)
+        kernel = mat.kernel()
+        assert len(kernel) == n - rank_gauss_fraction(rows) > 0
+        for v in kernel:
+            assert all(sum(row[j] * v[j] for j in range(n)) == 0 for row in rows)
+        assert rank_gauss_fraction(kernel) == len(kernel)
 
 
 def test_sparse_solve_q():
