@@ -1,6 +1,9 @@
 """Command-line front end: build bases, run certificates, dump reports.
 
 Exit codes: 0 success, 1 usage error, 2 cap exceeded, 3 certificate failure.
+An internal arithmetic failure (an exactness check inside the computation
+that does not hold) also exits 3, with one "internal error:" line on stderr
+and nothing on stdout.
 All numeric output is exact (integers and fraction strings); JSON output is
 byte-identical across runs for the same configuration, with wall-clock
 timing reported on stderr only.
@@ -238,6 +241,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return CAP_ERROR
+    except ArithmeticError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return CERT_FAILURE
     text = render(payload, args.format)
     if args.out:
         with open(args.out, "w") as fh:

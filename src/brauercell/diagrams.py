@@ -568,10 +568,6 @@ def _zero(c) -> bool:
     return c == 0
 
 
-def element_mult(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def involution(a: AlgebraElement) -> AlgebraElement:
     return a.involution()
 

@@ -18,9 +18,8 @@ ints.  The tag column ``~i`` (that is, -1 - i) of a row holds the multiple
 of input row i that the row contains, so the same echelon gives solves and
 kernels.
 
-No floating point enters any rank or determinant decision.  numpy is used
-only for the Gram product in ``gram_rank_q``, exact there because every
-value is an integer of magnitude < 2**52 (checked).
+No floating point is used anywhere: every value is an int, Fraction, Poly
+or RatFunc, or a residue mod p.
 """
 
 from __future__ import annotations
@@ -257,38 +256,10 @@ def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] |
     return coeffs
 
 
-def rank_modp(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    """Rank over F_p of sparse integer rows with columns below ``ncols``."""
+def rank_modp(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse integer rows."""
     return _rank([{c: v % p for c, v in row.items() if v % p} for row in rows],
                  _cancel_mod(p))
-
-
-def gram_rank_q(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank over Q of wide sparse integer rows via the Gram matrix M M^T.
-
-    Valid because the standard dot product is positive definite over Q, so
-    rank(M M^T) = rank(M).  The Gram matrix is assembled with a float64
-    matmul, which is exact here: every entry and partial sum is an integer
-    of magnitude < 2**52 (checked before and after).  numpy is imported
-    here, the one place it is used, so other callers do not pay for it."""
-    import numpy as np
-
-    n = len(rows)
-    if n == 0:
-        return 0
-    maxabs = max((max(map(abs, r.values())) if r else 0) for r in rows)
-    nnz = max(len(r) for r in rows)
-    if maxabs ** 2 * max(nnz, 1) >= 2 ** 52:
-        raise ArithmeticError("float64 Gram product out of its exact range")
-    m = np.zeros((n, ncols), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            m[i, c] = v
-    g = m @ m.T
-    if not np.all(np.abs(g) < 2 ** 52):
-        raise ArithmeticError("float64 Gram entry out of its exact range")
-    gram = np.rint(g).astype(np.int64).tolist()
-    return _rank([{j: v for j, v in enumerate(row) if v} for row in gram], _cancel_z)
 
 
 class LinearSolver:

@@ -254,10 +254,10 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
     diag = {ti: form0(f0[ti], f0[ti]) for ti in record.permissible}
     record.add("specialized <f_t, f_t> nonzero for permissible t",
                all(v != 0 for v in diag.values()))
-    record.add("specialized <f_s, f_t> zero for s != t",
-               all(form0(f0[s], f0[t]) == 0
-                   for s in record.permissible for t in record.permissible
-                   if s != t))
+    orthogonal = all(form0(f0[s], f0[t]) == 0
+                     for s in record.permissible for t in record.permissible
+                     if s != t)
+    record.add("specialized <f_s, f_t> zero for s != t", orthogonal)
 
     from .exactmat import ExactMatrix
     rank = ExactMatrix(g0).rank()
@@ -294,36 +294,22 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
                 induced_ok &= in_radical(vec)
         record.add("specialized F_t induce the diagonal matrix units", induced_ok)
 
-        def e_op(s, t):
-            """Matrix of E_st on the module: w -> <w,f_s>/<f_s,f_s> f_t."""
-            gs = [Fraction(sum(g0[i][j] * f0[s][j] for j in range(npaths)), diag[s])
-                  for i in range(npaths)]
-            return [[gs[i] * f0[t][j] for j in range(npaths)] for i in range(npaths)]
+        # The matrix units E_st(w) = <w, f_s> / <f_s, f_s> * f_t compose as
+        # w E_st E_uv = <w, f_s> / <f_s, f_s> * <f_t, f_u> / <f_u, f_u> * f_v,
+        # that is E_st E_uv = <f_t, f_u> / <f_u, f_u> * E_sv.  Every
+        # <f_t, f_t> is nonzero here, so f_s, f_v and w -> <w, f_s> are all
+        # nonzero and E_sv != 0.  Hence the law E_st E_uv = delta_tu E_sv holds
+        # for all s, t, u, v iff <f_t, f_u> = 0 for t != u: the orthogonality
+        # checked above.
+        record.add("quotient matrix-unit law", orthogonal)
 
-        e_ops = {(s, t): e_op(s, t) for s in perm for t in perm}
-
-        def op_mul(a, b):
-            return [[sum(a[i][k] * b[k][j] for k in range(npaths))
-                     for j in range(npaths)] for i in range(npaths)]
-
-        law_ok = True
-        for s in perm:
-            for t in perm:
-                for u in perm:
-                    for v in perm:
-                        got = op_mul(e_ops[(s, t)], e_ops[(u, v)])
-                        want = e_ops[(s, v)] if t == u else \
-                            [[0] * npaths for _ in range(npaths)]
-                        law_ok &= all(got[i][j] == want[i][j]
-                                      for i in range(npaths) for j in range(npaths))
-        record.add("quotient matrix-unit law", law_ok)
-
-        # E_tt agrees with the specialized idempotent modulo the radical
+        # E_tt agrees with the specialized idempotent modulo the radical:
+        # row a of E_tt is <e_a, f_t> / <f_t, f_t> * f_t
         agree = True
         for t in perm:
             for a in range(npaths):
-                row = [e_ops[(t, t)][a][b] - evaluable[t][a][b]
-                       for b in range(npaths)]
+                c = Fraction(sum(g0[a][j] * f0[t][j] for j in range(npaths)), diag[t])
+                row = [c * f0[t][b] - evaluable[t][a][b] for b in range(npaths)]
                 agree &= in_radical(row)
         record.add("E_tt = specialized F_t modulo the radical", agree)
     return record

@@ -492,14 +492,8 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                     kernel_zero = False
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im, len(perm_vectors))
-    from .exactmat import gram_rank_q
-    ncols = rep.size ** 2
-    if ncols <= 4096:
-        got_rank = sparse_rank_q(perm_vectors)
-    else:
-        got_rank = gram_rank_q(perm_vectors, ncols)
     cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, got_rank)
+             dim_im, sparse_rank_q(perm_vectors))
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 

@@ -22,7 +22,7 @@ import itertools
 
 from .diagrams import AlgebraElement, BrauerDiagram, perm_sign
 from .errors import CapExceeded
-from .exactmat import gram_rank_q, rank_modp, sparse_rank_q
+from .exactmat import rank_modp, sparse_rank_q
 
 
 class SparseMat:
@@ -370,16 +370,12 @@ def image_rank(generators, rep: TensorRep, field="Q") -> int:
     """Rank of the span of the vectorized images of the given elements,
     over Q or over F_p (field = ("Fp", p))."""
     vecs = [rep.rep_element(a).to_vector() for a in generators]
-    ncols = rep.size ** 2
     if field == "Q":
-        total_nnz = sum(len(v) for v in vecs)
-        if ncols <= 4096 or total_nnz <= 200_000:
-            return sparse_rank_q(vecs)
-        return gram_rank_q(vecs, ncols)
+        return sparse_rank_q(vecs)
     name, p = field
     if name != "Fp":
         raise ValueError(f"unknown field {field!r}")
-    return rank_modp(vecs, ncols, p)
+    return rank_modp(vecs, p)
 
 
 # -- Pfaffian and determinant functionals -------------------------------------

@@ -75,6 +75,18 @@ def test_certify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
+def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
+    def broken_harterich(r, n, max_tensor_dim=65536, fields=()):
+        raise ArithmeticError("forced exactness failure")
+
+    monkeypatch.setattr("brauercell.sft.harterich_check", broken_harterich)
+    code = main(["certify", "--flavor", "symmetric", "--r", "2", "--N", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: forced exactness failure"]
+
+
 def test_dims_symplectic_catalan(capsys):
     code, out = run(capsys, "dims", "--flavor", "symplectic", "--N", "1", "--r", "4")
     assert code == 0

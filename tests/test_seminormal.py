@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from brauercell.branching import Vertex, path_strictly_dominates
@@ -177,6 +179,51 @@ def test_specialize_orthogonal_small():
                     assert ("not permissible" in rec.reason) or rec.collisions
                 else:
                     assert rec.passed, (n, r, v, rec.checks)
+
+
+def operator_matrix_unit_law(sd, delta0, perm):
+    """E_st E_uv = delta_tu E_sv for the n x n operators
+    E_st(w) = <w, f_s> / <f_s, f_s> * f_t on the specialized module."""
+    n = len(sd.paths)
+    g0 = [[x.evaluate(delta0) for x in row] for row in sd.gram]
+    f0 = {t: [x.evaluate(delta0) for x in sd.vectors[t]] for t in perm}
+
+    def e_op(s, t):
+        norm = sum(f0[s][i] * g0[i][j] * f0[s][j] for i in range(n) for j in range(n))
+        gs = [Fraction(sum(g0[i][j] * f0[s][j] for j in range(n)), norm)
+              for i in range(n)]
+        return [[gs[i] * f0[t][j] for j in range(n)] for i in range(n)]
+
+    def op_mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    ops = {(s, t): e_op(s, t) for s in perm for t in perm}
+    zero = [[0] * n for _ in range(n)]
+    return all(op_mul(ops[(s, t)], ops[(u, v)]) == (ops[(s, v)] if t == u else zero)
+               for s in perm for t in perm for u in perm for v in perm)
+
+
+@pytest.mark.parametrize("flavor,basis_flavor,cases", [
+    ("symplectic", "brauer-murphy", [(1, -2), (2, -4)]),
+    ("orthogonal", "brauer-dual-murphy", [(2, 2), (3, 3)]),
+], ids=["symplectic", "orthogonal"])
+def test_matrix_unit_law_matches_operator_oracle(flavor, basis_flavor, cases):
+    law = "quotient matrix-unit law"
+    multi = 0
+    for n, delta0 in cases:
+        for r in (1, 2, 3):
+            mb = murphy_basis(r, basis_flavor)
+            for v in mb.vertices:
+                sd = gz_idempotents(mb, v)
+                rec = specialize_quotient(sd, delta0, flavor, n)
+                recorded = dict(rec.checks)
+                if law not in recorded:
+                    continue
+                assert recorded[law] == operator_matrix_unit_law(
+                    sd, delta0, rec.permissible), (n, r, v)
+                multi += len(rec.permissible) > 1
+    assert multi > 0
 
 
 def test_degenerate_orthogonal_guard():

@@ -151,6 +151,12 @@ def test_image_rank_examples():
     assert image_rank(gens, rep3, field=("Fp", 3)) == 5
 
 
+def test_image_rank_wide_sparse():
+    # 5.76M columns and about 252k nonzeros: B_4 acts faithfully on (Q^7)^4
+    rep = TensorRep("orthogonal", 7, 4)
+    assert image_rank(all_elements(4, 7), rep) == 105
+
+
 def test_permutation_flavor():
     rep = TensorRep("permutation", 2, 3)
     s1 = rep.rep_element(AlgebraElement.from_perm((2, 1, 3)))
