@@ -18,13 +18,6 @@ from .rings import Poly
 Partition = tuple[int, ...]
 
 
-def check_partition(lam) -> Partition:
-    lam = tuple(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or any(p <= 0 for p in lam):
-        raise ValueError(f"not a partition: {lam}")
-    return lam
-
-
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()

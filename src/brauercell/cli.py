@@ -21,6 +21,9 @@ from .errors import CapExceeded
 USAGE_ERROR = 1
 CAP_ERROR = 2
 CERT_FAILURE = 3
+# --p must lie below this, so the trial-division primality test stays under
+# 2^16 divisions
+MAX_P = 2 ** 31
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,19 +39,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "and kernel/image certificates on tensor space")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_n=False):
+    def common(sp, tensor=True):
         sp.add_argument("--flavor", required=True,
                         choices=["symplectic", "orthogonal", "symmetric"])
         sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--N", type=int, required=need_n, default=None)
+        sp.add_argument("--N", type=int, default=None)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=["json", "table"], default="json")
         sp.add_argument("--max-r", type=int, default=5, dest="max_r")
-        sp.add_argument("--max-tensor-dim", type=int, default=65536,
-                        dest="max_tensor_dim")
+        if tensor:
+            sp.add_argument("--max-tensor-dim", type=int, default=65536,
+                            dest="max_tensor_dim")
 
     b = sub.add_parser("basis", help="dump a cellular basis")
-    common(b)
+    common(b, tensor=False)
     b.add_argument("--dual", action="store_true",
                    help="use the dual cellular structure")
     b.add_argument("--split", action="store_true",
@@ -63,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dims", help="permissible path counts and image ranks")
     common(d)
+    d.add_argument("--format", choices=["json", "table"], default="json")
     return p
 
 
@@ -74,8 +78,10 @@ def _validate(args) -> None:
         raise UsageError("--N must be positive")
     if args.r < 1:
         raise UsageError("--r must be positive")
-    if args.max_r < 1 or args.max_tensor_dim < 1:
+    if args.max_r < 1 or getattr(args, "max_tensor_dim", 1) < 1:
         raise UsageError("caps must be positive")
+    if getattr(args, "p", None) is not None and args.p >= MAX_P:
+        raise UsageError(f"--p must be below 2^31 = {MAX_P}")
     if getattr(args, "field", "Q") == "Fp":
         if args.p is None or not _is_prime(args.p):
             raise UsageError("--field Fp requires a prime --p")
@@ -114,15 +120,9 @@ def cmd_basis(args) -> tuple[dict, int]:
         if args.flavor == "symmetric":
             # the dual-Murphy basis of the symmetric group already splits
             basis = murphy_basis(args.r, "symmetric-dual", max_r=args.max_r)
-            entries = []
-            for (v, s, t) in basis.index:
-                entries.append({
-                    "vertex": v.to_json(),
-                    "s": [w.to_json() for w in basis.paths[v][s]],
-                    "t": [w.to_json() for w in basis.paths[v][t]],
-                    "kernel": len(v.lam) > args.N,
-                    "element": basis.elements[(v, s, t)].to_json(),
-                })
+            entries = basis.basis_json()
+            for (v, _s, _t), entry in zip(basis.index, entries):
+                entry["kernel"] = len(v.lam) > args.N
         else:
             from .sft import SplitBasis
             split = SplitBasis(args.r, args.N, args.flavor, max_r=args.max_r)
@@ -155,12 +155,10 @@ def cmd_certify(args) -> tuple[dict, int]:
         sections = [("split_basis", cert), ("quotient_cell_modules", quo)]
         all_pass = cert.passed and quo.passed
         if args.r <= args.seminormal_cap:
-            from .murphy import murphy_basis
             from .seminormal import gz_idempotents, specialize_quotient
-            basis = murphy_basis(args.r, split.basis.flavor)
             records = []
-            for v in basis.vertices:
-                sd = gz_idempotents(basis, v)
+            for v in split.basis.vertices:
+                sd = gz_idempotents(split.basis, v)
                 rec = specialize_quotient(sd, split.delta0, args.flavor, args.N)
                 records.append(rec)
                 if not rec.skipped:
@@ -177,30 +175,24 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 
 def cmd_dims(args) -> tuple[dict, int]:
-    from .diagrams import all_diagrams, all_permutation_diagrams
-    from .diagrams import AlgebraElement
+    from .diagrams import AlgebraElement, all_diagrams, all_permutation_diagrams
     from .sft import FLAVOR_DATA, algebra_dimension, expected_image_dimension
     from .tensorrep import TensorRep, image_rank
-    _bf, delta_fn, _pk = FLAVOR_DATA[args.flavor]
-    delta0 = delta_fn(args.N)
+    delta0 = FLAVOR_DATA[args.flavor][1](args.N)
+    symmetric = args.flavor == "symmetric"
     rows = []
     for r in range(1, args.r + 1):
         expected = expected_image_dimension(r, args.N, args.flavor)
         row = {"r": r, "dim_algebra": algebra_dimension(r, args.flavor),
                "sum_squared_permissible_paths": expected, "image_rank": None}
-        dim_v = {"symplectic": 2 * args.N, "orthogonal": args.N,
-                 "symmetric": args.N}[args.flavor]
-        if dim_v ** r <= args.max_tensor_dim:
-            if args.flavor == "symmetric":
-                rep = TensorRep("permutation", args.N, r,
-                                max_tensor_dim=args.max_tensor_dim)
-                gens = [AlgebraElement.from_diagram(d)
-                        for d in all_permutation_diagrams(r)]
-            else:
-                rep = TensorRep(args.flavor, args.N, r,
-                                max_tensor_dim=args.max_tensor_dim)
-                gens = [AlgebraElement.from_diagram(d, 1, delta0)
-                        for d in all_diagrams(r)]
+        try:
+            rep = TensorRep("permutation" if symmetric else args.flavor, args.N, r,
+                            max_tensor_dim=args.max_tensor_dim)
+        except CapExceeded:
+            pass  # over the tensor cap: the image rank stays null
+        else:
+            diagrams = all_permutation_diagrams(r) if symmetric else all_diagrams(r)
+            gens = [AlgebraElement.from_diagram(d, 1, delta0) for d in diagrams]
             row["image_rank"] = image_rank(gens, rep)
         rows.append(row)
     payload = {"command": "dims", "flavor": args.flavor, "N": args.N,
@@ -209,7 +201,7 @@ def cmd_dims(args) -> tuple[dict, int]:
 
 
 def render(payload: dict, fmt: str) -> str:
-    if fmt == "json" or payload.get("command") != "dims":
+    if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = [f"flavor={payload['flavor']} N={payload['N']}",
              f"{'r':>3} {'dim':>8} {'sum#perm^2':>12} {'image_rank':>12}"]
@@ -244,7 +236,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return CERT_FAILURE
-    text = render(payload, args.format)
+    text = render(payload, getattr(args, "format", "json"))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

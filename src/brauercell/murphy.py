@@ -43,16 +43,18 @@ def _perm_elt(p: tuple[int, ...], r: int, coeff=1) -> AlgebraElement:
 def sym_cell_generators(lam: Partition, r: int) -> tuple[AlgebraElement, AlgebraElement]:
     """x_lam (plain sum over the Young subgroup of lam) and y_lam (signed sum
     over the Young subgroup of the conjugate), embedded at width r."""
-    return (_young_sum(lam, r, signed=False),
-            _young_sum(conjugate(lam), r, signed=True))
+    return (young_sum(lam, r, signed=False),
+            young_sum(conjugate(lam), r, signed=True))
 
 
-def _young_sum(shape: Partition, r: int, signed: bool) -> AlgebraElement:
+def young_sum(shape: Partition, r: int, signed: bool, delta=None) -> AlgebraElement:
+    """The (signed) sum over the Young subgroup S_shape, whose blocks are
+    consecutive runs of 1, 2, ..., embedded at width r."""
     blocks, start = [], 1
     for part in shape:
         blocks.append(list(range(start, start + part)))
         start += part
-    return young_subgroup_sum(blocks, r, signed=signed)
+    return young_subgroup_sum(blocks, r, signed=signed, delta=delta)
 
 
 def _box_added(mu: Partition, lam: Partition) -> tuple[int, int]:
@@ -203,7 +205,7 @@ class MurphyBasis:
                 for t in range(n):
                     elt = lefts[s] * self.d_elements[(v, t)]
                     if not elt.has_integer_coeffs():
-                        raise AssertionError(
+                        raise ArithmeticError(
                             f"Murphy element at {v} is not an integer diagram sum")
                     self.elements[(v, s, t)] = elt.as_integer()
                     self.index.append((v, s, t))
@@ -215,7 +217,7 @@ class MurphyBasis:
             self.diagrams = all_diagrams(r)
         self.diag_index = {d: i for i, d in enumerate(self.diagrams)}
         if len(self.index) != len(self.diagrams):
-            raise AssertionError("basis size does not match algebra dimension")
+            raise ArithmeticError("basis size does not match algebra dimension")
         self._solvers: dict[int, LinearSolver] = {}
         self._block_cols: dict[int, list[int]] = {}
 

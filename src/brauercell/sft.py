@@ -11,6 +11,13 @@ kernel/image certificates for diagram algebras acting on tensor space.
   on (Z^N)^{tensor r}; the dual-Murphy basis already splits, with kernel
   cells those of more than N rows.
 
+Both Brauer settings build their kernel generators the same way: a head
+sum (all of B_{lam_1}, or the signed (lam'_1, lam'_2)-walled sum), times a
+Young-subgroup tail on the remaining rows or columns, times the e-suffix of
+the vertex.  The correction beta' averages the corank >= 1 part of the head
+over the orbits of the head's permutation group (S_{lam_1}, or
+S_{lam'_1} x S_{lam'_2}).
+
 The split basis replaces m_st by n_st = a_s* m a_t, where a_t corrects the
 path at its first non-permissible vertex by the factorization b = m * beta;
 n_st = m_st when both paths are permissible and maps to zero otherwise.
@@ -18,87 +25,53 @@ n_st = m_st when both paths are permissible and maps to zero otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import branching as br
 from .branching import Path, Vertex, conjugate
-from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                       all_permutation_diagrams, diagram_mult, walled_filter)
-from .exactmat import sparse_rank_q
-from .murphy import MurphyBasis, murphy_basis
-from .tensorrep import TensorRep, image_rank
+from .diagrams import (AlgebraElement, all_diagrams, all_permutation_diagrams,
+                       diagram_mult, walled_filter)
+from .exactmat import ExactMatrix, sparse_rank_q
+from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
+from .rings import Poly
+from .tensorrep import SparseMat, TensorRep, image_rank
 
 FLAVOR_DATA = {
-    # flavor -> (basis flavor, delta0(N), permissibility key)
-    "symplectic": ("brauer-murphy", lambda n: -2 * n, "symplectic"),
-    "orthogonal": ("brauer-dual-murphy", lambda n: n, "orthogonal"),
-    "symmetric": ("symmetric-dual", lambda n: None, "symmetric"),
+    # flavor -> (basis flavor, delta0(N))
+    "symplectic": ("brauer-murphy", lambda n: -2 * n),
+    "orthogonal": ("brauer-dual-murphy", lambda n: n),
+    "symmetric": ("symmetric-dual", lambda n: None),
 }
 
 
-def sum_all_diagrams(r: int, delta0, min_corank: int = 0) -> AlgebraElement:
-    """The unsigned sum of all diagrams of B_r (of corank >= min_corank)."""
-    terms = {d: 1 for d in all_diagrams(r) if d.rank_corank()[1] >= min_corank}
-    return AlgebraElement(r, terms, delta0)
+def sum_all_diagrams(r: int, delta0) -> AlgebraElement:
+    """The unsigned sum of all diagrams of B_r."""
+    return AlgebraElement(r, {d: 1 for d in all_diagrams(r)}, delta0)
 
 
-def walled_signed_sum(a: int, b: int, delta0, min_corank: int = 0) -> AlgebraElement:
+def walled_signed_sum(a: int, b: int, delta0) -> AlgebraElement:
     """The signed sum of (a,b)-walled diagrams of B_{a+b}."""
     terms = {}
     for d in all_diagrams(a + b):
         ok, sign = walled_filter(a, b, d)
-        if ok and d.rank_corank()[1] >= min_corank:
+        if ok:
             terms[d] = sign
     return AlgebraElement(a + b, terms, delta0)
 
 
-def _left_orbit_correction(r: int, delta0) -> AlgebraElement:
-    """beta' for the symplectic case: sum over S_r-orbit representatives x of
-    corank >= 1 diagrams, with coefficient 1/|stabilizer|, so that
-    x_{(r)} beta' equals the corank >= 1 part of the all-diagram sum."""
-    order = 1
-    for k in range(2, r + 1):
-        order *= k
-    perms = [d for d in all_permutation_diagrams(r)]
-    todo = {d for d in all_diagrams(r) if d.rank_corank()[1] >= 1}
+def _orbit_correction(head: AlgebraElement, group: list) -> AlgebraElement:
+    """beta': the sum of c_x/|stabilizer| over representatives x of the
+    orbits of the permutation diagrams ``group`` acting from the left on the
+    terms of ``head`` (the corank >= 1 part of a head sum), so that the group
+    sum times beta' equals ``head``.  The action is usually free, but not
+    always: (12)(34) stabilizes the corank-2 (2,2)-walled diagrams, whence
+    the stabilizer weights.  In the signed walled case stabilizers are
+    necessarily even, so the signed orbit sums cannot cancel."""
+    todo = dict(head.terms)
     terms = {}
     while todo:
         rep = min(todo)
-        orbit = set()
-        for p in perms:
-            q, loops = diagram_mult(p, rep)
-            if loops:
-                raise ArithmeticError("a permutation times a diagram closed a loop")
-            orbit.add(q)
-        todo -= orbit
-        terms[rep] = Fraction(1, order // len(orbit))
-    return AlgebraElement(r, terms, delta0)
-
-
-def _walled_orbit_correction(a: int, b: int, delta0) -> AlgebraElement:
-    """beta' for the orthogonal case: sum of sgn(x)/|stabilizer| over orbit
-    representatives x of the left (S_a x S_b)-action on corank >= 1 walled
-    diagrams, so that A_{(a,b)} beta' equals the corank >= 1 signed walled
-    sum.  (The action is usually free, but not always: (12)(34) stabilizes
-    the corank-2 (2,2)-walled diagrams, whence the stabilizer weights.
-    Stabilizers are necessarily even, so the signed orbit sums cannot
-    cancel.)"""
-    r = a + b
-    group = []
-    for pa in itertools.permutations(range(1, a + 1)):
-        for pb in itertools.permutations(range(a + 1, r + 1)):
-            group.append(BrauerDiagram.from_perm(tuple(pa) + tuple(pb)))
-    todo = {}
-    for d in all_diagrams(r):
-        ok, sign = walled_filter(a, b, d)
-        if ok and d.rank_corank()[1] >= 1:
-            todo[d] = sign
-    terms = {}
-    while todo:
-        rep = min(todo)
-        sign = todo[rep]
         orbit = set()
         for p in group:
             q, loops = diagram_mult(p, rep)
@@ -106,10 +79,11 @@ def _walled_orbit_correction(a: int, b: int, delta0) -> AlgebraElement:
                 raise ArithmeticError("a permutation times a diagram closed a loop")
             orbit.add(q)
         stab = len(group) // len(orbit)
+        coeff = todo[rep]
         for q in orbit:
-            todo.pop(q)
-        terms[rep] = sign if stab == 1 else Fraction(sign, stab)
-    return AlgebraElement(r, terms, delta0)
+            del todo[q]
+        terms[rep] = coeff if stab == 1 else Fraction(coeff, stab)
+    return AlgebraElement(head.r, terms, head.delta)
 
 
 @dataclass(frozen=True)
@@ -125,76 +99,41 @@ class KernelGenerator:
 
 
 def _is_marginal(v: Vertex, n: int, flavor: str) -> bool:
-    if flavor == "symplectic":
-        return bool(v.lam) and v.lam[0] == n + 1
-    if flavor == "orthogonal":
-        conj = conjugate(v.lam)
-        tot = (conj[0] if conj else 0) + (conj[1] if len(conj) > 1 else 0)
-        return tot == n + 1
-    if flavor == "symmetric":
-        return len(v.lam) == n + 1
-    raise ValueError(flavor)
-
-
-def build_b_generator(v: Vertex, n: int, r: int, delta0=None) -> KernelGenerator:
-    """Symplectic kernel generator at a marginal vertex (lam_1 = N+1)."""
-    if not _is_marginal(v, n, "symplectic"):
-        raise ValueError(f"{v} is not marginal for the symplectic case at N={n}")
-    if delta0 is None:
-        delta0 = -2 * n
-    lam = v.lam
-    head = sum_all_diagrams(lam[0], delta0)
-    head_prime = sum_all_diagrams(lam[0], delta0, min_corank=1)
-    tail_blocks, start = [], 1
-    for part in lam[1:]:
-        tail_blocks.append(list(range(start, start + part)))
-        start += part
-    from .diagrams import young_subgroup_sum
-    tail = young_subgroup_sum(tail_blocks, r - lam[0], signed=False, delta=delta0)
-    from .murphy import e_suffix
-    suffix = e_suffix(v.level - 1, v.l, r).with_delta(delta0)
-    b = head.tensor(tail).embed(r) * suffix
-    b_prime = head_prime.tensor(tail).embed(r) * suffix
-    beta_prime = _left_orbit_correction(lam[0], delta0).embed(r)
-    beta = AlgebraElement.one(r, delta0) + beta_prime
-    return KernelGenerator("symplectic", v, b, b_prime, beta_prime, beta)
-
-
-def build_d_generator(v: Vertex, n: int, r: int, delta0=None) -> KernelGenerator:
-    """Orthogonal kernel generator at a marginal vertex (lam'_1+lam'_2 = N+1)."""
-    if not _is_marginal(v, n, "orthogonal"):
-        raise ValueError(f"{v} is not marginal for the orthogonal case at N={n}")
-    if delta0 is None:
-        delta0 = n
-    conj = conjugate(v.lam)
-    a = conj[0] if conj else 0
-    b_ = conj[1] if len(conj) > 1 else 0
-    head = walled_signed_sum(a, b_, delta0)
-    head_prime = walled_signed_sum(a, b_, delta0, min_corank=1)
-    # y of the remaining columns, on the remaining strands
-    rest_cols = conj[2:]
-    tail_blocks, start = [], 1
-    for part in rest_cols:
-        tail_blocks.append(list(range(start, start + part)))
-        start += part
-    from .diagrams import young_subgroup_sum
-    tail = young_subgroup_sum(tail_blocks, r - a - b_, signed=True, delta=delta0)
-    from .murphy import e_suffix
-    suffix = e_suffix(v.level - 1, v.l, r).with_delta(delta0)
-    d = head.tensor(tail).embed(r) * suffix
-    d_prime = head_prime.tensor(tail).embed(r) * suffix
-    beta_prime = _walled_orbit_correction(a, b_, delta0).embed(r)
-    beta = AlgebraElement.one(r, delta0) + beta_prime
-    return KernelGenerator("orthogonal", v, d, d_prime, beta_prime, beta)
+    pred = br.PERMISSIBLE[flavor]
+    return pred(v, n + 1) and not pred(v, n)
 
 
 def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
                            delta0=None) -> KernelGenerator:
+    """The kernel generator at a marginal vertex: lam_1 = N+1 (symplectic,
+    b = all of B_{lam_1} (x) x_{(lam_2, ...)}) or lam'_1 + lam'_2 = N+1
+    (orthogonal, d = the signed walled sum (x) y_{(lam'_3, ...)}), followed
+    by the e-suffix of v."""
+    if flavor not in ("symplectic", "orthogonal"):
+        raise ValueError(flavor)
+    if not _is_marginal(v, n, flavor):
+        raise ValueError(f"{v} is not marginal for the {flavor} case at N={n}")
+    if delta0 is None:
+        delta0 = FLAVOR_DATA[flavor][1](n)
     if flavor == "symplectic":
-        return build_b_generator(v, n, r, delta0)
-    if flavor == "orthogonal":
-        return build_d_generator(v, n, r, delta0)
-    raise ValueError(flavor)
+        group_shape, tail_shape = v.lam[:1], v.lam[1:]
+        head = sum_all_diagrams(v.lam[0], delta0)
+    else:
+        conj = conjugate(v.lam)
+        c1, c2 = (conj + (0,))[:2]
+        group_shape, tail_shape = (c1, c2), conj[2:]
+        head = walled_signed_sum(c1, c2, delta0)
+    width = head.r
+    tail = young_sum(tail_shape, r - width, flavor == "orthogonal", delta0)
+    suffix = e_suffix(v.level - 1, v.l, r).with_delta(delta0)
+    head_prime = AlgebraElement(width, {d: c for d, c in head.terms.items()
+                                        if d.rank_corank()[1] >= 1}, delta0)
+    b = head.tensor(tail).embed(r) * suffix
+    b_prime = head_prime.tensor(tail).embed(r) * suffix
+    group = list(young_sum(group_shape, width, False).terms)
+    beta_prime = _orbit_correction(head_prime, group).embed(r)
+    beta = AlgebraElement.one(r, delta0) + beta_prime
+    return KernelGenerator(flavor, v, b, b_prime, beta_prime, beta)
 
 
 class SplitBasis:
@@ -205,13 +144,13 @@ class SplitBasis:
                  max_r: int | None = None):
         if flavor not in ("symplectic", "orthogonal"):
             raise ValueError("split basis exists for the symplectic/orthogonal cases")
-        basis_flavor, delta_fn, perm_key = FLAVOR_DATA[flavor]
+        basis_flavor, delta_fn = FLAVOR_DATA[flavor]
         self.flavor = flavor
         self.n = n
         self.r = r
         self.delta0 = delta_fn(n)
         self.basis = basis if basis is not None else murphy_basis(r, basis_flavor, max_r)
-        self.perm_pred = lambda v: br.PERMISSIBLE[perm_key](v, n)
+        self.perm_pred = lambda v: br.PERMISSIBLE[flavor](v, n)
 
         self._gen_cache: dict[Vertex, KernelGenerator] = {}
         # a_t per (vertex, path index); d_t for permissible paths
@@ -359,8 +298,7 @@ class Certificate:
 
 def expected_image_dimension(r: int, n: int, flavor: str) -> int:
     """Sum over permissible vertices of (number of permissible paths)^2."""
-    _bf, _dfn, perm_key = FLAVOR_DATA[flavor]
-    pred = br.PERMISSIBLE[perm_key]
+    pred = br.PERMISSIBLE[flavor]
     add_only = flavor == "symmetric"
     total = 0
     for v in br.vertices_at_level(r, add_only):
@@ -403,22 +341,16 @@ def ideal_generators(r: int, n: int, flavor: str, delta0) -> list[AlgebraElement
     """The small generating set of the kernel ideal: the single embedded
     all-diagram sum (symplectic), the embedded walled signed sums with
     a + b = N+1 (orthogonal), or the embedded antisymmetrizer (symmetric)."""
+    if flavor not in FLAVOR_DATA:
+        raise ValueError(flavor)
+    if r < n + 1:
+        return []
     if flavor == "symplectic":
-        if r < n + 1:
-            return []
         return [sum_all_diagrams(n + 1, delta0).embed(r)]
     if flavor == "orthogonal":
-        if r < n + 1:
-            return []
         return [walled_signed_sum(a, n + 1 - a, delta0).embed(r)
                 for a in range(n + 2)]
-    if flavor == "symmetric":
-        if r < n + 1:
-            return []
-        blocks = [list(range(1, n + 2))]
-        from .diagrams import young_subgroup_sum
-        return [young_subgroup_sum(blocks, r, signed=True)]
-    raise ValueError(flavor)
+    return [young_sum((n + 1,), r, signed=True)]
 
 
 def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
@@ -471,7 +403,6 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
         for d, c in a.terms.items():
             m = rep_cache[d].scale(c)
             out = m if out is None else out + m
-        from .tensorrep import SparseMat
         return out if out is not None else SparseMat(rep.size)
 
     # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t)
@@ -522,13 +453,11 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
     vectors span its radical."""
     split = split if split is not None else SplitBasis(r, n, flavor)
     cert = Certificate({"flavor": flavor, "r": r, "N": n, "delta0": split.delta0})
-    from .exactmat import ExactMatrix
     for v in split.basis.vertices:
         if not split.perm_pred(v):
             continue
         paths = split.basis.paths[v]
         gram = split.basis.gram_matrix(v)
-        from .rings import Poly
         g0 = [[c.evaluate(split.delta0) if isinstance(c, Poly) else c
                for c in row] for row in gram.rows]
         n_perm = sum(1 for ti in range(len(paths)) if split.path_permissible[(v, ti)])

@@ -98,9 +98,6 @@ class SparseMat:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def entry(self, i: int, j: int):
-        return self.rows.get(i, {}).get(j, 0)
-
     def to_vector(self) -> dict[int, int]:
         """Flatten to a sparse row vector of length n*n."""
         out = {}
@@ -133,7 +130,6 @@ class BilinearStructure:
         self.flavor = flavor
         self.n = n
         self.dim = 2 * n if flavor == "symplectic" else n
-        self.epsilon = -1 if flavor == "symplectic" else 1
 
     def pair(self, i: int, j: int) -> int:
         """[v_i, v_j] for 0-indexed basis vectors."""
@@ -156,13 +152,6 @@ class BilinearStructure:
                 coeff = -1
             out.append((a, b, coeff))
         return out
-
-    def dual_index(self, i: int) -> tuple[int, int]:
-        """(index, sign) with v_i^* = sign * v_index."""
-        d = self.dim
-        if self.flavor == "orthogonal":
-            return d - 1 - i, 1
-        return d - 1 - i, (1 if i < self.n else -1)
 
 
 class TensorRep:
@@ -344,7 +333,7 @@ class TensorRep:
                     m.add(row, self.idx(tuple(out_word)), cout)
         return m
 
-    def rep_element(self, a: AlgebraElement, closed_form: bool = False) -> SparseMat:
+    def rep_element(self, a: AlgebraElement) -> SparseMat:
         """Image of an algebra element; requires the element's loop parameter
         to match the flavor's specialization."""
         if a.r != self.r:
@@ -352,10 +341,9 @@ class TensorRep:
         if self.delta0 is not None and a.delta != self.delta0:
             raise ValueError(
                 f"element has delta={a.delta}, representation needs {self.delta0}")
-        rep = self.rep_diagram_closed_form if closed_form else self.rep_diagram
         out = SparseMat(self.size)
         for diag, c in a.terms.items():
-            m = rep(diag)
+            m = self.rep_diagram(diag)
             for i, row in m.rows.items():
                 for j, v in row.items():
                     out.add(i, j, c * v)

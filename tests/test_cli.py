@@ -42,7 +42,14 @@ def test_usage_errors(capsys):
     assert main(["nosuchcommand"]) == 1
     assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--jobs", "2"]) == 1
-    capsys.readouterr()
+    assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
+                 "--format", "table"]) == 1
+    assert main(["basis", "--flavor", "symplectic", "--r", "2",
+                 "--max-tensor-dim", "16"]) == 1
+    # a prime (2^61 - 1) past the --p bound, rejected before trial division
+    assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
+                 "--field", "Fp", "--p", "2305843009213693951"]) == 1
+    assert "--p must be below" in capsys.readouterr().err
 
 
 def test_certify_exit_codes(capsys):
@@ -85,6 +92,36 @@ def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["internal error: forced exactness failure"]
+
+
+def test_murphy_exactness_failure_exit_code(capsys, monkeypatch):
+    from brauercell import murphy
+    from brauercell.diagrams import AlgebraElement
+
+    monkeypatch.setattr(AlgebraElement, "has_integer_coeffs", lambda self: False)
+    murphy._cached_basis.cache_clear()
+    code = main(["basis", "--flavor", "symplectic", "--r", "2"])
+    murphy._cached_basis.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: ")
+
+
+def test_basis_split_symmetric(capsys):
+    from brauercell.murphy import murphy_basis
+
+    code, out = run(capsys, "basis", "--flavor", "symmetric", "--r", "4", "--N", "2",
+                    "--split")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 24
+    assert sum(e["kernel"] for e in entries) == 10
+    basis = murphy_basis(4, "symmetric-dual")
+    assert [e["element"] for e in entries] == [
+        basis.elements[key].to_json() for key in basis.index]
+    assert all(e["kernel"] == (len(e["vertex"]["lam"]) > 2) for e in entries)
 
 
 def test_dims_symplectic_catalan(capsys):

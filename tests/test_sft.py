@@ -8,7 +8,7 @@ from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams, wal
 from brauercell.exactmat import sparse_solve_q
 from brauercell.murphy import murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
-                            build_b_generator, build_d_generator, certify_sft,
+                            build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
                             ideal_generators, ideal_span_rank,
                             marginal_vertices, quotient_cell_modules,
@@ -21,7 +21,7 @@ def elt(d, coeff=1, delta=None):
 
 
 def test_b_generator_b2():
-    g = build_b_generator(Vertex((2,), 0), 1, 2)
+    g = build_kernel_generator(Vertex((2,), 0), 1, 2, "symplectic")
     assert g.b == sum_all_diagrams(2, -2)
     assert g.b_prime == elt(BrauerDiagram.e(1, 2), 1, -2)
     assert g.beta_prime == elt(BrauerDiagram.e(1, 2), Fraction(1, 2), -2)
@@ -29,12 +29,12 @@ def test_b_generator_b2():
     assert x * g.beta_prime == g.b_prime
     assert x == g.b - g.b_prime
     with pytest.raises(ValueError):
-        build_b_generator(Vertex((1,), 0), 1, 2)
+        build_kernel_generator(Vertex((1,), 0), 1, 2, "symplectic")
 
 
 def test_b_generator_level4():
     # b_((2),1) at level 4 = (all of B_2) (x) 1 followed by e_3
-    g = build_b_generator(Vertex((2,), 1), 1, 4)
+    g = build_kernel_generator(Vertex((2,), 1), 1, 4, "symplectic")
     expected = sum_all_diagrams(2, -2).tensor(AlgebraElement.one(2, -2)) \
         * elt(BrauerDiagram.e(3, 4), 1, -2)
     assert g.b == expected
@@ -43,23 +43,23 @@ def test_b_generator_level4():
 def test_d_generator_examples():
     # vertex (2) has conjugate (1,1), so it carries d_{1,1} = 1 - e_1;
     # vertex (1,1) has conjugate (2) and carries d_{2,0} = 1 - s_1
-    g = build_d_generator(Vertex((2,), 0), 1, 2)
+    g = build_kernel_generator(Vertex((2,), 0), 1, 2, "orthogonal")
     assert g.b == AlgebraElement.one(2, 1) - elt(BrauerDiagram.e(1, 2), 1, 1)
-    g2 = build_d_generator(Vertex((1, 1), 0), 1, 2)
+    g2 = build_kernel_generator(Vertex((1, 1), 0), 1, 2, "orthogonal")
     assert g2.b == AlgebraElement.one(2, 1) - elt(BrauerDiagram.s(1, 2), 1, 1)
     assert g2.b_prime.is_zero
     # (2,1)-walled diagrams of B_3 number 6 (they biject with S_3)
     count = sum(1 for d in all_diagrams(3) if walled_filter(2, 1, d)[0])
     assert count == 6
-    g21 = build_d_generator(Vertex((2, 1), 0), 2, 3)
+    g21 = build_kernel_generator(Vertex((2, 1), 0), 2, 3, "orthogonal")
     assert len(g21.b.terms) == 6
     assert g21.b == walled_signed_sum(2, 1, 2)
 
 
-def test_walled_orbit_correction_with_stabilizers():
+def test_orbit_correction_with_stabilizers():
     # the (12)(34) double swap stabilizes corank-2 (2,2)-walled diagrams,
     # so beta' picks up 1/2 weights there; the factorization still holds
-    g = build_d_generator(Vertex((2, 2), 0), 3, 4)
+    g = build_kernel_generator(Vertex((2, 2), 0), 3, 4, "orthogonal")
     y = murphy_basis(4, "brauer-dual-murphy").generators[Vertex((2, 2), 0)]
     assert y.with_delta(3) * g.beta_prime == g.b_prime
     assert y.with_delta(3) * g.beta == g.b
@@ -72,7 +72,6 @@ def test_walled_orbit_correction_with_stabilizers():
 def test_marginal_identity_and_factorization(flavor, ns, max_level):
     """m = b - b'; b' = m beta' with support of corank >= m+1 (axiom Q2)."""
     basis_flavor = FLAVOR_DATA[flavor][0]
-    build = build_b_generator if flavor == "symplectic" else build_d_generator
     for n in ns:
         delta0 = -2 * n if flavor == "symplectic" else n
         for level in range(1, max_level + 1):
@@ -80,7 +79,7 @@ def test_marginal_identity_and_factorization(flavor, ns, max_level):
             for v in marginal_vertices(level, n, flavor):
                 if v.level != level:
                     continue
-                g = build(v, n, level)
+                g = build_kernel_generator(v, n, level, flavor)
                 gen = mb.generators[v].with_delta(delta0)
                 assert gen == g.b - g.b_prime
                 assert gen * g.beta_prime == g.b_prime
