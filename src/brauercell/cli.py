@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -80,8 +81,11 @@ def _validate(args) -> None:
         raise UsageError("--r must be positive")
     if args.max_r < 1 or getattr(args, "max_tensor_dim", 1) < 1:
         raise UsageError("caps must be positive")
-    if getattr(args, "p", None) is not None and args.p >= MAX_P:
-        raise UsageError(f"--p must be below 2^31 = {MAX_P}")
+    if getattr(args, "p", None) is not None:
+        if args.field != "Fp":
+            raise UsageError("--p is only used with --field Fp")
+        if args.p >= MAX_P:
+            raise UsageError(f"--p must be below 2^31 = {MAX_P}")
     if getattr(args, "field", "Q") == "Fp":
         if args.p is None or not _is_prime(args.p):
             raise UsageError("--field Fp requires a prime --p")
@@ -212,6 +216,21 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    onto ``path``, so a reader never sees a partly written file."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -238,8 +257,7 @@ def main(argv=None) -> int:
         return CERT_FAILURE
     text = render(payload, getattr(args, "format", "json"))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd, lcm
 
 from .rings import Poly, RatFunc, as_ratfunc
@@ -239,6 +241,41 @@ def sparse_rank_q(rows: list[dict[int, int]]) -> int:
     """Exact rank over Q of sparse integer (or rational) rows, dict col ->
     value, fraction-free; short rows are placed first to limit fill-in."""
     return _rank([_z_row(row) for row in rows], _cancel_z)
+
+
+def spin_rank_q(rows: list[dict], maps: list[list[tuple[int, int]]]) -> int:
+    """Dimension over Q of the smallest subspace that contains ``rows`` and
+    is closed under every map in ``maps`` (spinning, as in the Meat-Axe).
+    A map sends column i to ``f`` times column j, where ``map[i] = (j, f)``
+    and f is an int.
+
+    Every queued vector is added to one echelon over Z, shortest first (of
+    equal lengths, the last first), and only a vector that becomes a new
+    pivot row has its images queued.  The pivot rows are never changed
+    later, so at the end they are a basis of the span W of everything
+    queued, and each of them has its images in W: W is closed under the
+    maps.  It contains ``rows`` and lies in every closed subspace that
+    contains them, so it is the smallest one."""
+    echelon = Echelon(_cancel_z)
+    queue, order = [], count(0, -1)
+
+    def push(row):
+        if row:
+            heappush(queue, (len(row), next(order), row))
+
+    for row in rows:
+        push(_z_row(row))
+    while queue:
+        piv, row = echelon.add(heappop(queue)[2])
+        if piv is None:
+            continue
+        for table in maps:
+            image = {}
+            for i, x in row.items():
+                j, f = table[i]
+                image[j] = image.get(j, 0) + f * x
+            push({j: x for j, x in image.items() if x})
+    return len(echelon.cols)
 
 
 def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] | None:

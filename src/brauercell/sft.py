@@ -30,9 +30,9 @@ from fractions import Fraction
 
 from . import branching as br
 from .branching import Path, Vertex, conjugate
-from .diagrams import (AlgebraElement, all_diagrams, all_permutation_diagrams,
-                       diagram_mult, walled_filter)
-from .exactmat import ExactMatrix, sparse_rank_q
+from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
+                       all_permutation_diagrams, diagram_mult, walled_filter)
+from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
 from .rings import Poly
 from .tensorrep import SparseMat, TensorRep, image_rank
@@ -355,23 +355,35 @@ def ideal_generators(r: int, n: int, flavor: str, delta0) -> list[AlgebraElement
 
 def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
     """Rank over Q of span{D1 * g * D2} over all diagram pairs and all
-    generators g, in diagram coordinates."""
-    diagrams = (all_permutation_diagrams(r) if flavor == "symmetric"
-                else all_diagrams(r))
-    diag_index = {d: i for i, d in enumerate(diagrams)}
+    generators g, in diagram coordinates: the dimension of the two-sided
+    ideal B g B of B_r (of the group algebra of S_r for the symmetric
+    flavor) at the integer loop value of ``gens``.
+
+    It is computed by spinning the g under left and right multiplication by
+    s_1..s_{r-1} and, for the Brauer flavors, e_1..e_{r-1}.  The diagrams
+    span the algebra, so span{D1 g D2} = B g B.  Every diagram is the
+    product of a word in the s_i and e_i that closes no loop, so with
+    coefficient 1, at every loop value; hence B g B is the smallest subspace
+    that contains the g and is closed under multiplication by each s_i, e_i
+    on either side.  That subspace is what ``spin_rank_q`` computes, exactly
+    over Q, from tables of x * D and D * x for every generator x and
+    diagram D."""
+    symmetric = flavor == "symmetric"
+    diagrams = all_permutation_diagrams(r) if symmetric else all_diagrams(r)
+    index = {d: i for i, d in enumerate(diagrams)}
     delta0 = gens[0].delta if gens else None
-    rows = []
-    seen = set()
-    for g in gens:
-        for d1 in diagrams:
-            left = AlgebraElement.from_diagram(d1, 1, delta0) * g
-            for d2 in diagrams:
-                prod = left * AlgebraElement.from_diagram(d2, 1, delta0)
-                row = tuple(sorted((diag_index[d], c) for d, c in prod.terms.items()))
-                if row and row not in seen:
-                    seen.add(row)
-                    rows.append(dict(row))
-    return sparse_rank_q(rows)
+    xs = [BrauerDiagram.s(i, r) for i in range(1, r)]
+    if not symmetric:
+        xs += [BrauerDiagram.e(i, r) for i in range(1, r)]
+    maps = []
+    for x in xs:
+        for left in (True, False):
+            table = []
+            for d in diagrams:
+                prod, loops = diagram_mult(x, d) if left else diagram_mult(d, x)
+                table.append((index[prod], delta0 ** loops if loops else 1))
+            maps.append(table)
+    return spin_rank_q([{index[d]: c for d, c in g.terms.items()} for g in gens], maps)
 
 
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,

@@ -194,8 +194,8 @@ def test_criterion_7_split_basis_certificate(tmp_path):
 
 def test_criterion_8_ideal_generation():
     ok = True
-    cases = [("symplectic", 1, [2, 3, 4]), ("orthogonal", 2, [3, 4]),
-             ("symmetric", 2, [3, 4])]
+    cases = [("symplectic", 1, [2, 3, 4, 5]), ("orthogonal", 2, [3, 4, 5]),
+             ("symmetric", 2, [3, 4, 5])]
     for flavor, n, rs in cases:
         delta0 = {"symplectic": -2 * n, "orthogonal": n, "symmetric": None}[flavor]
         for r in rs:
@@ -204,7 +204,7 @@ def test_criterion_8_ideal_generation():
             got = ideal_span_rank(gens, r, flavor) if gens else 0
             ok &= got == dim_ker
     report(8, "span{D1 g D2} over the marginal generators has rank dim ker "
-              "(symplectic N=1 r<=4; orthogonal N=2 r=3,4; symmetric N=2 r=3,4)", ok)
+              "(symplectic N=1 r<=5; orthogonal N=2 r=3..5; symmetric N=2 r=3..5)", ok)
 
 
 def test_criterion_9_field_independence():

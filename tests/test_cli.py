@@ -46,6 +46,10 @@ def test_usage_errors(capsys):
                  "--format", "table"]) == 1
     assert main(["basis", "--flavor", "symplectic", "--r", "2",
                  "--max-tensor-dim", "16"]) == 1
+    # --p without --field Fp would be ignored
+    assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
+                 "--p", "5"]) == 1
+    assert "--p is only used with --field Fp" in capsys.readouterr().err
     # a prime (2^61 - 1) past the --p bound, rejected before trial division
     assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--field", "Fp", "--p", "2305843009213693951"]) == 1
@@ -158,6 +162,18 @@ def test_determinism(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_out_replaces_target_atomically(tmp_path, capsys):
+    argv = ["certify", "--flavor", "symplectic", "--r", "2", "--N", "1"]
+    code, printed = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "cert.json"
+    target.write_text("stale\n" * 10000)
+    assert main([*argv, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == printed.encode()
+    assert os.listdir(tmp_path) == ["cert.json"]
 
 
 def test_field_fp_check(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from brauercell.exactmat import (ExactMatrix, LinearSolver, rank_modp,
-                                 sparse_rank_q, sparse_solve_q)
+                                 sparse_rank_q, sparse_solve_q, spin_rank_q)
 from brauercell.rings import Poly, RatFunc
 
 d = Poly.delta()
@@ -140,6 +140,19 @@ def test_sparse_rank_matches_dense(rng):
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
         assert sparse_rank_q(sparse) == rank_gauss_fraction(rows)
+
+
+def test_spin_rank_q():
+    shift = [((i + 1) % 5, 1) for i in range(5)]
+    assert spin_rank_q([{0: 1}], [shift]) == 5
+    assert spin_rank_q([{i: 3 for i in range(5)}], [shift]) == 1
+    # differences of adjacent columns span the sum-zero hyperplane
+    assert spin_rank_q([{0: 1, 1: -1}], [shift]) == 4
+    # factor 0 on column 0: the projection that kills e_0 sends the start
+    # vector (scaled to 2 e_0 + e_1) to e_1, which it fixes
+    kill0 = [(0, 0)] + [(i, 1) for i in range(1, 5)]
+    assert spin_rank_q([{0: 1, 1: Fraction(1, 2)}], [kill0]) == 2
+    assert spin_rank_q([], [shift]) == 0
 
 
 def test_rank_modp(rng):

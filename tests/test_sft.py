@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brauercell.branching as br
 from brauercell.branching import Vertex
-from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams, walled_filter
-from brauercell.exactmat import sparse_solve_q
+from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
+                                 all_permutation_diagrams, walled_filter)
+from brauercell.exactmat import sparse_rank_q, sparse_solve_q
 from brauercell.murphy import murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
@@ -223,6 +226,60 @@ def test_ideal_span_small():
     assert ideal_span_rank(gens, 2, "symplectic") == 1
     gens_o = ideal_generators(2, 1, "orthogonal", 1)
     assert ideal_span_rank(gens_o, 2, "orthogonal") == 2
+
+
+def _sandwich_rank(gens, r, flavor):
+    """Oracle for ideal_span_rank: the rank of every product D1 * g * D2."""
+    diagrams = (all_permutation_diagrams(r) if flavor == "symmetric"
+                else all_diagrams(r))
+    index = {d: i for i, d in enumerate(diagrams)}
+    delta0 = gens[0].delta if gens else None
+    rows = []
+    for g in gens:
+        for d1 in diagrams:
+            left = elt(d1, 1, delta0) * g
+            for d2 in diagrams:
+                prod = left * elt(d2, 1, delta0)
+                rows.append({index[d]: c for d, c in prod.terms.items()})
+    return sparse_rank_q(rows)
+
+
+# every case with nonempty generators (r > N) up to N = 3, r = 3, and a few at r = 4
+SPIN_CASES = ([(f, n, r) for f in FLAVOR_DATA for n in (1, 2, 3)
+               for r in range(n + 1, 4)]
+              + [("symplectic", 1, 4), ("orthogonal", 1, 4),
+                 ("symmetric", 1, 4), ("symmetric", 2, 4)])
+
+
+@pytest.mark.parametrize("flavor,n,r", SPIN_CASES)
+def test_ideal_span_rank_matches_sandwich(flavor, n, r):
+    gens = ideal_generators(r, n, flavor, FLAVOR_DATA[flavor][1](n))
+    got = ideal_span_rank(gens, r, flavor)
+    assert got == _sandwich_rank(gens, r, flavor)
+    assert got == algebra_dimension(r, flavor) - expected_image_dimension(r, n, flavor)
+
+
+@pytest.mark.parametrize("delta0", [1, -2, 0])
+def test_ideal_span_rank_beyond_the_kernel(delta0):
+    # B e_1 B is spanned by the 15 - 3! diagrams with a horizontal strand;
+    # the unit generates all of B_3, also at delta = 0
+    e1 = elt(BrauerDiagram.e(1, 3), 1, delta0)
+    one = AlgebraElement.one(3, delta0)
+    assert ideal_span_rank([e1], 3, "orthogonal") == 9 == _sandwich_rank([e1], 3, "orthogonal")
+    assert ideal_span_rank([one], 3, "orthogonal") == 15 == _sandwich_rank([one], 3, "orthogonal")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("orthogonal", 1), ("orthogonal", -2), ("orthogonal", 0),
+                        ("orthogonal", 3), ("symmetric", None)]),
+       st.lists(st.lists(st.tuples(st.integers(0, 14), st.integers(-3, 3)),
+                         min_size=1, max_size=4), min_size=1, max_size=2))
+def test_ideal_span_rank_random_elements(flavor_delta, terms):
+    flavor, delta0 = flavor_delta
+    ds = all_permutation_diagrams(3) if flavor == "symmetric" else all_diagrams(3)
+    gens = [AlgebraElement(3, [(ds[i % len(ds)], c) for i, c in g], delta0)
+            for g in terms]
+    assert ideal_span_rank(gens, 3, flavor) == _sandwich_rank(gens, 3, flavor)
 
 
 def test_quotient_cellularity_shadow(rng):
