@@ -93,6 +93,8 @@ def _validate(args) -> None:
             raise UsageError("the orthogonal case excludes characteristic 2")
     if args.r > args.max_r:
         raise CapExceeded(f"r={args.r} exceeds the cap {args.max_r}")
+    if args.command == "basis" and args.N is not None and not args.split:
+        raise UsageError("--N is only used with --split")
 
 
 class UsageError(ValueError):

@@ -306,12 +306,6 @@ def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int
     return BrauerDiagram(r, pairs), loops
 
 
-def diagram_stats(d: BrauerDiagram) -> tuple[int, int, int, int]:
-    """(rank, corank, length, sign) of a diagram."""
-    rank, corank = d.rank_corank()
-    return rank, corank, d.length(), d.sign()
-
-
 def all_diagrams(r: int) -> list[BrauerDiagram]:
     """All (2r-1)!! diagrams of B_r, in lexicographic canonical order.
 
@@ -570,10 +564,6 @@ def _zero(c) -> bool:
 
 def involution(a: AlgebraElement) -> AlgebraElement:
     return a.involution()
-
-
-def perm_to_diagram(pi: tuple[int, ...]) -> BrauerDiagram:
-    return BrauerDiagram.from_perm(pi)
 
 
 def young_subgroup_sum(blocks: list[list[int]], r: int, signed: bool = False,

@@ -11,7 +11,7 @@ of three domains:
   step, so a row stays the primitive integer multiple of its rational value;
 * F_p (``_cancel_mod``);
 * a field (``_cancel_field``): Fraction, or RatFunc for matrices over
-  Z[delta] or Q(delta) and for Poly-valued queries.
+  Z[delta] or Q(delta).
 
 Each public entry point fixes its own domain.  Columns are non-negative
 ints.  The tag column ``~i`` (that is, -1 - i) of a row holds the multiple
@@ -88,15 +88,13 @@ class Echelon:
         self.rows: dict[int, dict] = {}   # pivot column -> pivot row
         self.cols: list[int] = []         # pivot columns, increasing
 
-    def reduce(self, row: dict, cancel=None) -> dict:
+    def reduce(self, row: dict) -> dict:
         """``row`` with every pivot column cancelled.  A pivot row has no
         column below its pivot, so cancelling at c only adds columns above c
-        and one pass in increasing pivot order suffices.  ``cancel`` replaces
-        the echelon's own domain, to reduce a query over a field."""
-        cancel = cancel or self.cancel
+        and one pass in increasing pivot order suffices."""
         for c in self.cols:
             if c in row:
-                row = cancel(row, self.rows[c], c)
+                row = self.cancel(row, self.rows[c], c)
         return row
 
     def add(self, row: dict) -> tuple[int | None, dict]:
@@ -278,21 +276,6 @@ def spin_rank_q(rows: list[dict], maps: list[list[tuple[int, int]]]) -> int:
     return len(echelon.cols)
 
 
-def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] | None:
-    """Express ``target`` as a rational combination of ``rows``; None if outside
-    the span.  Rows dependent on earlier ones get coefficient 0."""
-    echelon = Echelon(_cancel_field)
-    for i, row in enumerate(rows):
-        echelon.add({**{c: Fraction(v) for c, v in row.items() if v}, ~i: Fraction(1)})
-    t = echelon.reduce({c: Fraction(v) for c, v in target.items() if v})
-    if any(c >= 0 for c in t):
-        return None
-    coeffs = [Fraction(0)] * len(rows)
-    for c, v in t.items():
-        coeffs[~c] = -v
-    return coeffs
-
-
 def rank_modp(rows: list[dict[int, int]], p: int) -> int:
     """Rank over F_p of sparse integer rows."""
     return _rank([{c: v % p for c, v in row.items() if v % p} for row in rows],
@@ -304,14 +287,17 @@ class LinearSolver:
     (sparse dict rows over non-negative int columns), expand further
     vectors in terms of them.
 
-    The rows are echelonized once, each carrying its tag column; ``solve``
-    reduces a query over the field and reads the coefficients off the tags.
+    The rows are echelonized once, each carrying its tag column.  ``solve``
+    tags the query with ~n and reduces it in the same domain: what is left
+    is a relation q * vec + sum_i x_i v_i = 0, so the coefficients are
+    -x_i / q.  Over Z the row is primitive, so they are all integers
+    exactly when q = +-1.
     """
 
     def __init__(self, rows: list[dict]):
         self.n = len(rows)
-        tagged, cancel = _in_domain([{**row, ~i: 1} for i, row in enumerate(rows)])
-        self.echelon = Echelon(cancel)
+        tagged, self.cancel = _in_domain([{**row, ~i: 1} for i, row in enumerate(rows)])
+        self.echelon = Echelon(self.cancel)
         for row in sorted(tagged, key=len):
             if self.echelon.add(row)[0] is None:
                 raise ValueError("linearly dependent basis rows")
@@ -319,14 +305,25 @@ class LinearSolver:
     def solve(self, vec: dict) -> list:
         """Coefficients x with sum_i x_i v_i = vec; raises if inconsistent.
 
-        Values may be int/Fraction/Poly/RatFunc; coefficients come back in
-        the same field (Fraction, or Poly with Fraction coefficients)."""
-        row = {c: Fraction(v) if isinstance(v, int) else v
-               for c, v in vec.items() if v}
-        row = self.echelon.reduce(row, _cancel_field)
-        coeffs = [0] * self.n
-        for c in [c for c in row if c < 0]:
-            coeffs[~c] = -row.pop(c)
-        if row:
+        Over Z (int/Fraction rows and query) a coefficient is an int where
+        it is integral and a Fraction otherwise; over Q(delta) a RatFunc."""
+        row = {**vec, ~self.n: 1}
+        if self.cancel is _cancel_field:
+            row = {c: as_ratfunc(v) for c, v in row.items() if v}
+        elif any(isinstance(v, (Poly, RatFunc)) for v in vec.values()):
+            raise TypeError("a query over Q(delta) needs basis rows over Q(delta)")
+        else:
+            row = _z_row(row)
+        row = self.echelon.reduce(row)
+        q = row.pop(~self.n)
+        if any(c >= 0 for c in row):
             raise ValueError("vector outside the span of the basis")
+        coeffs = [0] * self.n
+        for c, x in row.items():
+            if q in (1, -1):
+                coeffs[~c] = -x * q
+            elif isinstance(q, int):
+                coeffs[~c] = Fraction(-x, q)
+            else:
+                coeffs[~c] = -x / q
         return coeffs

@@ -11,12 +11,19 @@ Four flavors share one construction:
 Every basis element m_st = d_s* m_lambda d_t is expanded in the diagram
 basis at construction time; the expansion is an integer combination of
 diagrams whose corank equals the vertex corank, which makes the transition
-matrix to the diagram basis block diagonal by corank.
+matrix to the diagram basis block diagonal by corank, each block of
+determinant +-1.
+
+So the coefficient of m_(v,s,t) in any element is an integer linear
+functional of its diagram coefficients, the same at every loop value.  The
+Gram matrices and the matrices of right multiplication (Jucys-Murphy
+elements included) on a cell module read only the coefficients of
+m_(v,0,t); they are computed as the cell-row functionals phi_(v,0,t)
+applied to products, with no expansion over Q(delta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import branching as br
@@ -26,6 +33,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        transposition, young_subgroup_sum)
 from .errors import CapExceeded
 from .exactmat import ExactMatrix, LinearSolver
+from .rings import Poly
 
 FLAVORS = {
     "symmetric": (True, False),
@@ -153,18 +161,6 @@ def jm_element(i: int, r: int, add_only: bool = False) -> AlgebraElement:
     return out
 
 
-@dataclass(frozen=True)
-class CellDatum:
-    """Per-vertex cell data: the generator, the ordered path list, and the
-    (d, u) branching factor pair for every edge used by those paths."""
-
-    flavor: str
-    vertex: Vertex
-    generator: AlgebraElement
-    paths: tuple[Path, ...]
-    edge_factors: dict
-
-
 class MurphyBasis:
     """A full cellular basis of B_r (or of the symmetric group algebra)
     over the generic ground ring, expanded in the diagram basis."""
@@ -218,8 +214,7 @@ class MurphyBasis:
         self.diag_index = {d: i for i, d in enumerate(self.diagrams)}
         if len(self.index) != len(self.diagrams):
             raise ArithmeticError("basis size does not match algebra dimension")
-        self._solvers: dict[int, LinearSolver] = {}
-        self._block_cols: dict[int, list[int]] = {}
+        self._functionals: dict[int, dict[tuple[Vertex, int], dict[int, int]]] = {}
 
     # -- ordering ----------------------------------------------------------
 
@@ -251,44 +246,58 @@ class MurphyBasis:
             out = out * self.edge_factors(a, b)[0]
         return out
 
-    def u_element(self, t: Path) -> AlgebraElement:
-        out = AlgebraElement.one(self.r)
-        for a, b in zip(t, t[1:]):
-            out = out * self.edge_factors(a, b)[1]
+    # -- cell-row functionals -----------------------------------------------
+
+    def cell_functional(self, v: Vertex, t: int) -> dict[int, int]:
+        """phi_(v,0,t): the integer weights, over diagram indices, whose dot
+        product with an element's diagram coefficients is its coefficient
+        of m_(v,0,t), at every loop value.  The functionals of one corank
+        block are the columns of the block's inverse; they are all computed
+        together, by one integer solver on the transposed block, and kept."""
+        if v.l not in self._functionals:
+            self._functionals[v.l] = self._block_functionals(v.l)
+        return self._functionals[v.l][(v, t)]
+
+    def _block_functionals(self, corank: int) -> dict[tuple[Vertex, int], dict[int, int]]:
+        keys = [key for key in self.index if key[0].l == corank]
+        col = {key: k for k, key in enumerate(keys)}
+        diags = [i for i, d in enumerate(self.diagrams) if d.rank_corank()[1] == corank]
+        row_of = {i: j for j, i in enumerate(diags)}
+        # row d holds the coefficient of diagram d in every basis element of
+        # the block, so phi_k is the combination of the rows that gives e_k
+        rows: list[dict[int, int]] = [{} for _ in diags]
+        for key in keys:
+            for d, c in self.elements[key].terms.items():
+                rows[row_of[self.diag_index[d]]][col[key]] = c
+        solver = LinearSolver(rows)
+        out = {}
+        for key in keys:
+            v, s, t = key
+            if s:
+                continue
+            coeffs = solver.solve({col[key]: 1})
+            if not all(isinstance(c, int) for c in coeffs):
+                raise ArithmeticError(f"cell functional at {v}, path {t} is not integral")
+            out[(v, t)] = {diags[j]: c for j, c in enumerate(coeffs) if c}
         return out
 
-    # -- expansion in the basis ---------------------------------------------
-
-    def _solver(self, corank: int) -> LinearSolver:
-        if corank not in self._solvers:
-            cols = [i for i, (v, _s, _t) in enumerate(self.index) if (v.l == corank)]
-            rows = []
-            for i in cols:
-                elt = self.elements[self.index[i]]
-                rows.append({self.diag_index[d]: c for d, c in elt.terms.items()})
-            self._solvers[corank] = LinearSolver(rows)
-            self._block_cols[corank] = cols
-        return self._solvers[corank]
-
-    def expand(self, a: AlgebraElement) -> list:
-        """Coefficients of a in the cellular basis, aligned with .index."""
-        if a.r != self.r:
-            raise ValueError("strand count mismatch")
-        by_corank: dict[int, dict] = {}
-        for d, c in a.terms.items():
-            by_corank.setdefault(d.rank_corank()[1], {})[self.diag_index[d]] = c
-        out = [0] * len(self.index)
-        for corank, vec in by_corank.items():
-            solver = self._solver(corank)
-            coeffs = solver.solve(vec)
-            for pos, c in zip(self._block_cols[corank], coeffs):
-                if c != 0:
-                    out[pos] = c
-        return out
-
-    def expand_map(self, a: AlgebraElement) -> dict:
-        coeffs = self.expand(a)
-        return {self.index[i]: c for i, c in enumerate(coeffs) if c != 0}
+    def cell_coefficient(self, v: Vertex, t: int, x: AlgebraElement):
+        """The coefficient of m_(v,0,t) in x: phi_(v,0,t) applied to x.  An
+        int 0 when it vanishes, a Poly only when it depends on delta."""
+        phi = self.cell_functional(v, t)
+        index = self.diag_index
+        acc: dict = {}   # power of delta -> coefficient
+        for d, c in x.terms.items():
+            f = phi.get(index[d])
+            if not f:
+                continue
+            if isinstance(c, Poly):
+                for e, k in c.coeffs.items():
+                    acc[e] = acc.get(e, 0) + f * k
+            else:
+                acc[0] = acc.get(0, 0) + f * c
+        out = Poly(acc)
+        return out if out.degree > 0 else out.constant_value()
 
     # -- derived data --------------------------------------------------------
 
@@ -319,40 +328,27 @@ class MurphyBasis:
         out = []
         for s in range(n):
             prod = self.elements[(v, 0, s)] * a
-            coeffs = self.expand_map(prod)
-            out.append([coeffs.get((v, 0, t), 0) for t in range(n)])
+            out.append([self.cell_coefficient(v, t, prod) for t in range(n)])
         return out
 
-    def gram_matrix(self, v: Vertex) -> ExactMatrix:
-        """Gram matrix of the bilinear form on the cell module of v, over the
-        generic ground ring."""
+    def gram_matrix(self, v: Vertex, delta0=None) -> ExactMatrix:
+        """Gram matrix of the bilinear form on the cell module of v: entry
+        (s, t) is the coefficient of m_(v,0,0) in m_(v,0,s) m_(v,t,0).  Over
+        the generic ground ring, or with the products formed at delta =
+        delta0."""
         n = len(self.paths[v])
-        rights = [self.elements[(v, t, 0)] for t in range(n)]
-        rows = []
-        for s in range(n):
-            left = self.elements[(v, 0, s)]
-            row = []
-            for t in range(n):
-                coeffs = self.expand_map(left * rights[t])
-                row.append(coeffs.get((v, 0, 0), 0))
-            rows.append(row)
-        return ExactMatrix(rows)
+        elements = [(self.elements[(v, 0, t)], self.elements[(v, t, 0)])
+                    for t in range(n)]
+        if delta0 is not None:
+            elements = [(a.with_delta(delta0), b.with_delta(delta0)) for a, b in elements]
+        return ExactMatrix([[self.cell_coefficient(v, 0, left * right)
+                             for _, right in elements] for left, _ in elements])
 
     def jm_action(self, i: int, v: Vertex) -> list[list]:
         """Matrix of right multiplication by L_i on the cell module of v."""
         if not 1 <= i <= self.r:
             raise ValueError("JM index out of range")
         return self.cell_action(v, jm_element(i, self.r, self.add_only))
-
-    def cell_datum(self, v: Vertex) -> CellDatum:
-        """The cell data attached to one vertex."""
-        factors = {}
-        for t in self.paths[v]:
-            for a, b in zip(t, t[1:]):
-                if (a, b) not in factors:
-                    factors[(a, b)] = self.edge_factors(a, b)
-        return CellDatum(self.flavor, v, self.generators[v],
-                         tuple(self.paths[v]), factors)
 
     def basis_json(self) -> list:
         out = []

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
-Coeff = Union[int, Fraction, "Poly", "RatFunc"]
 
 
 class Poly:
@@ -374,16 +373,6 @@ def _as_ratfunc(x):
     return NotImplemented
 
 
-def poly_eval(p: Poly, d0: Scalar) -> Scalar:
-    """Exact value of p at delta = d0."""
-    return p.evaluate(d0)
-
-
-def ratfunc_eval(f: RatFunc, d0: Scalar):
-    """f(d0), or None when d0 is a pole of the reduced form."""
-    return f.evaluate(d0)
-
-
 def as_ratfunc(x) -> RatFunc:
     """Coerce an int/Fraction/Poly/RatFunc coefficient into Q(delta)."""
     out = _as_ratfunc(x)
@@ -391,20 +380,3 @@ def as_ratfunc(x) -> RatFunc:
         raise TypeError(f"cannot coerce {x!r} to RatFunc")
     return out
 
-
-def exact_div(a: Coeff, b: Coeff) -> Coeff:
-    """Exact division a / b, raising if the quotient leaves the ring."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r != 0:
-            raise ArithmeticError(f"non-exact integer division {a} / {b}")
-        return q
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        return as_ratfunc(a) / as_ratfunc(b)
-    pa, pb = _as_poly(a), _as_poly(b)
-    q, r = pa.divmod(pb)
-    if not r.is_zero:
-        raise ArithmeticError(f"non-exact polynomial division {a} / {b}")
-    return q

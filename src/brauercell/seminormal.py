@@ -61,14 +61,6 @@ def _mat_scale(a: Matrix, c: RatFunc) -> Matrix:
     return [[x * c for x in row] for row in a]
 
 
-def _mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero for row in a for x in row)
-
-
 @dataclass
 class SeminormalData:
     """Per-vertex seminormal package over the rational function field."""

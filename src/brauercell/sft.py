@@ -34,8 +34,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .rings import Poly
-from .tensorrep import SparseMat, TensorRep, image_rank
+from .tensorrep import TensorRep, image_rank
 
 FLAVOR_DATA = {
     # flavor -> (basis flavor, delta0(N))
@@ -190,17 +189,16 @@ class SplitBasis:
         return d2 * beta * d1
 
     def _module_expand(self, v: Vertex) -> None:
-        """Module coordinates of n_t = m_lambda a_t, via the expansion of
-        d_{s0}* m_lambda a_t; asserts integrality."""
+        """Module coordinates of n_t = m_lambda a_t: the coefficients of
+        m_(v,0,u) in d_{s0}* m_lambda a_t; raises unless they are integers."""
         npaths = len(self.basis.paths[v])
         gen = self.basis.generators[v].with_delta(self.delta0)
         left = self.basis.d_elements[(v, 0)].involution().with_delta(self.delta0) * gen
         for ti in range(npaths):
             elt = left * self.a_elements[(v, ti)]
-            coeffs = self.basis.expand_map(elt)
             vec = []
             for tj in range(npaths):
-                c = coeffs.get((v, 0, tj), 0)
+                c = self.basis.cell_coefficient(v, tj, elt)
                 if isinstance(c, Fraction):
                     if c.denominator != 1:
                         raise ArithmeticError(
@@ -408,14 +406,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     dim_alg = algebra_dimension(r, flavor)
     dim_im = expected_image_dimension(r, n, flavor)
 
-    rep_cache = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
-
-    def rep_of(a: AlgebraElement):
-        out = None
-        for d, c in a.terms.items():
-            m = rep_cache[d].scale(c)
-            out = m if out is None else out + m
-        return out if out is not None else SparseMat(rep.size)
+    images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
 
     # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t)
     perm_vectors = []
@@ -423,9 +414,10 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     for v in split.basis.vertices:
         npaths = len(split.basis.paths[v])
         gen = split.basis.generators[v].with_delta(split.delta0)
-        lefts = [rep_of(gen * split.a_elements[(v, s)]).transpose()
+        lefts = [rep.rep_element(gen * split.a_elements[(v, s)], images).transpose()
                  for s in range(npaths)]
-        rights = [rep_of(split.a_elements[(v, t)]) for t in range(npaths)]
+        rights = [rep.rep_element(split.a_elements[(v, t)], images)
+                  for t in range(npaths)]
         for s in range(npaths):
             for t in range(npaths):
                 mat = lefts[s] @ rights[t]
@@ -433,6 +425,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                     perm_vectors.append(mat.to_vector())
                 elif not mat.is_zero:
                     kernel_zero = False
+    del images
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im, len(perm_vectors))
     cert.add("image rank over Q = sum of squared permissible path counts",
@@ -469,9 +462,7 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
         if not split.perm_pred(v):
             continue
         paths = split.basis.paths[v]
-        gram = split.basis.gram_matrix(v)
-        g0 = [[c.evaluate(split.delta0) if isinstance(c, Poly) else c
-               for c in row] for row in gram.rows]
+        g0 = split.basis.gram_matrix(v, split.delta0).rows
         n_perm = sum(1 for ti in range(len(paths)) if split.path_permissible[(v, ti)])
         got = ExactMatrix(g0).rank()
         cert.add(f"Gram rank at {v.lam},{v.l}", n_perm, got)
@@ -486,6 +477,24 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
         cert.add(f"kernel vectors lie in the Gram radical at {v.lam},{v.l}",
                  True, radical_ok)
     return cert
+
+
+def place_vectors(basis: MurphyBasis, rep: TensorRep) -> list[dict[int, int]]:
+    """The flattened image under the place-permutation action of every
+    element of a symmetric group basis, in the order of ``basis.index``.
+    The image of a permutation sends word i to word place_image[i], so it
+    adds c at i * size + place_image[i]; each place image is computed once
+    per call."""
+    images = {d: rep.place_image(d.to_perm()) for d in basis.diagrams}
+    starts = range(0, rep.size * rep.size, rep.size)
+    out = []
+    for key in basis.index:
+        vec: dict[int, int] = {}
+        for d, c in basis.elements[key].terms.items():
+            for k in map(int.__add__, starts, images[d]):
+                vec[k] = vec.get(k, 0) + c
+        out.append({k: x for k, x in vec.items() if x})
+    return out
 
 
 def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
@@ -503,13 +512,12 @@ def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
     perm_vectors = []
     kernel_zero = True
     kernel_count = 0
-    for (v, s, t) in basis.index:
-        mat = rep.rep_element(basis.elements[(v, s, t)])
+    for (v, _s, _t), vec in zip(basis.index, place_vectors(basis, rep)):
         if len(v.lam) <= n:
-            perm_vectors.append(mat.to_vector())
+            perm_vectors.append(vec)
         else:
             kernel_count += 1
-            if not mat.is_zero:
+            if vec:
                 kernel_zero = False
     cert.add("kernel cells map to zero", True, kernel_zero)
     cert.add("image rank over Q", dim_im, sparse_rank_q(perm_vectors))

@@ -71,13 +71,6 @@ class SparseMat:
                 out.rows[i] = acc
         return out
 
-    def __add__(self, other: "SparseMat") -> "SparseMat":
-        out = SparseMat(self.n, {i: dict(r) for i, r in self.rows.items()})
-        for i, row in other.rows.items():
-            for j, v in row.items():
-                out.add(i, j, v)
-        return out
-
     def scale(self, c) -> "SparseMat":
         if c == 0:
             return SparseMat(self.n)
@@ -106,13 +99,6 @@ class SparseMat:
             for j, v in row.items():
                 out[base + j] = v
         return out
-
-    def triplets(self) -> list[tuple[int, int, int]]:
-        return sorted((i, j, v) for i, row in self.rows.items() for j, v in row.items())
-
-    def to_csv(self) -> str:
-        """Triplet dump "row,col,value", one entry per line."""
-        return "\n".join(f"{i},{j},{v}" for i, j, v in self.triplets())
 
     def __eq__(self, other):
         return isinstance(other, SparseMat) and self.n == other.n and self.rows == other.rows
@@ -193,9 +179,6 @@ class TensorRep:
             out = out * self.dim + a
         return out
 
-    def words(self):
-        return itertools.product(range(self.dim), repeat=self.r)
-
     # -- generator matrices ---------------------------------------------------
 
     def E(self, i: int) -> SparseMat:
@@ -239,17 +222,21 @@ class TensorRep:
             self._S[i] = m
         return self._S[i]
 
+    def place_image(self, pi: tuple[int, ...]) -> tuple[int, ...]:
+        """The word index that the place permutation pi sends each word
+        index to: the factor in place j moves to place pi(j), so its digit
+        weight becomes dim^(r - pi(j)).  Built digit by digit, most
+        significant place first, in the order of ``idx``."""
+        out = [0]
+        for j in range(self.r):
+            w = self.dim ** (self.r - pi[j])
+            out = [x + a * w for x in out for a in range(self.dim)]
+        return tuple(out)
+
     def place_matrix(self, pi: tuple[int, ...]) -> SparseMat:
         """Unsigned place permutation: the factor in place j moves to place
         pi(j)."""
-        m = SparseMat(self.size)
-        d, r = self.dim, self.r
-        for word in self.words():
-            out = [0] * r
-            for j in range(r):
-                out[pi[j] - 1] = word[j]
-            m.set(self.idx(word), self.idx(tuple(out)), 1)
-        return m
+        return SparseMat(self.size, {i: {j: 1} for i, j in enumerate(self.place_image(pi))})
 
     # -- representation of diagrams ------------------------------------------
 
@@ -333,9 +320,10 @@ class TensorRep:
                     m.add(row, self.idx(tuple(out_word)), cout)
         return m
 
-    def rep_element(self, a: AlgebraElement) -> SparseMat:
+    def rep_element(self, a: AlgebraElement, images: dict | None = None) -> SparseMat:
         """Image of an algebra element; requires the element's loop parameter
-        to match the flavor's specialization."""
+        to match the flavor's specialization.  ``images`` maps diagrams to
+        their images, to read in place of calling ``rep_diagram``."""
         if a.r != self.r:
             raise ValueError("strand count mismatch")
         if self.delta0 is not None and a.delta != self.delta0:
@@ -343,15 +331,11 @@ class TensorRep:
                 f"element has delta={a.delta}, representation needs {self.delta0}")
         out = SparseMat(self.size)
         for diag, c in a.terms.items():
-            m = self.rep_diagram(diag)
+            m = images[diag] if images is not None else self.rep_diagram(diag)
             for i, row in m.rows.items():
                 for j, v in row.items():
                     out.add(i, j, c * v)
         return out
-
-
-def kernel_membership(a: AlgebraElement, rep: TensorRep) -> bool:
-    return rep.rep_element(a).is_zero
 
 
 def image_rank(generators, rep: TensorRep, field="Q") -> int:

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import brauercell
 from brauercell.cli import main
@@ -54,6 +57,9 @@ def test_usage_errors(capsys):
     assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--field", "Fp", "--p", "2305843009213693951"]) == 1
     assert "--p must be below" in capsys.readouterr().err
+    # --N without --split would be ignored
+    assert main(["basis", "--flavor", "symplectic", "--r", "2", "--N", "9"]) == 1
+    assert capsys.readouterr().err == "error: --N is only used with --split\n"
 
 
 def test_certify_exit_codes(capsys):
@@ -202,3 +208,29 @@ def test_certify_under_python_O():
                   for flags in ([], ["-O"]))
     assert plain.returncode == opt.returncode == 0
     assert opt.stdout == plain.stdout
+
+
+# sha256 of the stdout of certify, recorded before the Gram and JM matrices
+# moved to the cell-row functionals; the certificate bytes must not drift.
+CERTIFY_STDOUT_SHA256 = {
+    "symplectic --r 4 --N 1": "16f79a6a4dcd63dd53e730162f73b28fabfdca7806748640ea0d9ba08ac9f1de",
+    "symplectic --r 4 --N 2": "4a44f8d5116c9d59bddc6e9683203103d4ac36c65fc57dee010ca1fee6c96e8d",
+    "symplectic --r 5 --N 1": "a853113a64701ddeec7db829786b4f018d00a25e7129b56485da5287b9a9e882",
+    "orthogonal --r 4 --N 1": "b2be2edbd7eb2c8387789f59a1f868bdceff5475e70781c73ac35337eda1b616",
+    "orthogonal --r 4 --N 2": "3a830cadc475bedbf5d08fbb88a02facc4f74f2ba9fbdb959fb927c9603db1c6",
+    "orthogonal --r 5 --N 1": "7d4aad4cdc0d57142c87475bbf892bc46d17143b6d02f0726903bdca19576696",
+    "orthogonal --r 5 --N 2": "622d72582ef8237551ea3b1e6c1e5e27646e1cee4674fe9bdbaa1f8d5a14a626",
+    "symmetric --r 4 --N 1": "de2c1d3b21951a1df167fd2382f7c9d8041f10489355c9cc36b07e7ca332da0f",
+    "symmetric --r 4 --N 2": "c943cc2c055c61b216aceb03eb00b3da54df888340bfe1be32b0eb7a8c85c11c",
+    "symmetric --r 5 --N 1": "d9cc5bbd47e148d077a2095da77a0c1d9ec31b2881e0721ec333017ff0aac58e",
+    "symmetric --r 5 --N 2": "17d4613be7e5e6a2f9ee8239f330e04625149b10422c8d6f5448154e1f1ed4aa",
+    "orthogonal --r 4 --N 2 --field Fp --p 5":
+        "cf580fe7a75d591e79243a447ddb34878c27790677d902e26dee17ee2b66e675",
+}
+
+
+@pytest.mark.parametrize("argv", list(CERTIFY_STDOUT_SHA256))
+def test_certify_stdout_pinned(capsys, argv):
+    code, out = run(capsys, "certify", "--flavor", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_STDOUT_SHA256[argv]

@@ -4,9 +4,8 @@ import pytest
 
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, diagram_mult,
-                                 diagram_stats, perm_mult, perm_sign,
-                                 perm_to_diagram, transposition, walled_filter,
-                                 young_subgroup_sum)
+                                 perm_mult, perm_sign, transposition,
+                                 walled_filter, young_subgroup_sum)
 from brauercell.rings import Poly
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
@@ -14,6 +13,16 @@ DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 
 def elt(diag, coeff=1, delta=None):
     return AlgebraElement.from_diagram(diag, coeff, delta)
+
+
+def diagram_stats(d: BrauerDiagram) -> tuple[int, int, int, int]:
+    """(rank, corank, length, sign) of a diagram."""
+    rank, corank = d.rank_corank()
+    return rank, corank, d.length(), d.sign()
+
+
+def perm_to_diagram(pi: tuple[int, ...]) -> BrauerDiagram:
+    return BrauerDiagram.from_perm(pi)
 
 
 def test_canonical_encoding():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from brauercell.exactmat import (ExactMatrix, LinearSolver, rank_modp,
-                                 sparse_rank_q, sparse_solve_q, spin_rank_q)
+                                 sparse_rank_q, spin_rank_q)
 from brauercell.rings import Poly, RatFunc
 
 d = Poly.delta()
@@ -129,9 +129,21 @@ def test_linear_solver_roundtrip(rng):
 
 
 def test_linear_solver_poly_values():
-    solver = LinearSolver([{0: 1, 1: 1}, {1: 2}])
+    # a query over Q(delta) needs basis rows over Q(delta)
+    with pytest.raises(TypeError):
+        LinearSolver([{0: 1, 1: 1}, {1: 2}]).solve({0: d, 1: d + 2})
+    solver = LinearSolver([{0: Poly.one(), 1: 1}, {1: 2}])
     got = solver.solve({0: d, 1: d + 2})
     assert got[0] == d and got[1] == Poly.one()
+
+
+def test_linear_solver_exact_coefficients():
+    solver = LinearSolver([{0: 1, 1: 1}, {1: 2}])
+    got = solver.solve({0: 3, 1: 7})
+    assert got == [3, 2] and all(type(c) is int for c in got)
+    got = solver.solve({0: 1, 1: 2})
+    assert got == [1, Fraction(1, 2)] and type(got[1]) is Fraction
+    assert solver.solve({0: Fraction(1, 3), 1: 1}) == [Fraction(1, 3), Fraction(1, 3)]
 
 
 def test_sparse_rank_matches_dense(rng):
@@ -212,8 +224,3 @@ def test_kernel_random_singular(rng):
             assert all(sum(row[j] * v[j] for j in range(n)) == 0 for row in rows)
         assert rank_gauss_fraction(kernel) == len(kernel)
 
-
-def test_sparse_solve_q():
-    rows = [{0: 1, 1: 1}, {1: 2}]
-    assert sparse_solve_q(rows, {0: 2, 1: 4}) == [Fraction(2), Fraction(1)]
-    assert sparse_solve_q(rows, {2: 1}) is None

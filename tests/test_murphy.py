@@ -1,14 +1,22 @@
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 import brauercell.branching as br
-from brauercell.branching import Vertex, path_strictly_dominates
+from brauercell import murphy
+from brauercell.branching import Path, Vertex, path_strictly_dominates
+from brauercell.cli import main
 from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
 from brauercell.errors import CapExceeded
+from brauercell.exactmat import LinearSolver
 from brauercell.murphy import (FLAVORS, brauer_branching_factors,
                                brauer_cell_generator, jm_element,
                                murphy_basis, sym_branching_factors,
                                sym_cell_generators)
 from brauercell.rings import Poly
+from brauercell.sft import SplitBasis
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
 ALL_FLAVORS = list(FLAVORS)
@@ -16,6 +24,86 @@ ALL_FLAVORS = list(FLAVORS)
 
 def elt(d, coeff=1):
     return AlgebraElement.from_diagram(d, coeff)
+
+
+# -- the expansion in the cellular basis, kept as the oracle of the cell-row
+# functionals: one exact solve per corank block of the transition matrix,
+# with the basis elements as rows, one power of delta at a time.
+
+@lru_cache(maxsize=None)
+def _block_solver(r: int, flavor: str, corank: int):
+    mb = murphy_basis(r, flavor, max_r=r)
+    cols = [i for i, (v, _s, _t) in enumerate(mb.index) if v.l == corank]
+    rows = [{mb.diag_index[d]: c for d, c in mb.elements[mb.index[i]].terms.items()}
+            for i in cols]
+    return LinearSolver(rows), cols
+
+
+def expand(mb, a: AlgebraElement) -> list:
+    """Coefficients of a in the cellular basis, aligned with mb.index: a
+    Poly where they depend on delta, else an int or Fraction."""
+    if a.r != mb.r:
+        raise ValueError("strand count mismatch")
+    by_block: dict = {}
+    for d, c in a.terms.items():
+        for e, k in (c.coeffs.items() if isinstance(c, Poly) else [(0, c)]):
+            block = by_block.setdefault(d.rank_corank()[1], {})
+            block.setdefault(e, {})[mb.diag_index[d]] = k
+    out = [Poly.zero() for _ in mb.index]
+    for corank, powers in by_block.items():
+        solver, cols = _block_solver(mb.r, mb.flavor, corank)
+        for e, vec in powers.items():
+            for pos, c in zip(cols, solver.solve(vec)):
+                if c:
+                    out[pos] = out[pos] + Poly({e: c})
+    return [c.constant_value() if c.is_constant() else c for c in out]
+
+
+def expand_map(mb, a: AlgebraElement) -> dict:
+    return {mb.index[i]: c for i, c in enumerate(expand(mb, a)) if c != 0}
+
+
+def oracle_gram(mb, v: Vertex) -> list[list]:
+    n = len(mb.paths[v])
+    return [[expand_map(mb, mb.elements[(v, 0, s)] * mb.elements[(v, t, 0)])
+             .get((v, 0, 0), 0) for t in range(n)] for s in range(n)]
+
+
+def oracle_cell_action(mb, v: Vertex, a: AlgebraElement) -> list[list]:
+    n = len(mb.paths[v])
+    out = []
+    for s in range(n):
+        coeffs = expand_map(mb, mb.elements[(v, 0, s)] * a)
+        out.append([coeffs.get((v, 0, t), 0) for t in range(n)])
+    return out
+
+
+def u_element(mb, t: Path) -> AlgebraElement:
+    out = AlgebraElement.one(mb.r)
+    for a, b in zip(t, t[1:]):
+        out = out * mb.edge_factors(a, b)[1]
+    return out
+
+
+@dataclass(frozen=True)
+class CellDatum:
+    """Per-vertex cell data: the generator, the ordered path list, and the
+    (d, u) branching factor pair for every edge used by those paths."""
+
+    flavor: str
+    vertex: Vertex
+    generator: AlgebraElement
+    paths: tuple[Path, ...]
+    edge_factors: dict
+
+
+def cell_datum(mb, v: Vertex) -> CellDatum:
+    factors = {}
+    for t in mb.paths[v]:
+        for a, b in zip(t, t[1:]):
+            if (a, b) not in factors:
+                factors[(a, b)] = mb.edge_factors(a, b)
+    return CellDatum(mb.flavor, v, mb.generators[v], tuple(mb.paths[v]), factors)
 
 
 def perm_sum(r, *perms_and_coeffs):
@@ -119,16 +207,16 @@ def test_transition_unimodular_and_corank_pure(flavor, r):
 
 def test_expand_examples():
     mb = murphy_basis(2, "brauer-murphy")
-    coeffs = mb.expand_map(AlgebraElement.one(2))
+    coeffs = expand_map(mb, AlgebraElement.one(2))
     assert coeffs == {(Vertex((1, 1), 0), 0, 0): 1}
     # expanding a basis element gives a unit vector
     key = (Vertex((2,), 0), 0, 0)
-    assert mb.expand_map(mb.elements[key]) == {key: 1}
+    assert expand_map(mb, mb.elements[key]) == {key: 1}
     # delta * e_1 expands with coefficient delta on the corank-1 cell
     de1 = elt(BrauerDiagram.e(1, 2)).scale(Poly.delta())
-    assert mb.expand_map(de1) == {(Vertex((), 1), 0, 0): Poly.delta()}
+    assert expand_map(mb, de1) == {(Vertex((), 1), 0, 0): Poly.delta()}
     with pytest.raises(ValueError):
-        mb.expand(AlgebraElement.one(3))
+        expand(mb, AlgebraElement.one(3))
 
 
 def test_gram_examples():
@@ -194,7 +282,7 @@ def test_cellular_multiplication_law(flavor, r, rng):
             rows = {}
             for s in range(min(n, 3)):
                 for t in range(min(n, 2)):
-                    coeffs = mb.expand_map(mb.elements[(v, s, t)] * a)
+                    coeffs = expand_map(mb, mb.elements[(v, s, t)] * a)
                     for (w, u1, u2), c in coeffs.items():
                         if w == v:
                             assert u1 == s
@@ -215,7 +303,7 @@ def test_path_compatibility(flavor, r):
     for v in mb.vertices:
         gen = mb.generators[v]
         for ti in range(len(mb.paths[v])):
-            u = mb.u_element(mb.paths[v][ti])
+            u = u_element(mb, mb.paths[v][ti])
             assert u.involution() == gen * mb.d_elements[(v, ti)]
 
 
@@ -231,7 +319,7 @@ def test_restriction_filtration_shadow(flavor):
         paths = mb.paths[v]
         for g in gens:
             for s in range(len(paths)):
-                coeffs = mb.expand_map(mb.elements[(v, 0, s)] * g)
+                coeffs = expand_map(mb, mb.elements[(v, 0, s)] * g)
                 for (w, u1, u2), c in coeffs.items():
                     if w != v:
                         continue
@@ -260,7 +348,7 @@ def test_basis_json_deterministic():
 def test_cell_datum():
     mb = murphy_basis(3, "brauer-murphy")
     v = Vertex((1,), 1)
-    datum = mb.cell_datum(v)
+    datum = cell_datum(mb, v)
     assert datum.flavor == "brauer-murphy"
     assert datum.generator == mb.generators[v]
     assert len(datum.paths) == 3
@@ -318,7 +406,7 @@ def test_expand_roundtrip_random(rng):
             a = AlgebraElement.zero(4)
             for _k in range(4):
                 a = a + elt(rng.choice(ds), rng.randint(-3, 3))
-            coeffs = mb.expand(a)
+            coeffs = expand(mb, a)
             back = AlgebraElement.zero(4)
             for c, key in zip(coeffs, mb.index):
                 if c != 0:
@@ -327,7 +415,6 @@ def test_expand_roundtrip_random(rng):
 
 
 def _normalize_frac(x):
-    from fractions import Fraction
     f = Fraction(x) if not isinstance(x, Poly) else x
     return f
 
@@ -343,7 +430,7 @@ def test_gram_full_equation():
             for s in range(n):
                 for t in range(n):
                     prod = mb.elements[(v, 0, s)] * mb.elements[(v, t, 0)]
-                    coeffs = mb.expand_map(prod)
+                    coeffs = expand_map(mb, prod)
                     for (w, u1, u2), c in coeffs.items():
                         if w == v:
                             assert (u1, u2) == (0, 0)
@@ -352,3 +439,86 @@ def test_gram_full_equation():
                             assert mb.strictly_dominates(w, v)
                     if gram[s, t] == 0:
                         assert (v, 0, 0) not in coeffs
+
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_gram_and_jm_match_expansion_oracle(flavor, r):
+    mb = murphy_basis(r, flavor)
+    for v in mb.vertices:
+        assert mb.gram_matrix(v).rows == oracle_gram(mb, v)
+        for i in range(1, r + 1):
+            assert mb.jm_action(i, v) == oracle_cell_action(
+                mb, v, jm_element(i, r, mb.add_only))
+
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_cell_functionals_invert_the_block(flavor, r):
+    """phi_(v,0,t) takes m_(v,0,u) to 1 if u = t, else 0, and vanishes on
+    every other basis element of its corank block."""
+    mb = murphy_basis(r, flavor)
+    for v in mb.vertices:
+        for t in range(len(mb.paths[v])):
+            phi = mb.cell_functional(v, t)
+            assert all(type(c) is int for c in phi.values())
+            for (w, s, u), m in mb.elements.items():
+                if w.l != v.l:
+                    continue
+                got = sum(phi.get(mb.diag_index[d], 0) * c for d, c in m.terms.items())
+                assert got == (1 if (w, s, u) == (v, 0, t) else 0)
+
+
+@lru_cache(maxsize=None)
+def _oracle_gram_generic(r: int, flavor: str, v: Vertex) -> list[list]:
+    return oracle_gram(murphy_basis(r, flavor), v)
+
+
+@pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
+                                      ("orthogonal", 2), ("orthogonal", 3)])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r):
+    """At every permissible vertex: the Gram matrix formed at delta0 is the
+    generic oracle Gram evaluated there, and the split module vectors are
+    the oracle coefficients of m_(v,0,u) in d_{s0}* m a_t."""
+    split = SplitBasis(r, n, flavor)
+    mb, d0 = split.basis, split.delta0
+    for v in mb.vertices:
+        if not split.perm_pred(v):
+            continue
+        g0 = [[c.evaluate(d0) if isinstance(c, Poly) else c for c in row]
+              for row in _oracle_gram_generic(r, mb.flavor, v)]
+        assert mb.gram_matrix(v, d0).rows == g0
+        npaths = len(mb.paths[v])
+        left = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).with_delta(d0)
+        for t in range(npaths):
+            coeffs = expand_map(mb, left * split.a_elements[(v, t)])
+            assert split.module_vectors[(v, t)] == [coeffs.get((v, 0, u), 0)
+                                                    for u in range(npaths)]
+
+
+def test_cell_coefficient_types():
+    mb = murphy_basis(2, "brauer-murphy")
+    v = Vertex((), 1)
+    e1 = elt(BrauerDiagram.e(1, 2))
+    assert type(mb.cell_coefficient(v, 0, e1 * e1)) is Poly
+    assert type(mb.cell_coefficient(v, 0, e1.scale(Poly.const(3)))) is int
+    zero = mb.cell_coefficient(v, 0, elt(BrauerDiagram.s(1, 2)))
+    assert type(zero) is int and zero == 0
+    assert mb.cell_coefficient(v, 0, e1.with_delta(-2) * e1.with_delta(-2)) == -2
+
+
+def test_non_integral_cell_functional_exit_code(capsys, monkeypatch):
+    class HalvingSolver(LinearSolver):
+        def solve(self, vec):
+            return [Fraction(c, 2) for c in super().solve(vec)]
+
+    monkeypatch.setattr(murphy, "LinearSolver", HalvingSolver)
+    murphy._cached_basis.cache_clear()
+    code = main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1"])
+    murphy._cached_basis.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: cell functional")

@@ -4,10 +4,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercell.rings import (Poly, RatFunc, exact_div, poly_eval,
-                              poly_gcd_q, ratfunc_eval)
+from brauercell.rings import Poly, RatFunc, _as_poly, as_ratfunc, poly_gcd_q
 
 d = Poly.delta()
+
+
+def poly_eval(p, d0):
+    """Exact value of p at delta = d0."""
+    return p.evaluate(d0)
+
+
+def ratfunc_eval(f, d0):
+    """f(d0), or None when d0 is a pole of the reduced form."""
+    return f.evaluate(d0)
+
+
+def exact_div(a, b):
+    """Exact division a / b, raising if the quotient leaves the ring."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r != 0:
+            raise ArithmeticError(f"non-exact integer division {a} / {b}")
+        return q
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return Fraction(a) / Fraction(b)
+    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
+        return as_ratfunc(a) / as_ratfunc(b)
+    pa, pb = _as_poly(a), _as_poly(b)
+    q, r = pa.divmod(pb)
+    if not r.is_zero:
+        raise ArithmeticError(f"non-exact polynomial division {a} / {b}")
+    return q
 
 
 def test_poly_eval_examples():

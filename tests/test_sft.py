@@ -8,19 +8,41 @@ import brauercell.branching as br
 from brauercell.branching import Vertex
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, walled_filter)
-from brauercell.exactmat import sparse_rank_q, sparse_solve_q
+from brauercell.exactmat import Echelon, _cancel_field, sparse_rank_q
 from brauercell.murphy import murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
                             ideal_generators, ideal_span_rank,
-                            marginal_vertices, quotient_cell_modules,
-                            sum_all_diagrams, walled_signed_sum)
-from brauercell.tensorrep import TensorRep
+                            marginal_vertices, place_vectors,
+                            quotient_cell_modules, sum_all_diagrams,
+                            walled_signed_sum)
+from brauercell.tensorrep import SparseMat, TensorRep
 
 
 def elt(d, coeff=1, delta=None):
     return AlgebraElement.from_diagram(d, coeff, delta)
+
+
+def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] | None:
+    """Express ``target`` as a rational combination of ``rows``; None if outside
+    the span.  Rows dependent on earlier ones get coefficient 0."""
+    echelon = Echelon(_cancel_field)
+    for i, row in enumerate(rows):
+        echelon.add({**{c: Fraction(v) for c, v in row.items() if v}, ~i: Fraction(1)})
+    t = echelon.reduce({c: Fraction(v) for c, v in target.items() if v})
+    if any(c >= 0 for c in t):
+        return None
+    coeffs = [Fraction(0)] * len(rows)
+    for c, v in t.items():
+        coeffs[~c] = -v
+    return coeffs
+
+
+def test_sparse_solve_q():
+    rows = [{0: 1, 1: 1}, {1: 2}]
+    assert sparse_solve_q(rows, {0: 2, 1: 4}) == [Fraction(2), Fraction(1)]
+    assert sparse_solve_q(rows, {2: 1}) is None
 
 
 def test_b_generator_b2():
@@ -316,3 +338,44 @@ def test_quotient_cellularity_shadow(rng):
 def test_split_basis_rejects_symmetric():
     with pytest.raises(ValueError):
         SplitBasis(3, 2, "symmetric")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_place_vectors_match_rep_element(r, n):
+    basis = murphy_basis(r, "symmetric-dual")
+    rep = TensorRep("permutation", n, r)
+    vectors = place_vectors(basis, rep)
+    assert len(vectors) == len(basis.index)
+    for key, vec in zip(basis.index, vectors):
+        assert vec == rep.rep_element(basis.elements[key]).to_vector()
+
+
+def _fold_scale_add(rep: TensorRep, images: dict, a: AlgebraElement) -> SparseMat:
+    """The image of a as the sum of scaled copies, each sum a fresh matrix."""
+    out = None
+    for d, c in a.terms.items():
+        m = images[d].scale(c)
+        if out is not None:
+            acc = SparseMat(rep.size, {i: dict(row) for i, row in out.rows.items()})
+            for i, row in m.rows.items():
+                for j, v in row.items():
+                    acc.add(i, j, v)
+            m = acc
+        out = m
+    return out if out is not None else SparseMat(rep.size)
+
+
+@pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
+                                      ("orthogonal", 2), ("orthogonal", 3)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rep_element_from_images_matches_fold(flavor, n, r):
+    split = SplitBasis(r, n, flavor)
+    rep = TensorRep(flavor, n, r)
+    images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
+    for v in split.basis.vertices:
+        gen = split.basis.generators[v].with_delta(split.delta0)
+        for t in range(len(split.basis.paths[v])):
+            a_t = split.a_elements[(v, t)]
+            for a in (a_t, gen * a_t):
+                assert rep.rep_element(a, images) == _fold_scale_add(rep, images, a)

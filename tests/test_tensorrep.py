@@ -5,10 +5,10 @@ import pytest
 from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
 from brauercell.errors import CapExceeded
 from brauercell.tensorrep import (BilinearStructure, SparseMat, TensorRep,
-                                  det_cofactor, image_rank, kernel_membership,
-                                  pfaffian_diagram_sum, pfaffian_functional,
-                                  pfaffian_interleaved, pfaffian_recursive,
-                                  walled_det_matrix, walled_det_sum)
+                                  det_cofactor, image_rank, pfaffian_diagram_sum,
+                                  pfaffian_functional, pfaffian_interleaved,
+                                  pfaffian_recursive, walled_det_matrix,
+                                  walled_det_sum)
 
 FLAVOR_GRID = [("symplectic", 1), ("symplectic", 2), ("orthogonal", 1),
                ("orthogonal", 2), ("orthogonal", 3)]
@@ -20,6 +20,19 @@ def elt(d, coeff=1, delta=None):
 
 def all_elements(r, delta):
     return [elt(d, 1, delta) for d in all_diagrams(r)]
+
+
+def kernel_membership(a: AlgebraElement, rep: TensorRep) -> bool:
+    return rep.rep_element(a).is_zero
+
+
+def triplets(m: SparseMat) -> list[tuple[int, int, int]]:
+    return sorted((i, j, v) for i, row in m.rows.items() for j, v in row.items())
+
+
+def to_csv(m: SparseMat) -> str:
+    """Triplet dump "row,col,value", one entry per line."""
+    return "\n".join(f"{i},{j},{v}" for i, j, v in triplets(m))
 
 
 def sum_all(r, delta):
@@ -86,6 +99,25 @@ def test_kernel_membership_examples():
     repo = TensorRep("orthogonal", 1, 2)
     d11 = AlgebraElement.one(2, delta=1) - elt(BrauerDiagram.e(1, 2), 1, 1)
     assert kernel_membership(d11, repo)
+
+
+def _place_matrix_by_words(rep: TensorRep, pi: tuple[int, ...]) -> SparseMat:
+    """The place permutation built word by word: the factor in place j
+    moves to place pi(j)."""
+    m = SparseMat(rep.size)
+    for word in itertools.product(range(rep.dim), repeat=rep.r):
+        out = [0] * rep.r
+        for j in range(rep.r):
+            out[pi[j] - 1] = word[j]
+        m.set(rep.idx(word), rep.idx(tuple(out)), 1)
+    return m
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)])
+def test_place_matrix_matches_word_loop(n, r):
+    rep = TensorRep("permutation", n, r)
+    for pi in itertools.permutations(range(1, r + 1)):
+        assert rep.place_matrix(pi) == _place_matrix_by_words(rep, pi)
 
 
 def test_parameter_mismatch():
@@ -239,12 +271,12 @@ def test_walled_det_identity(ab, rng):
 def test_matrix_dump_format():
     rep = TensorRep("orthogonal", 1, 2)
     m = rep.rep_diagram(BrauerDiagram.e(1, 2))
-    assert m.triplets() == [(0, 0, 1)]
+    assert triplets(m) == [(0, 0, 1)]
 
 
 def test_csv_dump():
     rep = TensorRep("orthogonal", 2, 2)
     m = rep.rep_diagram(BrauerDiagram.e(1, 2))
-    lines = m.to_csv().splitlines()
+    lines = to_csv(m).splitlines()
     assert all(len(line.split(",")) == 3 for line in lines)
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split(","))))
