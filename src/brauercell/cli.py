@@ -1,9 +1,10 @@
 """Command-line front end: build bases, run certificates, dump reports.
 
 Exit codes: 0 success, 1 usage error, 2 cap exceeded, 3 certificate failure.
-An internal arithmetic failure (an exactness check inside the computation
-that does not hold) also exits 3, with one "internal error:" line on stderr
-and nothing on stdout.
+Running out of memory also exits 2, with one "cap exceeded: out of memory"
+line on stderr and nothing on stdout.  An internal arithmetic failure (an
+exactness check inside the computation that does not hold) exits 3, with
+one "internal error:" line on stderr and nothing on stdout.
 All numeric output is exact (integers and fraction strings); JSON output is
 byte-identical across runs for the same configuration, with wall-clock
 timing reported on stderr only.
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
+        return CAP_ERROR
+    except MemoryError:
+        sys.stderr.write("cap exceeded: out of memory\n")
         return CAP_ERROR
     except ArithmeticError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

@@ -10,16 +10,16 @@ of three domains:
 * Z (``_cancel_z``): fraction-free, with the row gcd removed after every
   step, so a row stays the primitive integer multiple of its rational value;
 * F_p (``_cancel_mod``);
-* a field (``_cancel_field``): Fraction, or RatFunc for matrices over
-  Z[delta] or Q(delta).
+* Q (``_cancel_field``, on Fraction values), for determinants.
 
-Each public entry point fixes its own domain.  Columns are non-negative
-ints.  The tag column ``~i`` (that is, -1 - i) of a row holds the multiple
-of input row i that the row contains, so the same echelon gives solves and
-kernels.
+Each public entry point fixes its own domain.  Values are int or Fraction;
+a matrix over Z[delta] is never eliminated (a Poly value raises TypeError).
+Columns are non-negative ints.  The tag column ``~i`` (that is, -1 - i) of a
+row holds the multiple of input row i that the row contains, so the same
+echelon gives solves and kernels.
 
-No floating point is used anywhere: every value is an int, Fraction, Poly
-or RatFunc, or a residue mod p.
+No floating point is used anywhere: every value is an int, a Fraction or a
+residue mod p.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
-
-from .rings import Poly, RatFunc, as_ratfunc
 
 
 def _cancel_z(row: dict, prow: dict, c: int) -> dict:
@@ -67,8 +65,8 @@ def _cancel_mod(p: int):
 
 
 def _cancel_field(row: dict, prow: dict, c: int) -> dict:
-    """row - (row[c] / prow[c]) * prow, in place; row[c] must be a field
-    element (or a Poly), never an int."""
+    """row - (row[c] / prow[c]) * prow, in place; row[c] must be a
+    Fraction, never an int."""
     f = row[c] / prow[c]
     for k, x in prow.items():
         w = row.get(k, 0) - f * x
@@ -117,16 +115,6 @@ def _z_row(row: dict) -> dict[int, int]:
     return {c: int(v * den) for c, v in row.items() if v}
 
 
-def _in_domain(rows: list[dict]):
-    """The rows as they are eliminated, and the cancellation to use: over Z
-    (each row scaled to integers) for int/Fraction values, over Q(delta) as
-    soon as one value is a Poly or RatFunc."""
-    if any(isinstance(v, (Poly, RatFunc)) for row in rows for v in row.values()):
-        return ([{c: as_ratfunc(v) for c, v in row.items() if v} for row in rows],
-                _cancel_field)
-    return [_z_row(row) for row in rows], _cancel_z
-
-
 def _rank(rows: list[dict], cancel) -> int:
     """Rank of ``rows``, which it consumes: a row is popped off the list,
     shortest first (of equal lengths, the last first) to limit fill-in, and
@@ -150,7 +138,9 @@ def _perm_sign(perm: list[int]) -> int:
 
 
 class ExactMatrix:
-    """Dense matrix over a single exact ring (int, Fraction, Poly, RatFunc)."""
+    """Dense matrix of exact values.  It may hold Poly entries (a Gram matrix
+    over Z[delta]); ``rank``, ``det`` and ``kernel`` need int or Fraction
+    entries."""
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
@@ -159,10 +149,6 @@ class ExactMatrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -183,19 +169,15 @@ class ExactMatrix:
                 for j in range(self.ncols)]
 
     def rank(self) -> int:
-        """Rank over the fraction field."""
-        return _rank(*_in_domain([dict(enumerate(row)) for row in self.rows]))
+        """Rank over Q."""
+        return _rank([_z_row(dict(enumerate(row))) for row in self.rows], _cancel_z)
 
     def det(self):
-        """Exact determinant (square matrices over an integral domain), by
-        elimination over the fraction field: the product of the pivots times
-        the sign of the row -> pivot column permutation."""
+        """Exact determinant, by elimination over Q: the product of the
+        pivots times the sign of the row -> pivot column permutation."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        entries = [x for row in self.rows for x in row]
-        generic = any(isinstance(x, (Poly, RatFunc)) for x in entries)
-        lift = as_ratfunc if generic else Fraction
-        rows = [{j: lift(x) for j, x in enumerate(row) if x} for row in self.rows]
+        rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in self.rows]
         echelon = Echelon(_cancel_field)
         pivots = [0] * self.nrows
         for i in sorted(range(self.nrows), key=lambda i: len(rows[i])):
@@ -206,30 +188,15 @@ class ExactMatrix:
         det = _perm_sign(pivots)
         for c in pivots:
             det = echelon.rows[c][c] * det
-        if not generic:
-            return det.numerator if det.denominator == 1 else det
-        if any(isinstance(x, RatFunc) for x in entries):
-            return det
-        if det.den != Poly.one():
-            raise ArithmeticError(f"determinant {det} of a Poly matrix is not a Poly")
-        return det.num
-
-    def solve(self, b: list) -> list:
-        """Exact solution of self @ x = b (square, invertible): the
-        coefficients of b in the columns.  Raises ValueError if singular."""
-        if self.nrows != self.ncols:
-            raise ValueError("solve requires a square matrix")
-        return LinearSolver(self._columns()).solve(dict(enumerate(b)))
+        return det.numerator if det.denominator == 1 else det
 
     def kernel(self) -> list[list]:
         """A basis of {v : self @ v = 0}, read off the tag columns of the
         columns that the echelon of the columns finds dependent."""
-        cols = [{**col, ~j: 1} for j, col in enumerate(self._columns())]
-        rows, cancel = _in_domain(cols)
-        echelon = Echelon(cancel)
+        echelon = Echelon(_cancel_z)
         out = []
-        for row in rows:
-            piv, red = echelon.add(row)
+        for k, col in enumerate(self._columns()):
+            piv, red = echelon.add(_z_row({**col, ~k: 1}))
             if piv is None:
                 out.append([red.get(~j, 0) for j in range(self.ncols)])
         return out
@@ -287,43 +254,29 @@ class LinearSolver:
     (sparse dict rows over non-negative int columns), expand further
     vectors in terms of them.
 
-    The rows are echelonized once, each carrying its tag column.  ``solve``
-    tags the query with ~n and reduces it in the same domain: what is left
-    is a relation q * vec + sum_i x_i v_i = 0, so the coefficients are
-    -x_i / q.  Over Z the row is primitive, so they are all integers
-    exactly when q = +-1.
+    The rows are echelonized once over Z, each carrying its tag column.
+    ``solve`` tags the query with ~n and reduces it: what is left is a
+    primitive relation q * vec + sum_i x_i v_i = 0, so the coefficients are
+    -x_i / q, all integers exactly when q = +-1.
     """
 
     def __init__(self, rows: list[dict]):
         self.n = len(rows)
-        tagged, self.cancel = _in_domain([{**row, ~i: 1} for i, row in enumerate(rows)])
-        self.echelon = Echelon(self.cancel)
+        tagged = [_z_row({**row, ~i: 1}) for i, row in enumerate(rows)]
+        self.echelon = Echelon(_cancel_z)
         for row in sorted(tagged, key=len):
             if self.echelon.add(row)[0] is None:
                 raise ValueError("linearly dependent basis rows")
 
     def solve(self, vec: dict) -> list:
         """Coefficients x with sum_i x_i v_i = vec; raises if inconsistent.
-
-        Over Z (int/Fraction rows and query) a coefficient is an int where
-        it is integral and a Fraction otherwise; over Q(delta) a RatFunc."""
-        row = {**vec, ~self.n: 1}
-        if self.cancel is _cancel_field:
-            row = {c: as_ratfunc(v) for c, v in row.items() if v}
-        elif any(isinstance(v, (Poly, RatFunc)) for v in vec.values()):
-            raise TypeError("a query over Q(delta) needs basis rows over Q(delta)")
-        else:
-            row = _z_row(row)
-        row = self.echelon.reduce(row)
+        A coefficient is an int where it is integral and a Fraction
+        otherwise."""
+        row = self.echelon.reduce(_z_row({**vec, ~self.n: 1}))
         q = row.pop(~self.n)
         if any(c >= 0 for c in row):
             raise ValueError("vector outside the span of the basis")
         coeffs = [0] * self.n
         for c, x in row.items():
-            if q in (1, -1):
-                coeffs[~c] = -x * q
-            elif isinstance(q, int):
-                coeffs[~c] = Fraction(-x, q)
-            else:
-                coeffs[~c] = -x / q
+            coeffs[~c] = -x * q if q in (1, -1) else Fraction(-x, q)
         return coeffs

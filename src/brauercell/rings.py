@@ -1,14 +1,13 @@
 """Exact coefficient arithmetic for the loop parameter.
 
 Scalars throughout the package are plain Python ``int`` (arbitrary precision),
-``fractions.Fraction``, ``Poly`` (a univariate polynomial in the loop
-parameter delta, with integer or rational coefficients), or ``RatFunc``
-(a quotient of two such polynomials, kept in canonical reduced form).
+``fractions.Fraction``, or ``Poly``, a univariate polynomial in the loop
+parameter delta.  Every generic coefficient the package computes lies in
+Z[delta]; a quotient is only ever formed after specializing delta.
 
 A polynomial is a dict mapping exponent -> coefficient with no stored zero
 coefficients, so the zero polynomial is the empty dict and equality is
-structural.  A rational function stores a coprime numerator/denominator pair
-with monic denominator, so equality is structural there as well.
+structural.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ class Poly:
             acc = acc * x + self.coeffs.get(e, 0)
         return acc
 
-    def map_coeffs(self, f) -> "Poly":
-        return Poly({e: f(c) for e, c in self.coeffs.items()})
-
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -105,8 +101,6 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -118,14 +112,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of Poly by zero scalar")
-            inv = Fraction(1, 1) / other
-            return Poly({e: c * inv for e, c in self.coeffs.items()})
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -207,176 +193,3 @@ def _as_poly(x):
     if isinstance(x, (int, Fraction)):
         return Poly.const(x)
     return NotImplemented
-
-
-def poly_gcd_q(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals, by the Euclidean algorithm."""
-    a = a.map_coeffs(Fraction)
-    b = b.map_coeffs(Fraction)
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a / a.lead
-
-
-class RatFunc:
-    """Element of the rational function field Q(delta).
-
-    Canonical form: denominator monic, numerator and denominator coprime,
-    so ``==`` is structural.  ``evaluate`` returns None when the point is a
-    pole ("not evaluable" is a value, not an error).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _canonical=False):
-        num = _as_poly(num)
-        den = Poly.one() if den is None else _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("RatFunc with zero denominator")
-        if _canonical:
-            self.num, self.den = num, den
-            return
-        num = num.map_coeffs(Fraction)
-        den = den.map_coeffs(Fraction)
-        if num.is_zero:
-            self.num, self.den = Poly.zero(), Poly.one()
-            return
-        g = poly_gcd_q(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.lead
-        self.num = num / lead
-        self.den = den / lead
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls(Poly.const(Fraction(c)), Poly.one(), _canonical=True)
-
-    @classmethod
-    def delta(cls) -> "RatFunc":
-        return cls(Poly.delta())
-
-    @classmethod
-    def zero(cls) -> "RatFunc":
-        return cls.const(0)
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls.const(1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den == Poly.one()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self.num.coeffs.get(0, 0))
-
-    def evaluate(self, x: Scalar):
-        """Value at delta = x, or None if the denominator vanishes there."""
-        d = self.den.evaluate(x)
-        if d == 0:
-            return None
-        return Fraction(self.num.evaluate(x)) / Fraction(d)
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.num.coeffs.get(0, 0) == other
-        if isinstance(other, Poly):
-            other = RatFunc(other)
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((tuple(sorted(self.num.coeffs.items())),
-                     tuple(sorted(self.den.coeffs.items()))))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __repr__(self):
-        if self.den == Poly.one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RatFunc":
-        return cls(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
-
-
-def _as_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
-    return NotImplemented
-
-
-def as_ratfunc(x) -> RatFunc:
-    """Coerce an int/Fraction/Poly/RatFunc coefficient into Q(delta)."""
-    out = _as_ratfunc(x)
-    if out is NotImplemented:
-        raise TypeError(f"cannot coerce {x!r} to RatFunc")
-    return out
-

@@ -1,15 +1,19 @@
-"""Gelfand-Zeitlin idempotents on cell modules over the rational function
-field, seminormal vectors, and their specialization at the tensor-space
-loop value.
+"""Gelfand-Zeitlin idempotents on cell modules over Z[delta], seminormal
+vectors, and their specialization at the tensor-space loop value.
 
 The idempotent F_t of a path t is built by Lagrange interpolation in the
 commuting Jucys-Murphy matrices, level by level along the path:
 
     F_t = F_{t'} * prod_{s != t, s' = t'} (L_k - kappa_s(k)) / (kappa_t(k) - kappa_s(k)),
 
-everything acting on one cell module.  The seminormal vector is
-f_t = m_t F_t, which is unitriangular in the Murphy basis with respect to
-dominance of paths and diagonalizes the bilinear form.
+everything acting on one cell module.  Every L_k and every content lies in
+Z[delta], so F_t = N_t / D_t: the numerator N_t is the product of the
+factors L_k - kappa_s(k), a matrix over Z[delta], and the denominator D_t
+is the product of the content differences, one nonzero polynomial.  A
+quotient is only formed at a specialization delta = delta0.  The seminormal
+vector f_t = m_t F_t is row t of F_t; it is unitriangular in the Murphy
+basis with respect to dominance of paths and diagonalizes the bilinear
+form.
 """
 
 from __future__ import annotations
@@ -20,134 +24,104 @@ from fractions import Fraction
 from . import branching as br
 from .branching import Path, Vertex
 from .murphy import MurphyBasis
-from .rings import RatFunc, as_ratfunc
+from .rings import Poly
 
-Matrix = list[list]
-
-
-def _mat_identity(n: int) -> Matrix:
-    return [[RatFunc.one() if i == j else RatFunc.zero() for j in range(n)]
-            for i in range(n)]
+Matrix = list[list]   # entries int or Poly
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[RatFunc.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, v in enumerate(arow):
-            if v.is_zero:
-                continue
-            brow = b[k]
-            for j in range(m):
-                if not brow[j].is_zero:
-                    orow[j] = orow[j] + v * brow[j]
+def _content(a: Vertex, b: Vertex):
+    """kappa of the edge a -> b, as an int when it does not depend on delta."""
+    kappa = br.edge_content(a, b)
+    return kappa.constant_value() if kappa.is_constant() else kappa
+
+
+def _times_shifted(a: Matrix, jm_rows: list[list[tuple]], kappa) -> Matrix:
+    """a * (L - kappa), with row k of L given by its nonzero (j, L[k][j])."""
+    out = []
+    for arow in a:
+        orow = [-kappa * x if x else 0 for x in arow]
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in jm_rows[k]:
+                    orow[j] = orow[j] + x * y
+        out.append(orow)
     return out
 
 
-def _mat_lift(rows) -> Matrix:
-    return [[as_ratfunc(x) for x in row] for row in rows]
-
-
-def _mat_shift(a: Matrix, c: RatFunc) -> Matrix:
-    """a - c * identity."""
-    n = len(a)
-    return [[a[i][j] - c if i == j else a[i][j] for j in range(n)] for i in range(n)]
-
-
-def _mat_scale(a: Matrix, c: RatFunc) -> Matrix:
-    return [[x * c for x in row] for row in a]
+def quotient_at(num, den: Poly, x0):
+    """num / den at delta = x0, after cancelling each factor (delta - x0) of
+    den from num by exact synthetic division.  None when num has fewer such
+    factors than den: a pole at x0."""
+    if not num:
+        return 0
+    num = num if isinstance(num, Poly) else Poly.const(num)
+    root = Poly({0: -x0, 1: 1})
+    while den.evaluate(x0) == 0:
+        num, rem = num.divmod(root)
+        if rem:
+            return None
+        den = den.divmod(root)[0]
+    return Fraction(num.evaluate(x0), den.evaluate(x0))
 
 
 @dataclass
 class SeminormalData:
-    """Per-vertex seminormal package over the rational function field."""
+    """Per-vertex seminormal package over Z[delta]."""
 
     basis: MurphyBasis
     vertex: Vertex
     paths: list[Path]
-    jm_matrices: list[Matrix]               # L_1 .. L_r on the cell module
-    idempotents: dict[int, Matrix]          # path index -> F_t
-    vectors: dict[int, list[RatFunc]]       # path index -> f_t (Murphy coords)
-    gram: Matrix                            # Murphy-basis Gram, lifted
-    gram_f: dict[int, RatFunc]              # <f_t, f_t>
-
-    def form(self, x: list[RatFunc], y: list[RatFunc]) -> RatFunc:
-        n = len(x)
-        out = RatFunc.zero()
-        for i in range(n):
-            if x[i].is_zero:
-                continue
-            for j in range(n):
-                if not self.gram[i][j].is_zero and not y[j].is_zero:
-                    out = out + x[i] * self.gram[i][j] * y[j]
-        return out
+    jm_matrices: list[Matrix]                     # L_1 .. L_r on the cell module
+    idempotents: dict[int, tuple[Matrix, Poly]]   # path index -> (N_t, D_t)
 
 
 def gz_idempotents(basis: MurphyBasis, vertex: Vertex) -> SeminormalData:
     """Interpolated Gelfand-Zeitlin idempotents acting on one cell module."""
     paths = basis.paths[vertex]
     n = len(paths)
-    r = basis.r
-    jms = [_mat_lift(basis.jm_action(i, vertex)) for i in range(1, r + 1)]
+    jms = [basis.jm_action(i, vertex) for i in range(1, basis.r + 1)]
 
     # level-by-level interpolation over the prefixes of the module's paths
-    level_maps: list[dict[Path, Matrix]] = [{(br.EMPTY,): _mat_identity(n)}]
-    for k in range(1, r + 1):
-        prefixes = {}
+    level: dict[Path, tuple[Matrix, Poly]] = {
+        (br.EMPTY,): ([[int(i == j) for j in range(n)] for i in range(n)], Poly.one())}
+    for k in range(1, basis.r + 1):
+        jm_rows = [[(j, y) for j, y in enumerate(row) if y] for row in jms[k - 1]]
+        cur: dict[Path, tuple[Matrix, Poly]] = {}
         for t in paths:
-            prefixes.setdefault(t[:k + 1], None)
-        jm_k = jms[k - 1]
-        cur: dict[Path, Matrix] = {}
-        for p in prefixes:
-            parent = p[:-1]
-            fmat = level_maps[-1].get(parent)
-            if fmat is None:
+            p = t[:k + 1]
+            if p in cur:
                 continue
-            target = p[-1]
-            kappa_t = as_ratfunc(br.edge_content(p[-2], target))
-            mat = fmat
+            num, den = level[p[:-1]]
+            kappa_t = _content(p[-2], p[-1])
             siblings = (br.young_edges(p[-2]) if basis.add_only
                         else br.brauer_edges(p[-2]))
             for s in siblings:
-                if s == target:
-                    continue
-                kappa_s = as_ratfunc(br.edge_content(p[-2], s))
-                factor = _mat_scale(_mat_shift(jm_k, kappa_s),
-                                    RatFunc.one() / (kappa_t - kappa_s))
-                mat = _mat_mul(mat, factor)
-            cur[p] = mat
-        level_maps.append(cur)
+                if s != p[-1]:
+                    kappa_s = _content(p[-2], s)
+                    num = _times_shifted(num, jm_rows, kappa_s)
+                    den = den * (kappa_t - kappa_s)
+            cur[p] = (num, den)
+        level = cur
 
-    idempotents = {ti: level_maps[-1][t] for ti, t in enumerate(paths)}
-    gram = _mat_lift(basis.gram_matrix(vertex).rows)
-    vectors = {}
-    gram_f = {}
-    data = SeminormalData(basis, vertex, list(paths), jms, idempotents,
-                          vectors, gram, gram_f)
-    for ti in range(n):
-        vectors[ti] = list(idempotents[ti][ti])
-    for ti in range(n):
-        gram_f[ti] = data.form(vectors[ti], vectors[ti])
-    return data
+    idempotents = {ti: level[t] for ti, t in enumerate(paths)}
+    return SeminormalData(basis, vertex, list(paths), jms, idempotents)
 
 
 def jm_seminormal_check(sd: SeminormalData) -> bool:
-    """f_t L_i = kappa_t(i) f_t for every path t and JM index i."""
+    """f_t L_i = kappa_t(i) f_t for every path t and JM index i, checked on
+    n_t = D_t f_t, row t of N_t."""
     for ti, t in enumerate(sd.paths):
         contents = br.sn_contents(t)
-        f = sd.vectors[ti]
+        f = sd.idempotents[ti][0][ti]
         for i in range(1, sd.basis.r + 1):
             jm = sd.jm_matrices[i - 1]
-            kappa = as_ratfunc(contents[i - 1])
-            got = [RatFunc.zero() for _ in f]
+            kappa = contents[i - 1]
+            got = [0] * len(f)
             for a, va in enumerate(f):
-                if va.is_zero:
+                if not va:
                     continue
                 for b in range(len(f)):
-                    if not jm[a][b].is_zero:
+                    if jm[a][b]:
                         got[b] = got[b] + va * jm[a][b]
             if any(got[b] != kappa * f[b] for b in range(len(f))):
                 return False
@@ -185,7 +159,8 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
                         n: int) -> QuotientSeminormalRecord:
     """Verify the quotient seminormal structure at delta = delta0:
 
-    * every permissible F_t is evaluable (after reduction),
+    * every permissible F_t = N_t / D_t is evaluable once the factors
+      (delta - delta0) common to N_t and D_t are cancelled,
     * the specialized seminormal Gram diagonal is nonzero on the permissible
       paths and pairwise orthogonality survives, with the specialized Murphy
       Gram of rank equal to the permissible path count,
@@ -206,8 +181,8 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
 
     evaluable = {}
     for ti in record.permissible:
-        mat = sd.idempotents[ti]
-        ev = [[x.evaluate(delta0) for x in row] for row in mat]
+        num, den = sd.idempotents[ti]
+        ev = [[quotient_at(x, den, delta0) for x in row] for row in num]
         if any(v is None for row in ev for v in row):
             evaluable[ti] = None
         else:
@@ -228,16 +203,10 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
         return record
     record.add("permissible idempotents evaluable", True)
 
-    g0 = [[x.evaluate(delta0) for x in row] for row in sd.gram]
-    if any(v is None for row in g0 for v in row):
-        raise ArithmeticError(f"Murphy Gram at {sd.vertex} has a pole at {delta0}")
-    f0 = {}
-    ok = True
-    for ti in record.permissible:
-        fv = [x.evaluate(delta0) for x in sd.vectors[ti]]
-        ok &= all(v is not None for v in fv)
-        f0[ti] = fv
-    record.add("permissible seminormal vectors evaluable", ok)
+    g0 = sd.basis.gram_matrix(sd.vertex, delta0).rows
+    # f_t is row t of F_t, so it is evaluable with F_t
+    f0 = {ti: evaluable[ti][ti] for ti in record.permissible}
+    record.add("permissible seminormal vectors evaluable", True)
 
     def form0(x, y):
         return sum(x[i] * g0[i][j] * y[j]

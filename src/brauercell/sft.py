@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import branching as br
 from .branching import Path, Vertex, conjugate
@@ -408,16 +409,18 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
 
     images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
 
-    # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t)
+    # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t); each a_t is scaled to integer
+    # coefficients first, which scales each image by a positive integer and
+    # so keeps the rank and the zero tests
     perm_vectors = []
     kernel_zero = True
     for v in split.basis.vertices:
         npaths = len(split.basis.paths[v])
         gen = split.basis.generators[v].with_delta(split.delta0)
-        lefts = [rep.rep_element(gen * split.a_elements[(v, s)], images).transpose()
-                 for s in range(npaths)]
-        rights = [rep.rep_element(split.a_elements[(v, t)], images)
-                  for t in range(npaths)]
+        scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
+                  for a in (split.a_elements[(v, t)] for t in range(npaths))]
+        lefts = [rep.rep_element(gen * a, images).transpose() for a in scaled]
+        rights = [rep.rep_element(a, images) for a in scaled]
         for s in range(npaths):
             for t in range(npaths):
                 mat = lefts[s] @ rights[t]

@@ -93,15 +93,19 @@ def test_certify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
-    def broken_harterich(r, n, max_tensor_dim=65536, fields=()):
-        raise ArithmeticError("forced exactness failure")
+    # an exactness failure exits 3; running out of memory exits 2, as a cap
+    for exc, code, line in [(ArithmeticError("forced exactness failure"), 3,
+                             "internal error: forced exactness failure"),
+                            (MemoryError(), 2, "cap exceeded: out of memory")]:
+        def broken_harterich(r, n, max_tensor_dim=65536, fields=(), exc=exc):
+            raise exc
 
-    monkeypatch.setattr("brauercell.sft.harterich_check", broken_harterich)
-    code = main(["certify", "--flavor", "symmetric", "--r", "2", "--N", "2"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["internal error: forced exactness failure"]
+        monkeypatch.setattr("brauercell.sft.harterich_check", broken_harterich)
+        got = main(["certify", "--flavor", "symmetric", "--r", "2", "--N", "2"])
+        captured = capsys.readouterr()
+        assert got == code
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
 
 
 def test_murphy_exactness_failure_exit_code(capsys, monkeypatch):
@@ -226,6 +230,11 @@ CERTIFY_STDOUT_SHA256 = {
     "symmetric --r 5 --N 2": "17d4613be7e5e6a2f9ee8239f330e04625149b10422c8d6f5448154e1f1ed4aa",
     "orthogonal --r 4 --N 2 --field Fp --p 5":
         "cf580fe7a75d591e79243a447ddb34878c27790677d902e26dee17ee2b66e675",
+    "orthogonal --r 4 --N 3": "0a848e2ef551bd8cb4da28b0307708fcf75d7b0fa58201f063baaedb1a4cda12",
+    "symplectic --r 4 --N 3": "3f4ffc265a30da52e45c046dafec054e065eace6617248ac11db16c1494a2e70",
+    # the only pin of r=5 seminormal records
+    "orthogonal --r 5 --N 2 --seminormal-cap 5":
+        "a4348297e66e4da17cedfabb5bfd66af45f57c92d77a1b4035026d71f24c2907",
 }
 
 

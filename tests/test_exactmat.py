@@ -4,7 +4,7 @@ import pytest
 
 from brauercell.exactmat import (ExactMatrix, LinearSolver, rank_modp,
                                  sparse_rank_q, spin_rank_q)
-from brauercell.rings import Poly, RatFunc
+from brauercell.rings import Poly
 
 d = Poly.delta()
 
@@ -44,13 +44,10 @@ def rank_gauss_fraction(rows):
 def test_rank_examples():
     assert ExactMatrix([[1, 0], [0, 1]]).rank() == 2
     assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
-    # Gram matrix of the corank-1 cell of B_2 over Z[delta]
-    assert ExactMatrix([[d]]).rank() == 1
 
 
 def test_det_examples():
     assert ExactMatrix([[1, 0], [0, 1]]).det() == 1
-    assert ExactMatrix([[d, Poly.zero()], [Poly.zero(), Poly.one()]]).det() == d
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]]).det()
 
@@ -76,13 +73,6 @@ def test_det_matches_cofactor_random(rng):
                 assert ExactMatrix(singular).det() == det_cofactor(singular)
 
 
-def test_det_matches_cofactor_polynomial(rng):
-    for _ in range(10):
-        rows = [[Poly({0: rng.randint(-2, 2), 1: rng.randint(-1, 1)})
-                 for _ in range(3)] for _ in range(3)]
-        assert ExactMatrix(rows).det() == det_cofactor(rows)
-
-
 def test_rank_transpose_random(rng):
     for _ in range(25):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
@@ -91,26 +81,22 @@ def test_rank_transpose_random(rng):
         assert mat.rank() == mat.transpose().rank() == rank_gauss_fraction(rows)
 
 
-def test_rank_over_ratfunc():
-    one = RatFunc.one()
-    half = RatFunc.const(Fraction(1, 2))
-    f = RatFunc(Poly.one(), d + 1)
-    mat = ExactMatrix([[one, half], [f, f * half]])
-    assert mat.rank() == 1
-    assert ExactMatrix([[one, half], [f, one]]).rank() == 2
-
-
-def test_det_over_ratfunc():
-    f = RatFunc(Poly.one(), d)
-    mat = ExactMatrix([[f, RatFunc.zero()], [RatFunc.zero(), RatFunc.delta()]])
-    assert mat.det() == RatFunc.one()
+def test_poly_entries_raise_type_error():
+    # a Gram matrix over Z[delta] (here the corank-1 cell of B_2) is never
+    # eliminated: only its specialization at a loop value is
+    for mat in (ExactMatrix([[d]]),
+                ExactMatrix([[d, Poly.zero()], [Poly.zero(), Poly.one()]])):
+        with pytest.raises(TypeError):
+            mat.rank()
+        with pytest.raises(TypeError):
+            mat.det()
 
 
 def test_solve():
-    mat = ExactMatrix([[2, 1], [1, 1]])
-    assert mat.solve([3, 2]) == [Fraction(1), Fraction(1)]
+    # the columns of [[2, 1], [1, 1]] as basis rows
+    assert LinearSolver([{0: 2, 1: 1}, {0: 1, 1: 1}]).solve({0: 3, 1: 2}) == [1, 1]
     with pytest.raises(ValueError):
-        ExactMatrix([[1, 1], [1, 1]]).solve([1, 0])
+        LinearSolver([{0: 1, 1: 1}, {0: 1, 1: 1}])
 
 
 def test_linear_solver_roundtrip(rng):
@@ -129,12 +115,11 @@ def test_linear_solver_roundtrip(rng):
 
 
 def test_linear_solver_poly_values():
-    # a query over Q(delta) needs basis rows over Q(delta)
+    # the solver works over Z: a Poly value, in a query or a basis row, raises
     with pytest.raises(TypeError):
         LinearSolver([{0: 1, 1: 1}, {1: 2}]).solve({0: d, 1: d + 2})
-    solver = LinearSolver([{0: Poly.one(), 1: 1}, {1: 2}])
-    got = solver.solve({0: d, 1: d + 2})
-    assert got[0] == d and got[1] == Poly.one()
+    with pytest.raises(TypeError):
+        LinearSolver([{0: d, 1: 1}, {1: 2}])
 
 
 def test_linear_solver_exact_coefficients():

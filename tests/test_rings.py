@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercell.rings import Poly, RatFunc, _as_poly, as_ratfunc, poly_gcd_q
+from brauercell.rings import Poly, _as_poly
 
 d = Poly.delta()
 
@@ -12,11 +12,6 @@ d = Poly.delta()
 def poly_eval(p, d0):
     """Exact value of p at delta = d0."""
     return p.evaluate(d0)
-
-
-def ratfunc_eval(f, d0):
-    """f(d0), or None when d0 is a pole of the reduced form."""
-    return f.evaluate(d0)
 
 
 def exact_div(a, b):
@@ -28,8 +23,6 @@ def exact_div(a, b):
         return q
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        return as_ratfunc(a) / as_ratfunc(b)
     pa, pb = _as_poly(a), _as_poly(b)
     q, r = pa.divmod(pb)
     if not r.is_zero:
@@ -62,24 +55,6 @@ def test_poly_json_roundtrip():
     assert p.to_json() == {"0": "7", "1": "-2", "4": "3"}
 
 
-def test_ratfunc_eval_examples():
-    f = RatFunc(Poly.one(), d + 2)
-    assert ratfunc_eval(f, -2) is None
-    # reduction is forced by the canonical-form invariant
-    g = RatFunc(d * d - 4, d - 2)
-    assert g == RatFunc(d + 2)
-    assert ratfunc_eval(g, 2) == 4
-    assert ratfunc_eval(RatFunc.delta(), 3) == 3
-
-
-def test_ratfunc_canonical():
-    f = RatFunc(2 * d + 2, 4 * d + 4)
-    assert f == RatFunc.const(Fraction(1, 2))
-    g = RatFunc(d, 2 * d ** 2)
-    assert g.den.lead == 1  # monic denominator
-    assert poly_gcd_q(g.num, g.den).degree <= 0
-
-
 scalars = st.integers(min_value=-6, max_value=6)
 
 
@@ -90,13 +65,6 @@ def polys(draw):
     return Poly(coeffs)
 
 
-@st.composite
-def ratfuncs(draw):
-    num = draw(polys())
-    den = draw(polys().filter(lambda p: not p.is_zero))
-    return RatFunc(num, den)
-
-
 @given(polys(), polys(), polys())
 @settings(max_examples=60, deadline=None)
 def test_poly_ring_axioms(a, b, c):
@@ -105,26 +73,6 @@ def test_poly_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
-
-
-@given(ratfuncs(), ratfuncs(), ratfuncs())
-@settings(max_examples=40, deadline=None)
-def test_ratfunc_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    if not b.is_zero:
-        assert (a / b) * b == a
-
-
-@given(ratfuncs(), ratfuncs())
-@settings(max_examples=40, deadline=None)
-def test_ratfunc_stays_reduced(a, b):
-    for out in (a + b, a * b, a - b):
-        if out.is_zero:
-            assert out.num.is_zero and out.den == Poly.one()
-        else:
-            assert out.den.lead == 1
-            assert poly_gcd_q(out.num, out.den).degree <= 0
 
 
 def test_exact_div():
