@@ -179,13 +179,6 @@ class Poly:
         """Serialize as exponent -> decimal string."""
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Poly":
-        out = {}
-        for e, c in data.items():
-            out[int(e)] = Fraction(c) if "/" in c else int(c)
-        return cls(out)
-
 
 def _as_poly(x):
     if isinstance(x, Poly):

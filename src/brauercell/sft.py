@@ -35,7 +35,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .tensorrep import TensorRep, image_rank
+from .tensorrep import SparseMat, TensorRep, image_rank
 
 FLAVOR_DATA = {
     # flavor -> (basis flavor, delta0(N))
@@ -397,6 +397,11 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     4. (optional) the span of D1 g D2 over the small generating set has
        rank = dim ker;
     5. (optional) image rank over F_p agrees with the rank over Q.
+
+    Every image is read on the orbit rows of the tensor space only (see
+    ``tensorrep``): each left factor Phi(m a_s)^T is restricted to them
+    once per path, before its products with the right factors, and
+    ``image_rank`` does the same for the F_p ranks.
     """
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     if flavor == "symmetric":
@@ -407,11 +412,16 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     dim_alg = algebra_dimension(r, flavor)
     dim_im = expected_image_dimension(r, n, flavor)
 
+    rows = rep.orbit_rows()
     images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
+    orbit_images = {d: SparseMat(rep.size, {i: m.rows[i] for i in rows if i in m.rows})
+                    for d, m in images.items()}
 
-    # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t); each a_t is scaled to integer
-    # coefficients first, which scales each image by a positive integer and
-    # so keeps the rank and the zero tests
+    # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t) and read it on the orbit rows
+    # (tensorrep), which keeps the rank and the zero tests: the left factor
+    # is Phi((m a_s)*) = Phi(m a_s)^T, built on those rows only.  Each a_t is
+    # scaled to integer coefficients first, which scales each image by a
+    # positive integer and so keeps the rank and the zero tests too
     perm_vectors = []
     kernel_zero = True
     for v in split.basis.vertices:
@@ -419,7 +429,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
         gen = split.basis.generators[v].with_delta(split.delta0)
         scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
                   for a in (split.a_elements[(v, t)] for t in range(npaths))]
-        lefts = [rep.rep_element(gen * a, images).transpose() for a in scaled]
+        lefts = [rep.rep_element((gen * a).involution(), orbit_images) for a in scaled]
         rights = [rep.rep_element(a, images) for a in scaled]
         for s in range(npaths):
             for t in range(npaths):
@@ -428,7 +438,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                     perm_vectors.append(mat.to_vector())
                 elif not mat.is_zero:
                     kernel_zero = False
-    del images
+    del images, orbit_images
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im, len(perm_vectors))
     cert.add("image rank over Q = sum of squared permissible path counts",
@@ -484,12 +494,14 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
 
 def place_vectors(basis: MurphyBasis, rep: TensorRep) -> list[dict[int, int]]:
     """The flattened image under the place-permutation action of every
-    element of a symmetric group basis, in the order of ``basis.index``.
-    The image of a permutation sends word i to word place_image[i], so it
-    adds c at i * size + place_image[i]; each place image is computed once
-    per call."""
-    images = {d: rep.place_image(d.to_perm()) for d in basis.diagrams}
-    starts = range(0, rep.size * rep.size, rep.size)
+    element of a symmetric group basis, in the order of ``basis.index``,
+    on the orbit rows of ``rep`` only (which keeps ranks and zero tests,
+    see ``tensorrep``).  The image of a permutation sends word i to word
+    place_image[i], so it adds c at i * size + place_image[i]; each place
+    image is computed once per call, on the orbit rows."""
+    rows = rep.orbit_rows()
+    images = {d: rep.place_image(d.to_perm(), rows) for d in basis.diagrams}
+    starts = [i * rep.size for i in rows]
     out = []
     for key in basis.index:
         vec: dict[int, int] = {}

@@ -14,6 +14,30 @@ Conventions (pinned by tests):
 
 Matrices act on row vectors from the right, so rep(ab) = rep(a) rep(b).
 All matrices are sparse dicts of integer entries.
+
+Orbit rows.  Every rank and zero test on images reads only the rows of
+``TensorRep.orbit_rows()``: one word per orbit of the letter group H acting
+on the words of length r over the letters {0..d-1} of V (d = dim V).  For
+the symplectic and orthogonal flavors H is the group of permutations of the
+letters that commute with iota(x) = d-1-x (they permute the pairs
+{x, iota(x)} and may swap the two ends of a pair); for the permutation
+flavor H is all of S_N.  Reading the orbit rows alone is exact:
+
+1. Each pi in H lifts to a signed permutation matrix g_pi, v_x -> eps_x
+   v_pi(x), in O(V), Sp(V) or S_N.  Orthogonal and permutation: every
+   eps_x = 1, as [pi(x) + pi(y) = d-1] = [x + y = d-1].  Symplectic: for
+   each pair {x, iota(x)} with x < N put eps_x = 1 and eps_iota(x) =
+   <v_pi(x), v_iota(pi(x))>, which keeps the Darboux form on that pair.
+2. Phi(e_i) contracts places i, i+1 with the form and inserts omega, the
+   tensor of the form's dual bases; both are invariant under the group of
+   the form.  Phi(s_i) is a place permutation up to sign.  So every Phi(x)
+   commutes with g_pi^{tensor r}, which gives Phi(x)[pi w, pi w'] =
+   +-Phi(x)[w, w'] with the sign eps(w) eps(w') of the words: each row, and
+   likewise each column, is a signed relabelling of the orbit row of its
+   orbit.
+3. Restricting to the orbit rows is therefore injective on {Phi(x)}: an
+   image whose orbit rows vanish is zero.  The signs are +-1, so this holds
+   over Z and mod every p, and ranks and zero tests are unchanged.
 """
 
 from __future__ import annotations
@@ -170,6 +194,7 @@ class TensorRep:
                 f"tensor dimension {self.dim}^{r} exceeds the cap {max_tensor_dim}")
         self._E: dict[int, SparseMat] = {}
         self._S: dict[int, SparseMat] = {}
+        self._orbit_rows: tuple[int, ...] | None = None
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -178,6 +203,41 @@ class TensorRep:
         for a in word:
             out = out * self.dim + a
         return out
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """The word of index i, inverse to ``idx``."""
+        out = [0] * self.r
+        for j in range(self.r - 1, -1, -1):
+            i, out[j] = divmod(i, self.dim)
+        return tuple(out)
+
+    def orbit_rows(self) -> tuple[int, ...]:
+        """The indices, increasing, of the words fixed by the canonical
+        relabelling, one per orbit of the letter group H (module docstring).
+        The relabelling scans a word left to right.  Symplectic and
+        orthogonal: each new letter pair {x, d-1-x}, in order of first
+        appearance, goes to the next free pair {k, d-1-k}, with its
+        first-seen letter sent to k; the middle letter of an odd d stays
+        fixed.  Permutation: the letters are renumbered in order of first
+        occurrence.  So the fixed words are built letter by letter: after k
+        classes have been used, a word continues with a letter of those
+        classes (or the middle letter) or with the next new one, k."""
+        if self._orbit_rows is None:
+            d = self.dim
+            if self.form is None:
+                classes, known = d, range
+            else:
+                classes = d // 2
+                middle = [d // 2] if d % 2 else []
+
+                def known(k):
+                    return [*range(k), *range(d - k, d), *middle]
+            level = [((), 0)]
+            for _ in range(self.r):
+                level = [(w + (a,), k) for w, k in level for a in known(k)] + [
+                    (w + (k,), k + 1) for w, k in level if k < classes]
+            self._orbit_rows = tuple(sorted(self.idx(w) for w, _ in level))
+        return self._orbit_rows
 
     # -- generator matrices ---------------------------------------------------
 
@@ -222,14 +282,17 @@ class TensorRep:
             self._S[i] = m
         return self._S[i]
 
-    def place_image(self, pi: tuple[int, ...]) -> tuple[int, ...]:
+    def place_image(self, pi: tuple[int, ...], rows=None) -> tuple[int, ...]:
         """The word index that the place permutation pi sends each word
-        index to: the factor in place j moves to place pi(j), so its digit
-        weight becomes dim^(r - pi(j)).  Built digit by digit, most
+        index in ``rows`` to (all of them, in order, when ``rows`` is None):
+        the factor in place j moves to place pi(j), so its digit weight
+        becomes dim^(r - pi(j)).  All indices are built digit by digit, most
         significant place first, in the order of ``idx``."""
+        weights = [self.dim ** (self.r - p) for p in pi]
+        if rows is not None:
+            return tuple(sum(map(int.__mul__, self.word(i), weights)) for i in rows)
         out = [0]
-        for j in range(self.r):
-            w = self.dim ** (self.r - pi[j])
+        for w in weights:
             out = [x + a * w for x in out for a in range(self.dim)]
         return tuple(out)
 
@@ -240,15 +303,17 @@ class TensorRep:
 
     # -- representation of diagrams ------------------------------------------
 
-    def rep_diagram(self, diag: BrauerDiagram) -> SparseMat:
+    def rep_diagram(self, diag: BrauerDiagram, rows=None) -> SparseMat:
         """Image of a diagram via a generator-product factorization
-        D = P(sigma) (e_1 e_3 ... e_{2s-1}) P(tau)."""
+        D = P(sigma) (e_1 e_3 ... e_{2s-1}) P(tau), built on the word
+        indices in ``rows`` only (all rows when ``rows`` is None).  Each
+        word is moved by sigma; the rows of E_1 E_3 ... E_{2s-1} contract
+        places (1, 2), ..., (2s-1, 2s) with the form and put omega there;
+        tau relabels the columns."""
         if diag.r != self.r:
             raise ValueError("strand count mismatch")
-        if self.flavor == "permutation":
-            if not diag.is_permutation():
-                raise ValueError("permutation flavor: diagram has horizontal strands")
-            return self.place_matrix(diag.to_perm())
+        if self.flavor == "permutation" and not diag.is_permutation():
+            raise ValueError("permutation flavor: diagram has horizontal strands")
         top, bot, vert = diag.strand_types()
         s = len(top)
         sigma = [0] * self.r
@@ -262,16 +327,38 @@ class TensorRep:
         for k, (i, j) in enumerate(vert):
             sigma[i - 1] = 2 * s + k + 1
             tau[2 * s + k] = j
-        sigma = tuple(sigma)
-        tau = tuple(tau)
         sign = 1
         if self.flavor == "symplectic":
             sign = perm_sign(sigma) * perm_sign(tau)
-        mat = self.place_matrix(sigma)
-        for k in range(s):
-            mat = mat @ self.E(2 * k + 1)
-        mat = mat @ self.place_matrix(tau)
-        return mat.scale(sign) if sign < 0 else mat
+        d, r = self.dim, self.r
+        # after sigma, place q holds the letter of place source[q]
+        source = [0] * r
+        for j, q in enumerate(sigma):
+            source[q - 1] = j
+        weights = [d ** (r - q) for q in tau]
+        # the omega part of each row, relabelled by tau: (column, value)
+        heads = [(0, sign)]
+        if s:
+            omega = self.form.omega()
+            pair = [self.form.pair(x, d - 1 - x) for x in range(d)]
+        for k in range(0, 2 * s, 2):
+            heads = [(h + a * weights[k] + b * weights[k + 1], c * coeff)
+                     for h, c in heads for a, b, coeff in omega]
+        low_source, low_weights = source[2 * s:], weights[2 * s:]
+        words = (enumerate(itertools.product(range(d), repeat=r)) if rows is None
+                 else ((i, self.word(i)) for i in rows))
+        out = SparseMat(self.size)
+        for i, w in words:
+            c = 1
+            for k in range(0, 2 * s, 2):
+                x = w[source[k]]
+                if x + w[source[k + 1]] != d - 1:
+                    break
+                c *= pair[x]
+            else:
+                low = sum(w[j] * x for j, x in zip(low_source, low_weights))
+                out.rows[i] = {h + low: c * v for h, v in heads}
+        return out
 
     def rep_diagram_closed_form(self, diag: BrauerDiagram) -> SparseMat:
         """Image of a diagram straight from the strand structure: top
@@ -320,10 +407,13 @@ class TensorRep:
                     m.add(row, self.idx(tuple(out_word)), cout)
         return m
 
-    def rep_element(self, a: AlgebraElement, images: dict | None = None) -> SparseMat:
+    def rep_element(self, a: AlgebraElement, images: dict | None = None,
+                    rows=None) -> SparseMat:
         """Image of an algebra element; requires the element's loop parameter
         to match the flavor's specialization.  ``images`` maps diagrams to
-        their images, to read in place of calling ``rep_diagram``."""
+        their images, to read in place of calling ``rep_diagram``; without
+        it, the image is built on the word indices in ``rows`` only (all
+        rows when ``rows`` is None)."""
         if a.r != self.r:
             raise ValueError("strand count mismatch")
         if self.delta0 is not None and a.delta != self.delta0:
@@ -331,7 +421,7 @@ class TensorRep:
                 f"element has delta={a.delta}, representation needs {self.delta0}")
         out = SparseMat(self.size)
         for diag, c in a.terms.items():
-            m = images[diag] if images is not None else self.rep_diagram(diag)
+            m = images[diag] if images is not None else self.rep_diagram(diag, rows)
             for i, row in m.rows.items():
                 for j, v in row.items():
                     out.add(i, j, c * v)
@@ -340,8 +430,11 @@ class TensorRep:
 
 def image_rank(generators, rep: TensorRep, field="Q") -> int:
     """Rank of the span of the vectorized images of the given elements,
-    over Q or over F_p (field = ("Fp", p))."""
-    vecs = [rep.rep_element(a).to_vector() for a in generators]
+    over Q or over F_p (field = ("Fp", p)).  Each image is built and read
+    on ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every
+    p (module docstring)."""
+    rows = rep.orbit_rows()
+    vecs = [rep.rep_element(a, rows=rows).to_vector() for a in generators]
     if field == "Q":
         return sparse_rank_q(vecs)
     name, p = field

@@ -214,6 +214,31 @@ def test_certify_under_python_O():
     assert opt.stdout == plain.stdout
 
 
+def _run_limited(argv, mem_bytes):
+    """The CLI in a fresh interpreter under an RLIMIT_AS of ``mem_bytes``."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
+
+    src = str(Path(brauercell.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "brauercell.cli", *argv], env=env,
+                          capture_output=True, timeout=300, preexec_fn=limit)
+
+
+def test_wide_symmetric_inputs_fit_in_512_mib():
+    """9^5 = 59049 words: both runs read 52 orbit rows, where building every
+    row ran out of memory under 2 GiB."""
+    dims = _run_limited(["dims", "--flavor", "symmetric", "--N", "9", "--r", "5"], 512 << 20)
+    assert dims.returncode == 0, dims.stderr
+    assert [row["image_rank"] for row in json.loads(dims.stdout)["rows"]] == [1, 2, 6, 24, 120]
+    cert = _run_limited(["certify", "--flavor", "symmetric", "--r", "5", "--N", "9"], 512 << 20)
+    assert cert.returncode == 0, cert.stderr
+    assert json.loads(cert.stdout)["pass"] is True
+
+
 # sha256 of the stdout of certify, recorded before the Gram and JM matrices
 # moved to the cell-row functionals; the certificate bytes must not drift.
 CERTIFY_STDOUT_SHA256 = {

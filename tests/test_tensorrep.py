@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
+from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
+                                 all_permutation_diagrams, perm_sign)
 from brauercell.errors import CapExceeded
+from brauercell.exactmat import rank_modp, sparse_rank_q
 from brauercell.tensorrep import (BilinearStructure, SparseMat, TensorRep,
                                   det_cofactor, image_rank, pfaffian_diagram_sum,
                                   pfaffian_functional, pfaffian_interleaved,
@@ -137,6 +139,154 @@ def test_closed_form_equals_generator_products(flavor, n, r):
         assert rep.rep_diagram(d) == rep.rep_diagram_closed_form(d)
 
 
+def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
+    """P(sigma) E_1 E_3 ... E_{2s-1} P(tau) as a product of full matrices."""
+    top, bot, vert = diag.strand_types()
+    s = len(top)
+    sigma, tau = [0] * rep.r, [0] * rep.r
+    for k, (i, j) in enumerate(top):
+        sigma[i - 1], sigma[j - 1] = 2 * k + 1, 2 * k + 2
+    for k, (i, j) in enumerate(bot):
+        tau[2 * k], tau[2 * k + 1] = i, j
+    for k, (i, j) in enumerate(vert):
+        sigma[i - 1] = 2 * s + k + 1
+        tau[2 * s + k] = j
+    mat = rep.place_matrix(tuple(sigma))
+    for k in range(s):
+        mat = mat @ rep.E(2 * k + 1)
+    mat = mat @ rep.place_matrix(tuple(tau))
+    if rep.flavor == "symplectic":
+        mat = mat.scale(perm_sign(sigma) * perm_sign(tau))
+    return mat
+
+
+@pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
+                                      ("orthogonal", 2), ("orthogonal", 3)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rep_diagram_equals_generator_matrix_products(flavor, n, r):
+    rep = TensorRep(flavor, n, r)
+    for d in all_diagrams(r):
+        assert rep.rep_diagram(d) == _generator_matrix_product(rep, d)
+
+
+# -- orbit rows ----------------------------------------------------------------
+
+
+def _letter_group(rep: TensorRep) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The letter group H as (pi, eps): v_x -> eps[x] v_pi[x] is the signed
+    permutation g_pi of V.  Brauer flavors: the permutations commuting with
+    x -> d-1-x, signed on each pair so that the symplectic form is kept;
+    permutation flavor: all of S_N, unsigned."""
+    d = rep.dim
+    out = []
+    for pi in itertools.permutations(range(d)):
+        if rep.form is None:
+            out.append((pi, (1,) * d))
+            continue
+        if any(pi[d - 1 - x] != d - 1 - pi[x] for x in range(d)):
+            continue
+        eps = [1] * d
+        if rep.flavor == "symplectic":
+            for x in range(d // 2):
+                eps[d - 1 - x] = rep.form.pair(pi[x], d - 1 - pi[x])
+        out.append((pi, tuple(eps)))
+    return out
+
+
+def _tensor_power(rep: TensorRep, pi, eps) -> SparseMat:
+    """g_pi^{tensor r}: the word w goes to pi(w) with sign prod eps[w_j]."""
+    m = SparseMat(rep.size)
+    for w in itertools.product(range(rep.dim), repeat=rep.r):
+        sign = 1
+        for x in w:
+            sign *= eps[x]
+        m.set(rep.idx(w), rep.idx(tuple(pi[x] for x in w)), sign)
+    return m
+
+
+def _rep(flavor, n, r):
+    return TensorRep("permutation" if flavor == "symmetric" else flavor, n, r)
+
+
+def _diagrams(rep: TensorRep):
+    return (all_permutation_diagrams(rep.r) if rep.flavor == "permutation"
+            else all_diagrams(rep.r))
+
+
+ORBIT_GRID = [("symplectic", 1), ("symplectic", 2), ("symplectic", 3),
+              ("orthogonal", 1), ("orthogonal", 2), ("orthogonal", 3),
+              ("orthogonal", 4), ("orthogonal", 5), ("symmetric", 1),
+              ("symmetric", 2), ("symmetric", 3), ("symmetric", 4)]
+
+
+@pytest.mark.parametrize("flavor,n", ORBIT_GRID)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_orbit_rows_one_per_orbit(flavor, n, r):
+    rep = _rep(flavor, n, r)
+    group = _letter_group(rep)
+    rows = rep.orbit_rows()
+    assert list(rows) == sorted(set(rows))
+    chosen = set(rows)
+    seen = set()
+    orbits = 0
+    for w in itertools.product(range(rep.dim), repeat=r):
+        if rep.idx(w) in seen:
+            continue
+        orbit = {rep.idx(tuple(pi[x] for x in w)) for pi, _ in group}
+        seen |= orbit
+        orbits += 1
+        assert len(orbit & chosen) == 1
+    assert orbits == len(rows)
+
+
+@pytest.mark.parametrize("flavor,n,r", [("symplectic", 1, 4), ("symplectic", 2, 3),
+                                        ("orthogonal", 2, 4), ("orthogonal", 3, 3),
+                                        ("orthogonal", 4, 3), ("symmetric", 3, 3)])
+def test_images_commute_with_letter_group(flavor, n, r):
+    rep = _rep(flavor, n, r)
+    gs = [_tensor_power(rep, pi, eps) for pi, eps in _letter_group(rep)]
+    for d in _diagrams(rep):
+        m = rep.rep_diagram(d)
+        for g in gs:
+            assert m @ g == g @ m
+
+
+def _random_elements(rng, rep: TensorRep, count: int) -> list[AlgebraElement]:
+    """Integer combinations of three diagrams each, drawn from a pool of
+    five, so the set has rank below its size; then the kernel generators."""
+    from brauercell.sft import ideal_generators
+    pool = rng.sample(_diagrams(rep), min(5, len(_diagrams(rep))))
+    out = []
+    for _ in range(count):
+        terms = {d: rng.choice([-3, -2, -1, 1, 2, 3]) for d in rng.sample(pool, min(3, len(pool)))}
+        out.append(AlgebraElement(rep.r, terms, rep.delta0))
+    flavor = "symmetric" if rep.flavor == "permutation" else rep.flavor
+    return out + ideal_generators(rep.r, rep.n, flavor, rep.delta0)
+
+
+@pytest.mark.parametrize("flavor,n", [(f, n) for f in ("symplectic", "orthogonal", "symmetric")
+                                      for n in (1, 2, 3)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
+    """On all diagrams and on random integer elements: the image built on
+    the orbit rows is the full image restricted to them, and its zero test
+    and ranks over Q, F_3 and F_5 are those of the full image."""
+    rep = _rep(flavor, n, r)
+    rows = rep.orbit_rows()
+    chosen = set(rows)
+    for elements in ([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)],
+                     _random_elements(rng, rep, 8)):
+        full = [rep.rep_element(a).to_vector() for a in elements]
+        orbit = [rep.rep_element(a, rows=rows).to_vector() for a in elements]
+        for f, o in zip(full, orbit):
+            assert o == {k: x for k, x in f.items() if k // rep.size in chosen}
+            assert (not o) == (not f)
+        assert sparse_rank_q(orbit) == sparse_rank_q(full)
+        for p in (3, 5):
+            assert rank_modp(orbit, p) == rank_modp(full, p)
+        assert image_rank(elements, rep) == sparse_rank_q(full)
+
+
 def test_kernel_membership_orthogonal_minor():
     # d_{2,1} lies in the kernel for N = 2 (a + b = 3 = N + 1)
     from brauercell.sft import walled_signed_sum
@@ -184,7 +334,8 @@ def test_image_rank_examples():
 
 
 def test_image_rank_wide_sparse():
-    # 5.76M columns and about 252k nonzeros: B_4 acts faithfully on (Q^7)^4
+    # 5.76M columns; the 115 orbit rows of 2401 hold about 17.5k of the
+    # 252k nonzeros: B_4 acts faithfully on (Q^7)^4
     rep = TensorRep("orthogonal", 7, 4)
     assert image_rank(all_elements(4, 7), rep) == 105
 
