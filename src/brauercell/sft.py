@@ -35,7 +35,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .tensorrep import SparseMat, TensorRep, image_rank
+from .tensorrep import TensorRep, image_rank
 
 FLAVOR_DATA = {
     # flavor -> (basis flavor, delta0(N))
@@ -414,8 +414,6 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
 
     rows = rep.orbit_rows()
     images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
-    orbit_images = {d: SparseMat(rep.size, {i: m.rows[i] for i in rows if i in m.rows})
-                    for d, m in images.items()}
 
     # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t) and read it on the orbit rows
     # (tensorrep), which keeps the rank and the zero tests: the left factor
@@ -429,7 +427,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
         gen = split.basis.generators[v].with_delta(split.delta0)
         scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
                   for a in (split.a_elements[(v, t)] for t in range(npaths))]
-        lefts = [rep.rep_element((gen * a).involution(), orbit_images) for a in scaled]
+        lefts = [rep.rep_element((gen * a).involution(), images, rows) for a in scaled]
         rights = [rep.rep_element(a, images) for a in scaled]
         for s in range(npaths):
             for t in range(npaths):
@@ -438,7 +436,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                     perm_vectors.append(mat.to_vector())
                 elif not mat.is_zero:
                     kernel_zero = False
-    del images, orbit_images
+    del images
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im, len(perm_vectors))
     cert.add("image rank over Q = sum of squared permissible path counts",

@@ -411,9 +411,9 @@ class TensorRep:
                     rows=None) -> SparseMat:
         """Image of an algebra element; requires the element's loop parameter
         to match the flavor's specialization.  ``images`` maps diagrams to
-        their images, to read in place of calling ``rep_diagram``; without
-        it, the image is built on the word indices in ``rows`` only (all
-        rows when ``rows`` is None)."""
+        their images, to read in place of calling ``rep_diagram``.  Only the
+        word indices in ``rows`` are built or read (all rows when ``rows``
+        is None)."""
         if a.r != self.r:
             raise ValueError("strand count mismatch")
         if self.delta0 is not None and a.delta != self.delta0:
@@ -422,8 +422,8 @@ class TensorRep:
         out = SparseMat(self.size)
         for diag, c in a.terms.items():
             m = images[diag] if images is not None else self.rep_diagram(diag, rows)
-            for i, row in m.rows.items():
-                for j, v in row.items():
+            for i in m.rows if rows is None else rows:
+                for j, v in m.rows.get(i, {}).items():
                     out.add(i, j, c * v)
         return out
 

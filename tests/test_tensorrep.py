@@ -269,17 +269,20 @@ def _random_elements(rng, rep: TensorRep, count: int) -> list[AlgebraElement]:
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
     """On all diagrams and on random integer elements: the image built on
-    the orbit rows is the full image restricted to them, and its zero test
-    and ranks over Q, F_3 and F_5 are those of the full image."""
+    the orbit rows, or read on them from full diagram images, is the full
+    image restricted to them, and its zero test and ranks over Q, F_3 and
+    F_5 are those of the full image."""
     rep = _rep(flavor, n, r)
     rows = rep.orbit_rows()
     chosen = set(rows)
+    images = {d: rep.rep_diagram(d) for d in _diagrams(rep)}
     for elements in ([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)],
                      _random_elements(rng, rep, 8)):
         full = [rep.rep_element(a).to_vector() for a in elements]
         orbit = [rep.rep_element(a, rows=rows).to_vector() for a in elements]
-        for f, o in zip(full, orbit):
+        for a, f, o in zip(elements, full, orbit):
             assert o == {k: x for k, x in f.items() if k // rep.size in chosen}
+            assert rep.rep_element(a, images, rows).to_vector() == o
             assert (not o) == (not f)
         assert sparse_rank_q(orbit) == sparse_rank_q(full)
         for p in (3, 5):
