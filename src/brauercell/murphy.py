@@ -336,20 +336,21 @@ class MurphyBasis:
         """Gram matrix of the bilinear form on the cell module of v: entry
         (s, t) is the coefficient of m_(v,0,0) in m_(v,0,s) m_(v,t,0).  Over
         the generic ground ring, or with the products formed at delta =
-        delta0.  Each matrix is computed once and kept, as the functionals
-        are; callers must not change it."""
-        key = (v, delta0)
-        if key not in self._grams:
-            n = len(self.paths[v])
-            elements = [(self.elements[(v, 0, t)], self.elements[(v, t, 0)])
-                        for t in range(n)]
-            if delta0 is not None:
-                elements = [(a.with_delta(delta0), b.with_delta(delta0))
-                            for a, b in elements]
-            self._grams[key] = ExactMatrix([[self.cell_coefficient(v, 0, left * right)
-                                             for _, right in elements]
-                                            for left, _ in elements])
-        return self._grams[key]
+        delta0.  A Gram at delta0 is computed once and kept, as the
+        functionals are (certify reads it twice per vertex); callers must
+        not change it.  The generic Gram is not kept."""
+        if (v, delta0) in self._grams:
+            return self._grams[(v, delta0)]
+        n = len(self.paths[v])
+        elements = [(self.elements[(v, 0, t)], self.elements[(v, t, 0)])
+                    for t in range(n)]
+        if delta0 is not None:
+            elements = [(a.with_delta(delta0), b.with_delta(delta0)) for a, b in elements]
+        gram = ExactMatrix([[self.cell_coefficient(v, 0, left * right)
+                             for _, right in elements] for left, _ in elements])
+        if delta0 is not None:
+            self._grams[(v, delta0)] = gram
+        return gram
 
     def jm_action(self, i: int, v: Vertex) -> list[list]:
         """Matrix of right multiplication by L_i on the cell module of v."""

@@ -192,8 +192,6 @@ class TensorRep:
         if self.size > max_tensor_dim:
             raise CapExceeded(
                 f"tensor dimension {self.dim}^{r} exceeds the cap {max_tensor_dim}")
-        self._E: dict[int, SparseMat] = {}
-        self._S: dict[int, SparseMat] = {}
         self._orbit_rows: tuple[int, ...] | None = None
 
     # -- index bookkeeping ---------------------------------------------------
@@ -239,67 +237,19 @@ class TensorRep:
             self._orbit_rows = tuple(sorted(self.idx(w) for w, _ in level))
         return self._orbit_rows
 
-    # -- generator matrices ---------------------------------------------------
+    # -- place permutations ---------------------------------------------------
 
-    def E(self, i: int) -> SparseMat:
-        """E in tensor places i, i+1 (1-indexed): (x ten y)E = [x,y] omega."""
-        if self.form is None:
-            raise ValueError("the permutation flavor has no E generators")
-        if i not in self._E:
-            m = SparseMat(self.size)
-            omega = self.form.omega()
-            d, r = self.dim, self.r
-            stride_i = d ** (r - i)
-            stride_j = d ** (r - i - 1)
-            for w in itertools.product(range(d), repeat=r - 2):
-                word = list(w[:i - 1]) + [0, 0] + list(w[i - 1:])
-                base = self.idx(tuple(word))
-                for xi in range(d):
-                    xj = d - 1 - xi
-                    c = self.form.pair(xi, xj)
-                    if c == 0:
-                        continue
-                    row = base + xi * stride_i + xj * stride_j
-                    for a, b, coeff in omega:
-                        m.add(row, base + a * stride_i + b * stride_j, c * coeff)
-            self._E[i] = m
-        return self._E[i]
-
-    def S(self, i: int) -> SparseMat:
-        """S in tensor places i, i+1: (x ten y)S = y ten x."""
-        if i not in self._S:
-            m = SparseMat(self.size)
-            d, r = self.dim, self.r
-            stride_i = d ** (r - i)
-            stride_j = d ** (r - i - 1)
-            for w in itertools.product(range(d), repeat=r - 2):
-                word = list(w[:i - 1]) + [0, 0] + list(w[i - 1:])
-                base = self.idx(tuple(word))
-                for xi in range(d):
-                    for xj in range(d):
-                        m.set(base + xi * stride_i + xj * stride_j,
-                              base + xj * stride_i + xi * stride_j, 1)
-            self._S[i] = m
-        return self._S[i]
-
-    def place_image(self, pi: tuple[int, ...], rows=None) -> tuple[int, ...]:
+    def place_image(self, pi: tuple[int, ...], rows) -> tuple[int, ...]:
         """The word index that the place permutation pi sends each word
-        index in ``rows`` to (all of them, in order, when ``rows`` is None):
-        the factor in place j moves to place pi(j), so its digit weight
-        becomes dim^(r - pi(j)).  All indices are built digit by digit, most
-        significant place first, in the order of ``idx``."""
+        index in ``rows`` to, in order: the factor in place j moves to place
+        pi(j), so its digit weight becomes dim^(r - pi(j))."""
         weights = [self.dim ** (self.r - p) for p in pi]
-        if rows is not None:
-            return tuple(sum(map(int.__mul__, self.word(i), weights)) for i in rows)
-        out = [0]
-        for w in weights:
-            out = [x + a * w for x in out for a in range(self.dim)]
-        return tuple(out)
+        return tuple(sum(map(int.__mul__, self.word(i), weights)) for i in rows)
 
     def place_matrix(self, pi: tuple[int, ...]) -> SparseMat:
         """Unsigned place permutation: the factor in place j moves to place
         pi(j)."""
-        return SparseMat(self.size, {i: {j: 1} for i, j in enumerate(self.place_image(pi))})
+        return SparseMat(self.size, {i: {j: 1} for i, j in enumerate(self.place_image(pi, range(self.size)))})
 
     # -- representation of diagrams ------------------------------------------
 

@@ -73,10 +73,30 @@ def test_omega_properties(flavor, n):
             assert val == form.pair(y, x)
 
 
+def generator_e(rep: TensorRep, i: int) -> SparseMat:
+    """E in tensor places i, i+1 (1-indexed): (x ten y)E = [x,y] omega."""
+    m = SparseMat(rep.size)
+    d, r = rep.dim, rep.r
+    stride_i, stride_j = d ** (r - i), d ** (r - i - 1)
+    for w in itertools.product(range(d), repeat=r - 2):
+        base = rep.idx((*w[:i - 1], 0, 0, *w[i - 1:]))
+        for xi in range(d):
+            c = rep.form.pair(xi, d - 1 - xi)
+            row = base + xi * stride_i + (d - 1 - xi) * stride_j
+            for a, b, coeff in rep.form.omega():
+                m.add(row, base + a * stride_i + b * stride_j, c * coeff)
+    return m
+
+
+def generator_s(rep: TensorRep, i: int) -> SparseMat:
+    """S in tensor places i, i+1: (x ten y)S = y ten x."""
+    return rep.place_matrix((*range(1, i), i + 1, i, *range(i + 2, rep.r + 1)))
+
+
 @pytest.mark.parametrize("flavor,n", FLAVOR_GRID)
 def test_e_s_relations(flavor, n):
     rep = TensorRep(flavor, n, 2)
-    E, S = rep.E(1), rep.S(1)
+    E, S = generator_e(rep, 1), generator_s(rep, 1)
     eps, dim = rep.epsilon, rep.dim
     assert E @ S == S @ E == E.scale(eps)
     assert E @ E == E.scale(eps * dim)
@@ -88,7 +108,7 @@ def test_e_s_relations(flavor, n):
 def test_symplectic_e_matrix_n1():
     # (v1 (x) v2) E = omega = v2 (x) v1 - v1 (x) v2, and E kills v_i (x) v_i
     rep = TensorRep("symplectic", 1, 2)
-    E = rep.E(1)
+    E = generator_e(rep, 1)
     assert E.rows.get(1) == {2: 1, 1: -1}
     assert E.rows.get(2) == {1: 1, 2: -1}
     assert 0 not in E.rows and 3 not in E.rows
@@ -133,12 +153,6 @@ def test_parameter_mismatch():
 @pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
                                       ("orthogonal", 2), ("orthogonal", 3)])
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_closed_form_equals_generator_products(flavor, n, r):
-    rep = TensorRep(flavor, n, r)
-    for d in all_diagrams(r):
-        assert rep.rep_diagram(d) == rep.rep_diagram_closed_form(d)
-
-
 def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
     """P(sigma) E_1 E_3 ... E_{2s-1} P(tau) as a product of full matrices."""
     top, bot, vert = diag.strand_types()
@@ -153,7 +167,7 @@ def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
         tau[2 * s + k] = j
     mat = rep.place_matrix(tuple(sigma))
     for k in range(s):
-        mat = mat @ rep.E(2 * k + 1)
+        mat = mat @ generator_e(rep, 2 * k + 1)
     mat = mat @ rep.place_matrix(tuple(tau))
     if rep.flavor == "symplectic":
         mat = mat.scale(perm_sign(sigma) * perm_sign(tau))
@@ -163,10 +177,12 @@ def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
 @pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
                                       ("orthogonal", 2), ("orthogonal", 3)])
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_rep_diagram_equals_generator_matrix_products(flavor, n, r):
+def test_closed_form_equals_generator_products(flavor, n, r):
     rep = TensorRep(flavor, n, r)
     for d in all_diagrams(r):
-        assert rep.rep_diagram(d) == _generator_matrix_product(rep, d)
+        image = _generator_matrix_product(rep, d)
+        assert rep.rep_diagram_closed_form(d) == image
+        assert rep.rep_diagram(d) == image
 
 
 # -- orbit rows ----------------------------------------------------------------
