@@ -562,10 +562,6 @@ def _zero(c) -> bool:
     return c == 0
 
 
-def involution(a: AlgebraElement) -> AlgebraElement:
-    return a.involution()
-
-
 def young_subgroup_sum(blocks: list[list[int]], r: int, signed: bool = False,
                        delta=None) -> AlgebraElement:
     """Sum over the Young subgroup permuting each block of {1..r} within

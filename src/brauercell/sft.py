@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from . import branching as br
@@ -35,7 +36,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .tensorrep import TensorRep, image_rank
+from .tensorrep import TensorRep, image_rank, image_vectors
 
 FLAVOR_DATA = {
     # flavor -> (basis flavor, delta0(N))
@@ -385,6 +386,37 @@ def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
     return spin_rank_q([{index[d]: c for d, c in g.terms.items()} for g in gens], maps)
 
 
+def split_image_vectors(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int, int]], bool]:
+    """The images of the permissible n_st, in ``iter_pairs`` order, on the
+    orbit rows of ``rep`` (which keeps ranks and zero tests, see
+    ``tensorrep``), and whether Phi(m a_u) = 0 for every path u that is not
+    permissible, m being the cell generator at the end of u.
+
+    Neither forms n_st = a_s* m a_t.  When s and t are permissible, a_s =
+    d_s and a_t = d_t, so n_st = m_st, the Murphy element read at delta0.
+    Otherwise some u in {s, t} is not permissible and n_st has the factor
+    m a_u: n_st = a_s* (m a_t) when t is not, and n_st = (a_s* m) a_t =
+    (m a_s)* a_t when s is not, since m* = m.  As Phi(x*) = Phi(x)^T,
+    Phi(n_st) is then Phi(a_s)^T Phi(m a_t) or Phi(m a_s)^T Phi(a_t), so
+    every kernel-flagged n_st maps to zero when the test holds.  Each a_u
+    is first scaled to integer coefficients, which scales Phi(m a_u) by a
+    positive integer."""
+    basis, delta0 = split.basis, split.delta0
+    permissible = [(v, s, t) for v, s, t in split.iter_pairs()
+                   if split.pair_permissible(v, s, t)]
+
+    def m_a(v, u):
+        a = split.a_elements[(v, u)]
+        a = a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
+        return basis.generators[v].with_delta(delta0) * a
+
+    vectors = image_vectors(chain(
+        (basis.elements[key].with_delta(delta0) for key in permissible),
+        (m_a(v, u) for v in basis.vertices for u in range(len(basis.paths[v]))
+         if not split.path_permissible[(v, u)])), rep)
+    return vectors[:len(permissible)], not any(vectors[len(permissible):])
+
+
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                 max_tensor_dim: int = 65536, check_ideal: bool | None = None,
                 fields: tuple = ()) -> Certificate:
@@ -398,10 +430,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
        rank = dim ker;
     5. (optional) image rank over F_p agrees with the rank over Q.
 
-    Every image is read on the orbit rows of the tensor space only (see
-    ``tensorrep``): each left factor Phi(m a_s)^T is restricted to them
-    once per path, before its products with the right factors, and
-    ``image_rank`` does the same for the F_p ranks.
+    Lines 1 and 2 read ``split_image_vectors``, which forms no n_st.
     """
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     if flavor == "symmetric":
@@ -412,31 +441,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     dim_alg = algebra_dimension(r, flavor)
     dim_im = expected_image_dimension(r, n, flavor)
 
-    rows = rep.orbit_rows()
-    images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
-
-    # factor Phi(n_st) = Phi(m a_s)^T Phi(a_t) and read it on the orbit rows
-    # (tensorrep), which keeps the rank and the zero tests: the left factor
-    # is Phi((m a_s)*) = Phi(m a_s)^T, built on those rows only.  Each a_t is
-    # scaled to integer coefficients first, which scales each image by a
-    # positive integer and so keeps the rank and the zero tests too
-    perm_vectors = []
-    kernel_zero = True
-    for v in split.basis.vertices:
-        npaths = len(split.basis.paths[v])
-        gen = split.basis.generators[v].with_delta(split.delta0)
-        scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
-                  for a in (split.a_elements[(v, t)] for t in range(npaths))]
-        lefts = [rep.rep_element((gen * a).involution(), images, rows) for a in scaled]
-        rights = [rep.rep_element(a, images) for a in scaled]
-        for s in range(npaths):
-            for t in range(npaths):
-                mat = lefts[s] @ rights[t]
-                if split.pair_permissible(v, s, t):
-                    perm_vectors.append(mat.to_vector())
-                elif not mat.is_zero:
-                    kernel_zero = False
-    del images
+    perm_vectors, kernel_zero = split_image_vectors(split, rep)
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im, len(perm_vectors))
     cert.add("image rank over Q = sum of squared permissible path counts",
@@ -490,26 +495,6 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
     return cert
 
 
-def place_vectors(basis: MurphyBasis, rep: TensorRep) -> list[dict[int, int]]:
-    """The flattened image under the place-permutation action of every
-    element of a symmetric group basis, in the order of ``basis.index``,
-    on the orbit rows of ``rep`` only (which keeps ranks and zero tests,
-    see ``tensorrep``).  The image of a permutation sends word i to word
-    place_image[i], so it adds c at i * size + place_image[i]; each place
-    image is computed once per call, on the orbit rows."""
-    rows = rep.orbit_rows()
-    images = {d: rep.place_image(d.to_perm(), rows) for d in basis.diagrams}
-    starts = [i * rep.size for i in rows]
-    out = []
-    for key in basis.index:
-        vec: dict[int, int] = {}
-        for d, c in basis.elements[key].terms.items():
-            for k in map(int.__add__, starts, images[d]):
-                vec[k] = vec.get(k, 0) + c
-        out.append({k: x for k, x in vec.items() if x})
-    return out
-
-
 def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
                     check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
     """Kernel/image certificate for the symmetric group acting by unsigned
@@ -525,7 +510,8 @@ def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
     perm_vectors = []
     kernel_zero = True
     kernel_count = 0
-    for (v, _s, _t), vec in zip(basis.index, place_vectors(basis, rep)):
+    vectors = image_vectors((basis.elements[key] for key in basis.index), rep)
+    for (v, _s, _t), vec in zip(basis.index, vectors):
         if len(v.lam) <= n:
             perm_vectors.append(vec)
         else:

@@ -43,6 +43,7 @@ flavor H is all of S_N.  Reading the orbit rows alone is exact:
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from .diagrams import AlgebraElement, BrauerDiagram, perm_sign
 from .errors import CapExceeded
@@ -58,15 +59,6 @@ class SparseMat:
         self.n = n
         self.rows: dict[int, dict[int, int]] = rows if rows is not None else {}
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMat":
-        return cls(n, {i: {i: 1} for i in range(n)})
-
-    def set(self, i: int, j: int, v) -> None:
-        if v == 0:
-            return
-        self.rows.setdefault(i, {})[j] = v
-
     def add(self, i: int, j: int, v) -> None:
         if v == 0:
             return
@@ -78,35 +70,6 @@ class SparseMat:
                 self.rows.pop(i, None)
         else:
             row[j] = w
-
-    def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        out = SparseMat(self.n)
-        orows = other.rows
-        for i, row in self.rows.items():
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                orow = orows.get(k)
-                if not orow:
-                    continue
-                for j, w in orow.items():
-                    acc[j] = acc.get(j, 0) + v * w
-            acc = {j: v for j, v in acc.items() if v != 0}
-            if acc:
-                out.rows[i] = acc
-        return out
-
-    def scale(self, c) -> "SparseMat":
-        if c == 0:
-            return SparseMat(self.n)
-        return SparseMat(self.n, {i: {j: c * v for j, v in row.items()}
-                                  for i, row in self.rows.items()})
-
-    def transpose(self) -> "SparseMat":
-        out = SparseMat(self.n)
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out.rows.setdefault(j, {})[i] = v
-        return out
 
     @property
     def is_zero(self) -> bool:
@@ -239,17 +202,12 @@ class TensorRep:
 
     # -- place permutations ---------------------------------------------------
 
-    def place_image(self, pi: tuple[int, ...], rows) -> tuple[int, ...]:
-        """The word index that the place permutation pi sends each word
-        index in ``rows`` to, in order: the factor in place j moves to place
-        pi(j), so its digit weight becomes dim^(r - pi(j))."""
-        weights = [self.dim ** (self.r - p) for p in pi]
-        return tuple(sum(map(int.__mul__, self.word(i), weights)) for i in rows)
-
     def place_matrix(self, pi: tuple[int, ...]) -> SparseMat:
         """Unsigned place permutation: the factor in place j moves to place
-        pi(j)."""
-        return SparseMat(self.size, {i: {j: 1} for i, j in enumerate(self.place_image(pi, range(self.size)))})
+        pi(j), so its digit weight becomes dim^(r - pi(j))."""
+        weights = [self.dim ** (self.r - p) for p in pi]
+        return SparseMat(self.size, {i: {sum(map(int.__mul__, self.word(i), weights)): 1}
+                                     for i in range(self.size)})
 
     # -- representation of diagrams ------------------------------------------
 
@@ -357,25 +315,52 @@ class TensorRep:
                     m.add(row, self.idx(tuple(out_word)), cout)
         return m
 
-    def rep_element(self, a: AlgebraElement, images: dict | None = None,
-                    rows=None) -> SparseMat:
-        """Image of an algebra element; requires the element's loop parameter
-        to match the flavor's specialization.  ``images`` maps diagrams to
-        their images, to read in place of calling ``rep_diagram``.  Only the
-        word indices in ``rows`` are built or read (all rows when ``rows``
-        is None)."""
+    def check_element(self, a: AlgebraElement) -> None:
+        """Raise unless ``a`` has r strands and, for the Brauer flavors, the
+        loop parameter of the flavor's specialization."""
         if a.r != self.r:
             raise ValueError("strand count mismatch")
         if self.delta0 is not None and a.delta != self.delta0:
             raise ValueError(
                 f"element has delta={a.delta}, representation needs {self.delta0}")
+
+    def rep_element(self, a: AlgebraElement, rows=None) -> SparseMat:
+        """Image of an algebra element (``check_element``), built on the
+        word indices in ``rows`` only (all rows when ``rows`` is None)."""
+        self.check_element(a)
         out = SparseMat(self.size)
         for diag, c in a.terms.items():
-            m = images[diag] if images is not None else self.rep_diagram(diag, rows)
-            for i in m.rows if rows is None else rows:
-                for j, v in m.rows.get(i, {}).items():
+            for i, row in self.rep_diagram(diag, rows).rows.items():
+                for j, v in row.items():
                     out.add(i, j, c * v)
         return out
+
+
+def image_vectors(elements, rep: TensorRep) -> list[dict[int, int]]:
+    """The images of ``elements`` (``TensorRep.check_element``) on the orbit
+    rows of ``rep`` only, which keeps ranks and zero tests (module
+    docstring), each flattened as by ``SparseMat.to_vector``.  Each
+    diagram's image is built once per call and kept as three machine-int
+    arrays: row position, column and value."""
+    rows = rep.orbit_rows()
+    starts = [i * rep.size for i in rows]
+    images: dict[BrauerDiagram, tuple] = {}
+    out = []
+    for a in elements:
+        rep.check_element(a)
+        vec: dict[int, int] = {}
+        for d, c in a.terms.items():
+            image = images.get(d)
+            if image is None:
+                m = rep.rep_diagram(d, rows).rows
+                entries = [(k, j, x) for k, i in enumerate(rows)
+                           for j, x in m.get(i, {}).items()]
+                image = images[d] = tuple(array("q", column) for column in zip(*entries))
+            for k, j, x in zip(*image):
+                key = starts[k] + j
+                vec[key] = vec.get(key, 0) + c * x
+        out.append({k: x for k, x in vec.items() if x})
+    return out
 
 
 def image_rank(generators, rep: TensorRep, field="Q") -> int:

@@ -239,6 +239,15 @@ def test_wide_symmetric_inputs_fit_in_512_mib():
     assert json.loads(cert.stdout)["pass"] is True
 
 
+def test_symplectic_n4_certificate_fits_in_1_gib():
+    """8^5 = 32768 words: the certificate reads 256 orbit rows, where
+    building every diagram's image on all rows ran out of memory under
+    2 GiB."""
+    cert = _run_limited(["certify", "--flavor", "symplectic", "--r", "5", "--N", "4"], 1 << 30)
+    assert cert.returncode == 0, cert.stderr
+    assert json.loads(cert.stdout)["pass"] is True
+
+
 # sha256 of the stdout of certify, recorded before the Gram and JM matrices
 # moved to the cell-row functionals; the certificate bytes must not drift.
 CERTIFY_STDOUT_SHA256 = {
@@ -257,6 +266,7 @@ CERTIFY_STDOUT_SHA256 = {
         "cf580fe7a75d591e79243a447ddb34878c27790677d902e26dee17ee2b66e675",
     "orthogonal --r 4 --N 3": "0a848e2ef551bd8cb4da28b0307708fcf75d7b0fa58201f063baaedb1a4cda12",
     "symplectic --r 4 --N 3": "3f4ffc265a30da52e45c046dafec054e065eace6617248ac11db16c1494a2e70",
+    "symplectic --r 5 --N 2": "cae70d848f69b951d108241a5f22fd4f0fd2249f9f49000015fae054f0a2c120",
     # the only pin of r=5 seminormal records
     "orthogonal --r 5 --N 2 --seminormal-cap 5":
         "a4348297e66e4da17cedfabb5bfd66af45f57c92d77a1b4035026d71f24c2907",

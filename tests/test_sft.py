@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
                             ideal_generators, ideal_span_rank,
-                            marginal_vertices, place_vectors,
-                            quotient_cell_modules, sum_all_diagrams,
+                            marginal_vertices, quotient_cell_modules,
+                            split_image_vectors, sum_all_diagrams,
                             walled_signed_sum)
-from brauercell.tensorrep import SparseMat, TensorRep
+from brauercell.tensorrep import SparseMat, TensorRep, image_vectors
+from sparse_ops import matmul, scale
 
 
 def elt(d, coeff=1, delta=None):
@@ -343,9 +345,11 @@ def test_split_basis_rejects_symmetric():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_place_vectors_match_rep_element(r, n):
+    """The place-permutation images read by ``harterich_check`` are the full
+    images of the basis elements restricted to the orbit rows."""
     basis = murphy_basis(r, "symmetric-dual")
     rep = TensorRep("permutation", n, r)
-    vectors = place_vectors(basis, rep)
+    vectors = image_vectors((basis.elements[key] for key in basis.index), rep)
     chosen = set(rep.orbit_rows())
     assert len(vectors) == len(basis.index)
     for key, vec in zip(basis.index, vectors):
@@ -357,7 +361,7 @@ def _fold_scale_add(rep: TensorRep, images: dict, a: AlgebraElement) -> SparseMa
     """The image of a as the sum of scaled copies, each sum a fresh matrix."""
     out = None
     for d, c in a.terms.items():
-        m = images[d].scale(c)
+        m = scale(images[d], c)
         if out is not None:
             acc = SparseMat(rep.size, {i: dict(row) for i, row in out.rows.items()})
             for i, row in m.rows.items():
@@ -372,12 +376,92 @@ def _fold_scale_add(rep: TensorRep, images: dict, a: AlgebraElement) -> SparseMa
                                       ("orthogonal", 2), ("orthogonal", 3)])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_rep_element_from_images_matches_fold(flavor, n, r):
+    """On a_t and m a_t, with their Fraction coefficients: ``image_vectors``,
+    which keeps each diagram's image across elements, sums the images as a
+    fold of scaled copies of the diagram images on the orbit rows does."""
     split = SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r)
-    images = {d: rep.rep_diagram(d) for d in split.basis.diagrams}
+    rows = rep.orbit_rows()
+    images = {d: rep.rep_diagram(d, rows) for d in split.basis.diagrams}
+    elements = []
     for v in split.basis.vertices:
         gen = split.basis.generators[v].with_delta(split.delta0)
         for t in range(len(split.basis.paths[v])):
             a_t = split.a_elements[(v, t)]
-            for a in (a_t, gen * a_t):
-                assert rep.rep_element(a, images) == _fold_scale_add(rep, images, a)
+            elements += [a_t, gen * a_t]
+    assert image_vectors(elements, rep) == [
+        _fold_scale_add(rep, images, a).to_vector() for a in elements]
+
+
+def _factored_route(split: SplitBasis, rep: TensorRep):
+    """The former route of ``certify_sft``, kept as the oracle: every
+    diagram's image on all rows, and Phi(n_st) = Phi(m a_s)^T Phi(a_t) read
+    on the orbit rows, for every pair.  Returns the permissible vectors in
+    ``iter_pairs`` order and whether every kernel-flagged n_st maps to
+    zero."""
+    rows = rep.orbit_rows()
+    perm_vectors, kernel_zero = [], True
+    for v in split.basis.vertices:
+        npaths = len(split.basis.paths[v])
+        gen = split.basis.generators[v].with_delta(split.delta0)
+        scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
+                  for a in (split.a_elements[(v, t)] for t in range(npaths))]
+        lefts = [rep.rep_element((gen * a).involution(), rows) for a in scaled]
+        rights = [rep.rep_element(a) for a in scaled]
+        for s in range(npaths):
+            for t in range(npaths):
+                mat = matmul(lefts[s], rights[t])
+                if split.pair_permissible(v, s, t):
+                    perm_vectors.append(mat.to_vector())
+                elif not mat.is_zero:
+                    kernel_zero = False
+    return perm_vectors, kernel_zero
+
+
+SPLIT_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal") for n in (1, 2, 3)
+               for r in (1, 2, 3, 4)] + [("symplectic", 1, 5), ("orthogonal", 2, 5)])
+
+
+@pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
+def test_split_image_vectors_match_factored_route(flavor, n, r):
+    split = SplitBasis(r, n, flavor)
+    rep = TensorRep(flavor, n, r)
+    vectors, kernel_zero = split_image_vectors(split, rep)
+    assert (vectors, kernel_zero) == _factored_route(split, rep)
+    assert kernel_zero
+
+
+@pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
+def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
+    split = SplitBasis(r, n, flavor)
+    for v, s, t in split.iter_pairs():
+        if split.pair_permissible(v, s, t):
+            assert split.element(v, s, t) == split.basis.elements[(v, s, t)].with_delta(split.delta0)
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "symmetric-dual", "brauer-murphy",
+                                    "brauer-dual-murphy"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_cell_generators_are_self_adjoint(flavor, r):
+    """m* = m, which ``split_image_vectors`` uses for a non-permissible s."""
+    basis = murphy_basis(r, flavor)
+    for v in basis.vertices:
+        assert basis.generators[v].involution() == basis.generators[v]
+
+
+@pytest.mark.parametrize("flavor,n,r", [("symplectic", 1, 3), ("symplectic", 1, 4),
+                                        ("orthogonal", 2, 4), ("orthogonal", 1, 3)])
+def test_kernel_line_fails_without_the_correction(flavor, n, r):
+    """Replacing one non-permissible a_t by d_t, at a permissible vertex,
+    leaves a kernel-flagged n_st off the kernel; the certificate says so."""
+    split = SplitBasis(r, n, flavor)
+    v, t = next((v, t) for v in split.basis.vertices if split.perm_pred(v)
+                for t in range(len(split.basis.paths[v]))
+                if not split.path_permissible[(v, t)])
+    split.a_elements[(v, t)] = split.basis.d_elements[(v, t)].with_delta(split.delta0)
+    rep = TensorRep(flavor, n, r)
+    assert split_image_vectors(split, rep)[1] is False
+    assert _factored_route(split, rep)[1] is False
+    cert = certify_sft(r, n, flavor, split=split, check_ideal=False)
+    line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
+    assert not line.passed and not cert.passed
