@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 cap exceeded, 3 certificate failure.
 Running out of memory also exits 2, with one "cap exceeded: out of memory"
 line on stderr and nothing on stdout.  An internal arithmetic failure (an
 exactness check inside the computation that does not hold) exits 3, with
-one "internal error:" line on stderr and nothing on stdout.
+one "internal error:" line on stderr and nothing on stdout.  An --out
+whose directory does not exist is a usage error, found before any
+computation; a write to --out that fails exits 1 with one "error:" line.
 All numeric output is exact (integers and fraction strings); JSON output is
 byte-identical across runs for the same configuration, with wall-clock
 timing reported on stderr only.
@@ -96,6 +98,12 @@ def _validate(args) -> None:
         raise CapExceeded(f"r={args.r} exceeds the cap {args.max_r}")
     if args.command == "basis" and args.N is not None and not args.split:
         raise UsageError("--N is only used with --split")
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(_out_error(args.out, "No such file or directory"))
+
+
+def _out_error(path: str, reason: str) -> str:
+    return f"cannot write --out {path}: {reason}"
 
 
 class UsageError(ValueError):
@@ -263,7 +271,11 @@ def main(argv=None) -> int:
         return CERT_FAILURE
     text = render(payload, getattr(args, "format", "json"))
     if args.out:
-        _write_atomic(args.out, text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            sys.stderr.write(f"error: {_out_error(args.out, exc.strerror or exc)}\n")
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")

@@ -121,9 +121,6 @@ class BrauerDiagram:
         r = len(pi)
         return cls(r, [(i, r + pi[i - 1]) for i in range(1, r + 1)])
 
-    def partner(self, v: int) -> int:
-        return self._partner[v]
-
     def involution(self) -> "BrauerDiagram":
         """Reflection in a horizontal line (vertex i <-> i+r)."""
         r = self.r
@@ -234,76 +231,69 @@ class BrauerDiagram:
         return f"BrauerDiagram({self.r}, {list(self.pairs)})"
 
 
+# partner tuple -> the one diagram with that matching, filled by diagram_mult;
+# it holds at most (2r-1)!! entries per r
+_INTERNED: dict[tuple[int, ...], BrauerDiagram] = {}
+
+
 def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
-    """Stack a over b; returns the resulting diagram and the loop count."""
+    """Stack a over b; returns the resulting diagram and the loop count.
+
+    Equal products are the same object: the result is looked up by its
+    partner tuple, and only a matching not seen before is built, by the
+    validating constructor."""
     if a.r != b.r:
         raise ValueError("strand count mismatch")
     r = a.r
-    # Vertex spaces: final top = a's top (1..r); middle = a's bottom glued to
-    # b's top; final bottom = b's bottom.
-    pairs = []
+    pa, pb = a._partner, b._partner
+    # Vertex spaces: final top = a's top (1..r); middle m = a's bottom m + r
+    # glued to b's top m; final bottom = b's bottom (r+1..2r).
+    out = [0] * (2 * r + 1)
     visited = [False] * (r + 1)  # middle vertices 1..r
     for start in range(1, r + 1):
-        pa = a.partner(start)
-        if pa <= r:
-            if pa > start:
-                pairs.append((start, pa))
+        if out[start]:
             continue
-        # walk through the middle
-        mid = pa - r
-        end = None
-        while True:
+        end = pa[start]
+        while end > r:  # walk down through the middle
+            mid = end - r
             visited[mid] = True
-            pb = b.partner(mid)
-            if pb > r:
-                end = r + (pb - r)  # final bottom vertex
-                break
-            visited[pb] = True
-            back = a.partner(pb + r)
-            if back <= r:
-                end = back  # final top vertex
-                break
-            mid = back - r
-        if end <= r:
-            if end > start:
-                pairs.append((start, end))
-        else:
-            pairs.append((start, end))
-    # bottom-to-bottom chains
-    for start in range(1, r + 1):
-        pb = b.partner(r + start)
-        if pb > r:
-            if pb - r > start:
-                pairs.append((r + start, r + pb - r))
+            end = pb[mid]
+            if end > r:
+                break  # reached the final bottom
+            visited[end] = True
+            end = pa[end + r]
+            if end <= r:
+                break  # back at the final top
+        out[start], out[end] = end, start
+    for start in range(r + 1, 2 * r + 1):
+        if out[start]:
             continue
-        if visited[pb]:
-            continue
-        mid = pb
-        while True:
-            visited[mid] = True
-            back = a.partner(mid + r)
-            if back <= r:
+        end = pb[start]
+        while end <= r:  # walk up through the middle
+            visited[end] = True
+            end = pa[end + r]
+            if end <= r:
                 raise ArithmeticError("chain from bottom must stay in the middle")
-            nxt = back - r
-            visited[nxt] = True
-            pb2 = b.partner(nxt)
-            if pb2 > r:
-                pairs.append((r + start, pb2) if pb2 > r + start else (pb2, r + start))
-                break
-            mid = pb2
+            visited[end - r] = True
+            end = pb[end - r]
+        out[start], out[end] = end, start
     # remaining middle vertices form closed loops
     loops = 0
-    for v in range(1, r + 1):
-        if visited[v]:
+    for mid in range(1, r + 1):
+        if visited[mid]:
             continue
         loops += 1
-        mid = v
         while not visited[mid]:
             visited[mid] = True
-            nxt = b.partner(mid)
+            nxt = pb[mid]
             visited[nxt] = True
-            mid = a.partner(nxt + r) - r
-    return BrauerDiagram(r, pairs), loops
+            mid = pa[nxt + r] - r
+    key = tuple(out)
+    d = _INTERNED.get(key)
+    if d is None:
+        d = _INTERNED[key] = BrauerDiagram(
+            r, [(i, j) for i, j in enumerate(out) if 0 < i < j])
+    return d, loops
 
 
 def all_diagrams(r: int) -> list[BrauerDiagram]:
@@ -453,8 +443,8 @@ class AlgebraElement:
                 for db, cb in other.terms.items():
                     d, loops = diagram_mult(da, db)
                     c = ca * cb
-                    for _ in range(loops):
-                        c = c * loop
+                    if loops:
+                        c = c * loop ** loops
                     v = out.get(d, 0) + c
                     if _zero(v):
                         out.pop(d, None)

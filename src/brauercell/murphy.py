@@ -29,8 +29,8 @@ from functools import lru_cache
 from . import branching as br
 from .branching import Partition, Path, Vertex, conjugate
 from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                       all_permutation_diagrams, cycle_perm, perm_inverse,
-                       transposition, young_subgroup_sum)
+                       all_permutation_diagrams, cycle_perm, diagram_mult,
+                       perm_inverse, transposition, young_subgroup_sum)
 from .errors import CapExceeded
 from .exactmat import ExactMatrix, LinearSolver
 from .rings import Poly
@@ -297,8 +297,7 @@ class MurphyBasis:
                     acc[e] = acc.get(e, 0) + f * k
             else:
                 acc[0] = acc.get(0, 0) + f * c
-        out = Poly(acc)
-        return out if out.degree > 0 else out.constant_value()
+        return _poly_or_constant(acc)
 
     # -- derived data --------------------------------------------------------
 
@@ -338,16 +337,44 @@ class MurphyBasis:
         the generic ground ring, or with the products formed at delta =
         delta0.  A Gram at delta0 is computed once and kept, as the
         functionals are (certify reads it twice per vertex); callers must
-        not change it.  The generic Gram is not kept."""
+        not change it.  The generic Gram is not kept.
+
+        phi_(v,0,0) is linear, so the Gram is L F R^T: L and R hold the
+        diagram coefficients of the m_(v,0,s) and the m_(v,t,0), and F_ab =
+        delta^loops(a,b) phi_(v,0,0)[a b] for a in the union of the supports
+        of the m_(v,0,s) and b in that of the m_(v,t,0).  Each distinct
+        product a b is formed once; generic entries are summed per power of
+        delta."""
         if (v, delta0) in self._grams:
             return self._grams[(v, delta0)]
         n = len(self.paths[v])
-        elements = [(self.elements[(v, 0, t)], self.elements[(v, t, 0)])
-                    for t in range(n)]
-        if delta0 is not None:
-            elements = [(a.with_delta(delta0), b.with_delta(delta0)) for a, b in elements]
-        gram = ExactMatrix([[self.cell_coefficient(v, 0, left * right)
-                             for _, right in elements] for left, _ in elements])
+        lefts = [self.elements[(v, 0, s)].terms for s in range(n)]
+        phi = self.cell_functional(v, 0)
+        index = self.diag_index
+        cols: dict[BrauerDiagram, list] = {}   # b -> [(t, coefficient in m_(v,t,0))]
+        for t in range(n):
+            for b, c in self.elements[(v, t, 0)].terms.items():
+                cols.setdefault(b, []).append((t, c))
+        fr: dict[BrauerDiagram, dict] = {}     # row a of F R^T: (t, power) -> int
+        for a in dict.fromkeys(a for terms in lefts for a in terms):
+            row = fr[a] = {}
+            for b, col in cols.items():
+                d, loops = diagram_mult(a, b)
+                f = phi.get(index[d])
+                if not f:
+                    continue
+                if delta0 is not None:
+                    f, loops = f * delta0 ** loops, 0
+                for t, c in col:
+                    row[(t, loops)] = row.get((t, loops), 0) + f * c
+        rows = []
+        for terms in lefts:
+            acc = [{} for _ in range(n)]       # t -> power of delta -> int
+            for a, c in terms.items():
+                for (t, e), x in fr[a].items():
+                    acc[t][e] = acc[t].get(e, 0) + c * x
+            rows.append([_poly_or_constant(powers) for powers in acc])
+        gram = ExactMatrix(rows)
         if delta0 is not None:
             self._grams[(v, delta0)] = gram
         return gram
@@ -368,6 +395,13 @@ class MurphyBasis:
                 "element": self.elements[(v, s, t)].to_json(),
             })
         return out
+
+
+def _poly_or_constant(powers: dict):
+    """The Poly with these coefficients per power of delta, or its constant
+    value (an int 0 when it vanishes) when it does not depend on delta."""
+    out = Poly(powers)
+    return out if out.degree > 0 else out.constant_value()
 
 
 @lru_cache(maxsize=None)

@@ -186,6 +186,38 @@ def test_out_replaces_target_atomically(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["cert.json"]
 
 
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import brauercell.cli as cli
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_certify", never)
+    target = tmp_path / "missing" / "cert.json"
+    code = main(["certify", "--flavor", "orthogonal", "--r", "2", "--N", "1",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write --out {target}: No such file or directory"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_write_failure_is_one_error_line(tmp_path, capsys):
+    # the target is a directory, so renaming the written file onto it fails
+    target = tmp_path / "cert.json"
+    target.mkdir()
+    code = main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --out {target}: ")
+    assert os.listdir(tmp_path) == ["cert.json"] and os.listdir(target) == []
+
+
 def test_field_fp_check(capsys):
     code, out = run(capsys, "certify", "--flavor", "symplectic", "--r", "2",
                     "--N", "1", "--field", "Fp", "--p", "3")
@@ -270,6 +302,15 @@ CERTIFY_STDOUT_SHA256 = {
     # the only pin of r=5 seminormal records
     "orthogonal --r 5 --N 2 --seminormal-cap 5":
         "a4348297e66e4da17cedfabb5bfd66af45f57c92d77a1b4035026d71f24c2907",
+    # the rest of the perfbench certify grid, recorded before diagram
+    # products were interned
+    "symmetric --r 5 --N 3": "59f4c53b34df90b69ed711e37a9a4b8cf0af95e54621d73cc7ef43b1d9f77261",
+    "symmetric --r 6 --N 2 --max-r 6":
+        "183d012c526db474ef35f6472f55be5ca6f204cb4bdd533e9907cf836f695536",
+    "symplectic --r 5 --N 1 --field Fp --p 3":
+        "010dd545fe9fb3317f2cc74c27cfc0453cec02a95ef4448972578c3656826671",
+    "symmetric --r 5 --N 3 --field Fp --p 7":
+        "279969dae6f79b5ee5264ab5d8869627b44771a7d82aa4fae58c1ddc8667737b",
 }
 
 

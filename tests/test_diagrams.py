@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +33,8 @@ def test_canonical_encoding():
         BrauerDiagram(2, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         BrauerDiagram(2, [(1, 2)])
+    with pytest.raises(ValueError):
+        BrauerDiagram(2, [(1, 3), (2, 5)])
 
 
 def test_diagram_mult_examples():
@@ -43,6 +46,116 @@ def test_diagram_mult_examples():
     mid, l1 = diagram_mult(e1_3, s2_3)
     out, l2 = diagram_mult(mid, e1_3)
     assert (out, l1 + l2) == (e1_3, 0)
+
+
+def oracle_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
+    """The walk diagram_mult used before it interned its results: collect
+    the glued strands as pairs, count the closed loops, and build a fresh
+    diagram from the pairs."""
+    r = a.r
+    pa, pb = a._partner, b._partner
+    pairs = []
+    visited = [False] * (r + 1)  # middle vertices 1..r
+    for start in range(1, r + 1):
+        p = pa[start]
+        if p <= r:
+            if p > start:
+                pairs.append((start, p))
+            continue
+        mid = p - r
+        end = None
+        while True:
+            visited[mid] = True
+            q = pb[mid]
+            if q > r:
+                end = r + (q - r)
+                break
+            visited[q] = True
+            back = pa[q + r]
+            if back <= r:
+                end = back
+                break
+            mid = back - r
+        if end <= r:
+            if end > start:
+                pairs.append((start, end))
+        else:
+            pairs.append((start, end))
+    for start in range(1, r + 1):
+        q = pb[r + start]
+        if q > r:
+            if q - r > start:
+                pairs.append((r + start, r + q - r))
+            continue
+        if visited[q]:
+            continue
+        mid = q
+        while True:
+            visited[mid] = True
+            back = pa[mid + r]
+            if back <= r:
+                raise ArithmeticError("chain from bottom must stay in the middle")
+            nxt = back - r
+            visited[nxt] = True
+            q2 = pb[nxt]
+            if q2 > r:
+                pairs.append((r + start, q2) if q2 > r + start else (q2, r + start))
+                break
+            mid = q2
+    loops = 0
+    for v in range(1, r + 1):
+        if visited[v]:
+            continue
+        loops += 1
+        mid = v
+        while not visited[mid]:
+            visited[mid] = True
+            nxt = pb[mid]
+            visited[nxt] = True
+            mid = pa[nxt + r] - r
+    return BrauerDiagram(r, pairs), loops
+
+
+def _assert_same_product(a, b):
+    got, loops = diagram_mult(a, b)
+    want, want_loops = oracle_mult(a, b)
+    assert (got.pairs, got._partner, loops) == (want.pairs, want._partner, want_loops)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_diagram_mult_matches_oracle_on_every_pair(r):
+    ds = all_diagrams(r)
+    for a in ds:
+        for b in ds:
+            _assert_same_product(a, b)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_diagram_mult_matches_oracle_on_random_pairs(r):
+    rng = random.Random(1000 + r)
+    ds = all_diagrams(r)
+    for _ in range(2000):
+        _assert_same_product(rng.choice(ds), rng.choice(ds))
+
+
+def test_diagram_mult_interns_its_products():
+    ds = all_diagrams(3)
+    for a, b in itertools.product(ds[::4], ds[::3]):
+        assert diagram_mult(a, b)[0] is diagram_mult(a, b)[0]
+    # a product reached from different factors is still the same object
+    e1, s1 = BrauerDiagram.e(1, 3), BrauerDiagram.s(1, 3)
+    assert diagram_mult(e1, e1)[0] is diagram_mult(s1, e1)[0]
+
+
+def test_diagram_mult_rejects_a_malformed_chain():
+    # top vertex 1 partnered with itself, bottom vertex 2 partnered with it:
+    # no constructor accepts this, so it is assembled by hand
+    bad = object.__new__(BrauerDiagram)
+    bad.r, bad.pairs, bad._partner, bad._hash = 1, ((1, 2),), (0, 1, 1), 0
+    with pytest.raises(ValueError):
+        BrauerDiagram(1, [(1, 1)])
+    with pytest.raises(ArithmeticError):
+        diagram_mult(bad, BrauerDiagram.identity(1))
 
 
 def test_mismatched_r():

@@ -8,7 +8,8 @@ import brauercell.branching as br
 from brauercell import murphy
 from brauercell.branching import Path, Vertex, path_strictly_dominates
 from brauercell.cli import main
-from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
+from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
+                                 diagram_mult)
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import LinearSolver
 from brauercell.murphy import (FLAVORS, brauer_branching_factors,
@@ -495,6 +496,61 @@ def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r
             coeffs = expand_map(mb, left * split.a_elements[(v, t)])
             assert split.module_vectors[(v, t)] == [coeffs.get((v, 0, u), 0)
                                                     for u in range(npaths)]
+
+
+def per_pair_gram(mb, v: Vertex, delta0=None) -> list[list]:
+    """The Gram as gram_matrix formed it before it read each distinct
+    diagram product once: phi_(v,0,0) of one element product per entry."""
+    n = len(mb.paths[v])
+    pairs = [(mb.elements[(v, 0, t)], mb.elements[(v, t, 0)]) for t in range(n)]
+    if delta0 is not None:
+        pairs = [(a.with_delta(delta0), b.with_delta(delta0)) for a, b in pairs]
+    return [[mb.cell_coefficient(v, 0, left * right) for _, right in pairs]
+            for left, _ in pairs]
+
+
+def _typed(rows):
+    return [[(type(c), c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("flavor", BRAUER_FLAVORS)
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_gram_at_delta0_matches_per_pair_products(flavor, r):
+    """Every vertex, permissible or not (specialize_quotient reads them
+    all): the same entries, of the same types, as one product per pair."""
+    mb = murphy_basis(r, flavor)
+    for d0 in (-2, -4, 2, 3):
+        for v in mb.vertices:
+            assert _typed(mb.gram_matrix(v, d0).rows) == _typed(per_pair_gram(mb, v, d0))
+
+
+@pytest.mark.parametrize("flavor", BRAUER_FLAVORS)
+def test_generic_gram_matches_per_pair_products(flavor):
+    mb = murphy_basis(4, flavor)
+    for v in mb.vertices:
+        assert _typed(mb.gram_matrix(v).rows) == _typed(per_pair_gram(mb, v))
+
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+def test_gram_forms_each_distinct_product_once(flavor, monkeypatch):
+    """One Gram call forms |A_v| |B_v| diagram products: A_v and B_v are the
+    unions of the supports of the m_(v,0,s) and of the m_(v,t,0)."""
+    counted = [0]
+
+    def counting_mult(a, b):
+        counted[0] += 1
+        return diagram_mult(a, b)
+
+    mb = murphy.MurphyBasis(4, flavor)   # uncached, so no Gram is kept yet
+    monkeypatch.setattr(murphy, "diagram_mult", counting_mult)
+    for v in mb.vertices:
+        n = len(mb.paths[v])
+        left = {d for s in range(n) for d in mb.elements[(v, 0, s)].terms}
+        right = {d for t in range(n) for d in mb.elements[(v, t, 0)].terms}
+        for delta0 in (-2, None):
+            counted[0] = 0
+            mb.gram_matrix(v, delta0)
+            assert counted[0] == len(left) * len(right)
 
 
 def test_cell_coefficient_types():
