@@ -1,9 +1,9 @@
 """Exact linear algebra on one sparse row echelon.
 
-Every rank, determinant, solve and kernel of the package is computed by
-``Echelon``.  Rows are dicts column -> value with no stored zeros; each
-pivot row is kept under its pivot, its least column, and a row is reduced
-against the pivot rows in increasing pivot order.  The echelon is
+Every rank, determinant, kernel and inverse column of the package is
+computed by ``Echelon``.  Rows are dicts column -> value with no stored
+zeros; each pivot row is kept under its pivot, its least column, and a row
+is reduced against the pivot rows in increasing pivot order.  The echelon is
 parameterised only by how one row is cancelled against a pivot row, in one
 of three domains:
 
@@ -16,7 +16,9 @@ Each public entry point fixes its own domain.  Values are int or Fraction;
 a matrix over Z[delta] is never eliminated (a Poly value raises TypeError).
 Columns are non-negative ints.  The tag column ``~i`` (that is, -1 - i) of a
 row holds the multiple of input row i that the row contains, so the same
-echelon gives solves and kernels.
+echelon gives kernels and, with tags on the rows whose inverse columns are
+wanted and a back substitution, the columns of an inverse
+(``inverse_columns``).  There is no general solver.
 
 No floating point is used anywhere: every value is an int, a Fraction or a
 residue mod p.
@@ -249,34 +251,46 @@ def rank_modp(rows: list[dict[int, int]], p: int) -> int:
                  _cancel_mod(p))
 
 
-class LinearSolver:
-    """Reusable exact solver: given independent basis vectors v_0..v_{n-1}
-    (sparse dict rows over non-negative int columns), expand further
-    vectors in terms of them.
+def inverse_columns(rows: list[dict[int, int]], wanted: list[int]) -> list[dict[int, int]]:
+    """The columns ``wanted`` of the inverse of the square integer matrix
+    whose rows are ``rows``: for each k in ``wanted``, phi_k as a dict column
+    -> int with rows[j] . phi_k = 1 if j = k, else 0.
 
-    The rows are echelonized once over Z, each carrying its tag column.
-    ``solve`` tags the query with ~n and reduces it: what is left is a
-    primitive relation q * vec + sum_i x_i v_i = 0, so the coefficients are
-    -x_i / q, all integers exactly when q = +-1.
-    """
-
-    def __init__(self, rows: list[dict]):
-        self.n = len(rows)
-        tagged = [_z_row({**row, ~i: 1}) for i, row in enumerate(rows)]
-        self.echelon = Echelon(_cancel_z)
-        for row in sorted(tagged, key=len):
-            if self.echelon.add(row)[0] is None:
-                raise ValueError("linearly dependent basis rows")
-
-    def solve(self, vec: dict) -> list:
-        """Coefficients x with sum_i x_i v_i = vec; raises if inconsistent.
-        A coefficient is an int where it is integral and a Fraction
-        otherwise."""
-        row = self.echelon.reduce(_z_row({**vec, ~self.n: 1}))
-        q = row.pop(~self.n)
-        if any(c >= 0 for c in row):
-            raise ValueError("vector outside the span of the basis")
-        coeffs = [0] * self.n
-        for c, x in row.items():
-            coeffs[~c] = -x * q if q in (1, -1) else Fraction(-x, q)
-        return coeffs
+    Only the wanted rows carry a tag column.  The rows are echelonized once
+    over Z, shortest first.  A pivot row p is a combination of input rows
+    whose tagged coefficients it holds, and every untagged row has
+    right-hand side 0, so p . phi_k = p[tag of k].  The phi_k are read off
+    together by back substitution, from the largest pivot down.  Raises
+    ArithmeticError on a dependent row, on fewer rows than columns, and on
+    a quotient that is not an integer."""
+    tag = {k: w for w, k in enumerate(wanted)}
+    echelon = Echelon(_cancel_z)
+    for j in sorted(range(len(rows)), key=lambda j: len(rows[j])):
+        row = dict(rows[j])
+        if j in tag:
+            row[~tag[j]] = 1
+        if echelon.add(row)[0] is None:
+            raise ArithmeticError(f"row {j} is dependent on the others")
+    if len(echelon.cols) < len({c for row in rows for c in row}):
+        raise ArithmeticError("fewer rows than columns")
+    x: dict[int, dict[int, int]] = {}   # pivot column c -> {w: phi_w[c]}
+    for c in reversed(echelon.cols):
+        prow = echelon.rows[c]
+        acc = {~d: a for d, a in prow.items() if d < 0}
+        for d, a in prow.items():
+            if d > c:
+                for w, y in x[d].items():
+                    acc[w] = acc.get(w, 0) - a * y
+        x[c] = xc = {}
+        for w, y in acc.items():
+            q, rem = divmod(y, prow[c])
+            if rem:
+                raise ArithmeticError(
+                    f"inverse column of row {wanted[w]} is not integral")
+            if q:
+                xc[w] = q
+    out: list[dict[int, int]] = [{} for _ in wanted]
+    for c in echelon.cols:
+        for w, y in x[c].items():
+            out[w][c] = y
+    return out

@@ -32,7 +32,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, cycle_perm, diagram_mult,
                        perm_inverse, transposition, young_subgroup_sum)
 from .errors import CapExceeded
-from .exactmat import ExactMatrix, LinearSolver
+from .exactmat import ExactMatrix, inverse_columns
 from .rings import Poly
 
 FLAVORS = {
@@ -253,34 +253,23 @@ class MurphyBasis:
         """phi_(v,0,t): the integer weights, over diagram indices, whose dot
         product with an element's diagram coefficients is its coefficient
         of m_(v,0,t), at every loop value.  The functionals of one corank
-        block are the columns of the block's inverse; they are all computed
-        together, by one integer solver on the transposed block, and kept."""
+        block are the columns of the block's inverse at the rows of the
+        m_(v,0,t); they are computed together, by one integer elimination of
+        the block with a right-hand side for those rows only, and kept."""
         if v.l not in self._functionals:
             self._functionals[v.l] = self._block_functionals(v.l)
         return self._functionals[v.l][(v, t)]
 
     def _block_functionals(self, corank: int) -> dict[tuple[Vertex, int], dict[int, int]]:
         keys = [key for key in self.index if key[0].l == corank]
-        col = {key: k for k, key in enumerate(keys)}
-        diags = [i for i, d in enumerate(self.diagrams) if d.rank_corank()[1] == corank]
-        row_of = {i: j for j, i in enumerate(diags)}
-        # row d holds the coefficient of diagram d in every basis element of
-        # the block, so phi_k is the combination of the rows that gives e_k
-        rows: list[dict[int, int]] = [{} for _ in diags]
-        for key in keys:
-            for d, c in self.elements[key].terms.items():
-                rows[row_of[self.diag_index[d]]][col[key]] = c
-        solver = LinearSolver(rows)
-        out = {}
-        for key in keys:
-            v, s, t = key
-            if s:
-                continue
-            coeffs = solver.solve({col[key]: 1})
-            if not all(isinstance(c, int) for c in coeffs):
-                raise ArithmeticError(f"cell functional at {v}, path {t} is not integral")
-            out[(v, t)] = {diags[j]: c for j, c in enumerate(coeffs) if c}
-        return out
+        rows = [{self.diag_index[d]: c for d, c in self.elements[key].terms.items()}
+                for key in keys]
+        wanted = [k for k, (_v, s, _t) in enumerate(keys) if not s]
+        try:
+            phis = inverse_columns(rows, wanted)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"cell functional of corank {corank}: {exc}") from None
+        return {(keys[k][0], keys[k][2]): phi for k, phi in zip(wanted, phis)}
 
     def cell_coefficient(self, v: Vertex, t: int, x: AlgebraElement):
         """The coefficient of m_(v,0,t) in x: phi_(v,0,t) applied to x.  An

@@ -449,21 +449,6 @@ def pfaffian_functional(r: int, n: int, xs: list[int]) -> int:
     return pfaffian_diagram_sum(a)
 
 
-def det_cofactor(b: list[list]):
-    n = len(b)
-    if n == 0:
-        return 1
-    if n == 1:
-        return b[0][0]
-    total = 0
-    for j in range(n):
-        if b[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in b[1:]]
-        total += (-1) ** j * b[0][j] * det_cofactor(minor)
-    return total
-
-
 def walled_det_sum(a: int, b: int, w: list[list]) -> int:
     """Signed sum over (a,b)-walled diagrams of prod_{(i,j) in D} w[i][j],
     for a symmetric 2r x 2r value table (r = a + b).  Equals the determinant

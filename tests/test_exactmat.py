@@ -2,24 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from brauercell.exactmat import (ExactMatrix, LinearSolver, rank_modp,
+from brauercell.exactmat import (ExactMatrix, inverse_columns, rank_modp,
                                  sparse_rank_q, spin_rank_q)
 from brauercell.rings import Poly
+from exact_ops import LinearSolver, det_cofactor
 
 d = Poly.delta()
-
-
-def det_cofactor(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total = total + (-1) ** j * rows[0][j] * det_cofactor(minor)
-    return total
 
 
 def rank_gauss_fraction(rows):
@@ -91,6 +79,79 @@ def test_poly_entries_raise_type_error():
         with pytest.raises(TypeError):
             mat.det()
 
+
+def inverse_fraction(rows):
+    """Gauss-Jordan inverse of a dense invertible matrix over Q."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def random_unimodular(rng, n):
+    """A random integer matrix of determinant +-1: the identity under row
+    additions, swaps and negations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def test_inverse_columns_match_fraction_inverse(rng):
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        dense = random_unimodular(rng, n)
+        labels = sorted(rng.sample(range(3 * n), n))   # sparse column labels
+        rows = [{labels[j]: x for j, x in enumerate(row) if x} for row in dense]
+        inv = inverse_fraction(dense)
+        wanted = rng.sample(range(n), rng.randint(0, n))
+        got = inverse_columns(rows, wanted)
+        assert len(got) == len(wanted)
+        for k, phi in zip(wanted, got):
+            assert phi == {labels[j]: int(inv[j][k]) for j in range(n) if inv[j][k]}
+            assert all(type(x) is int for x in phi.values())
+        assert rows == [{labels[j]: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def test_inverse_columns_non_integral():
+    # the inverse of [[2, 1], [1, 1]] is integral; of [[2, 0], [0, 1]] its
+    # first column (1/2, 0) is not, its second (0, 1) is
+    assert inverse_columns([{0: 2, 1: 1}, {0: 1, 1: 1}], [0, 1]) == [{0: 1, 1: -1},
+                                                                      {0: -1, 1: 2}]
+    assert inverse_columns([{0: 2}, {1: 1}], [1]) == [{1: 1}]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        inverse_columns([{0: 2}, {1: 1}], [0])
+    with pytest.raises(ArithmeticError, match="not integral"):
+        inverse_columns([{0: 1, 1: 1}, {0: 1, 1: 3}], [1])
+
+
+def test_inverse_columns_dependent_or_short():
+    with pytest.raises(ArithmeticError, match="dependent"):
+        inverse_columns([{0: 1, 1: 2}, {0: 2, 1: 4}], [0])
+    with pytest.raises(ArithmeticError, match="dependent"):
+        inverse_columns([{0: 1}, {1: 1}, {0: 1, 1: 1}], [])
+    with pytest.raises(ArithmeticError, match="fewer rows"):
+        inverse_columns([{0: 1, 1: 1}], [0])
+    with pytest.raises(TypeError):
+        inverse_columns([{0: d}, {1: 1}], [0])
+
+
+# -- LinearSolver, the test-side general solver (exact_ops): the oracle of
+# the cellular expansion and of the cell-row functionals
 
 def test_solve():
     # the columns of [[2, 1], [1, 1]] as basis rows

@@ -11,13 +11,14 @@ from brauercell.cli import main
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  diagram_mult)
 from brauercell.errors import CapExceeded
-from brauercell.exactmat import LinearSolver
+from brauercell.exactmat import inverse_columns
 from brauercell.murphy import (FLAVORS, brauer_branching_factors,
                                brauer_cell_generator, jm_element,
                                murphy_basis, sym_branching_factors,
                                sym_cell_generators)
 from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
+from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
 ALL_FLAVORS = list(FLAVORS)
@@ -470,6 +471,34 @@ def test_cell_functionals_invert_the_block(flavor, r):
                 assert got == (1 if (w, s, u) == (v, 0, t) else 0)
 
 
+def _solver_functionals(mb, corank: int) -> dict:
+    """The cell-row functionals of one corank block by a general solve: the
+    block transposed (one row per diagram, one column per basis element),
+    and one LinearSolver solve for the unit vector of each m_(v,0,t)."""
+    keys = [key for key in mb.index if key[0].l == corank]
+    col = {key: k for k, key in enumerate(keys)}
+    diags = [i for i, d in enumerate(mb.diagrams) if d.rank_corank()[1] == corank]
+    row_of = {i: j for j, i in enumerate(diags)}
+    rows = [{} for _ in diags]
+    for key in keys:
+        for d, c in mb.elements[key].terms.items():
+            rows[row_of[mb.diag_index[d]]][col[key]] = c
+    solver = LinearSolver(rows)
+    return {(v, t): {diags[j]: c for j, c in enumerate(solver.solve({col[(v, s, t)]: 1})) if c}
+            for v, s, t in keys if not s}
+
+
+@pytest.mark.parametrize("flavor,r", [(f, r) for f in ALL_FLAVORS for r in range(1, 6)]
+                         + [("symmetric-dual", 6)])
+def test_cell_functionals_match_solver_oracle(flavor, r):
+    mb = murphy_basis(r, flavor, max_r=r)
+    for corank in sorted({v.l for v in mb.vertices}):
+        expected = _solver_functionals(mb, corank)
+        got = {(v, t): mb.cell_functional(v, t) for v, t in expected}
+        assert got == expected
+        assert all(type(c) is int for phi in got.values() for c in phi.values())
+
+
 @lru_cache(maxsize=None)
 def _oracle_gram_generic(r: int, flavor: str, v: Vertex) -> list[list]:
     return oracle_gram(murphy_basis(r, flavor), v)
@@ -564,17 +593,46 @@ def test_cell_coefficient_types():
     assert mb.cell_coefficient(v, 0, e1.with_delta(-2) * e1.with_delta(-2)) == -2
 
 
-def test_non_integral_cell_functional_exit_code(capsys, monkeypatch):
-    class HalvingSolver(LinearSolver):
-        def solve(self, vec):
-            return [Fraction(c, 2) for c in super().solve(vec)]
+def _certify_with_block_fault(capsys, monkeypatch, fault) -> tuple[int, str, str]:
+    """Run a small certify with ``fault`` applied to the rows of every
+    corank block before the real ``inverse_columns`` solves it."""
+    def faulty(rows, wanted):
+        rows = list(rows)
+        fault(rows, wanted)
+        return inverse_columns(rows, wanted)
 
-    monkeypatch.setattr(murphy, "LinearSolver", HalvingSolver)
+    monkeypatch.setattr(murphy, "inverse_columns", faulty)
     murphy._cached_basis.cache_clear()
     code = main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1"])
     murphy._cached_basis.cache_clear()
     captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_non_integral_cell_functional_exit_code(capsys, monkeypatch):
+    """Doubling a wanted row halves its inverse column, so the back
+    substitution meets a quotient that is not an integer."""
+    def double_wanted_row(rows, wanted):
+        rows[wanted[0]] = {c: 2 * x for c, x in rows[wanted[0]].items()}
+
+    code, out, err = _certify_with_block_fault(capsys, monkeypatch, double_wanted_row)
     assert code == 3
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("internal error: cell functional")
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: cell functional")
+    assert "not integral" in err
+
+
+def test_dependent_cell_block_exit_code(capsys, monkeypatch):
+    """A block with a repeated row is an internal error (exit 3, one
+    line), not a traceback."""
+    def copy_row(rows, wanted):
+        if len(rows) > 1:
+            rows[1] = dict(rows[0])
+
+    code, out, err = _certify_with_block_fault(capsys, monkeypatch, copy_row)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: cell functional")
+    assert "dependent" in err

@@ -7,7 +7,7 @@ from brauercell.murphy import murphy_basis
 from brauercell.rings import Poly
 from brauercell.seminormal import (gz_idempotents, jm_seminormal_check,
                                    quotient_at, specialize_quotient)
-from brauercell.tensorrep import det_cofactor
+from exact_ops import det_cofactor
 
 d = Poly.delta()
 

@@ -7,10 +7,11 @@ from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import rank_modp, sparse_rank_q
 from brauercell.tensorrep import (BilinearStructure, SparseMat, TensorRep,
-                                  det_cofactor, image_rank, image_vectors,
+                                  image_rank, image_vectors,
                                   pfaffian_diagram_sum, pfaffian_functional,
                                   pfaffian_interleaved, pfaffian_recursive,
                                   walled_det_matrix, walled_det_sum)
+from exact_ops import det_cofactor
 from sparse_ops import identity, matmul, scale, transpose
 
 FLAVOR_GRID = [("symplectic", 1), ("symplectic", 2), ("orthogonal", 1),
