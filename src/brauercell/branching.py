@@ -233,6 +233,32 @@ def path_permissible(t: Path, flavor: str, n: int) -> bool:
     return all(pred(v, n) for v in t)
 
 
+def expected_image_dimension(r: int, n: int, flavor: str) -> int:
+    """Sum over permissible vertices of (number of permissible paths)^2."""
+    pred = PERMISSIBLE[flavor]
+    add_only = flavor == "symmetric"
+    total = 0
+    for v in vertices_at_level(r, add_only):
+        if not pred(v, n):
+            continue
+        k = sum(1 for t in enumerate_paths(v, add_only)
+                if all(pred(w, n) for w in t))
+        total += k * k
+    return total
+
+
+def algebra_dimension(r: int, flavor: str) -> int:
+    if flavor == "symmetric":
+        out = 1
+        for k in range(2, r + 1):
+            out *= k
+        return out
+    out = 1
+    for k in range(1, 2 * r, 2):
+        out *= k
+    return out
+
+
 def box_content(pos: tuple[int, int]) -> int:
     """Column minus row of a box."""
     return pos[1] - pos[0]

@@ -190,10 +190,9 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 
 def cmd_dims(args) -> tuple[dict, int]:
+    from .branching import algebra_dimension, expected_image_dimension
     from .diagrams import AlgebraElement, all_diagrams, all_permutation_diagrams
-    from .sft import FLAVOR_DATA, algebra_dimension, expected_image_dimension
     from .tensorrep import TensorRep, image_rank
-    delta0 = FLAVOR_DATA[args.flavor][1](args.N)
     symmetric = args.flavor == "symmetric"
     rows = []
     for r in range(1, args.r + 1):
@@ -207,7 +206,7 @@ def cmd_dims(args) -> tuple[dict, int]:
             pass  # over the tensor cap: the image rank stays null
         else:
             diagrams = all_permutation_diagrams(r) if symmetric else all_diagrams(r)
-            gens = [AlgebraElement.from_diagram(d, 1, delta0) for d in diagrams]
+            gens = [AlgebraElement.from_diagram(d, 1, rep.delta0) for d in diagrams]
             row["image_rank"] = image_rank(gens, rep)
         rows.append(row)
     payload = {"command": "dims", "flavor": args.flavor, "N": args.N,

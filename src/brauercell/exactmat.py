@@ -120,10 +120,13 @@ def _z_row(row: dict) -> dict[int, int]:
 def _rank(rows: list[dict], cancel) -> int:
     """Rank of ``rows``, which it consumes: a row is popped off the list,
     shortest first (of equal lengths, the last first) to limit fill-in, and
-    reduced in place."""
+    reduced in place.  A rank never exceeds the number of distinct columns,
+    so the elimination stops, leaving the rest of the list, once the pivots
+    number as many."""
     rows.sort(key=len, reverse=True)
+    width = len(set().union(*rows))
     echelon = Echelon(cancel)
-    while rows:
+    while rows and len(echelon.cols) < width:
         echelon.add(rows.pop())
     return len(echelon.cols)
 

@@ -31,7 +31,8 @@ from itertools import chain
 from math import lcm
 
 from . import branching as br
-from .branching import Path, Vertex, conjugate
+from .branching import (Path, Vertex, algebra_dimension, conjugate,
+                        expected_image_dimension)
 from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
@@ -294,32 +295,6 @@ class Certificate:
         return {"params": _jsonable(self.params),
                 "checks": [c.to_json() for c in self.checks],
                 "pass": self.passed}
-
-
-def expected_image_dimension(r: int, n: int, flavor: str) -> int:
-    """Sum over permissible vertices of (number of permissible paths)^2."""
-    pred = br.PERMISSIBLE[flavor]
-    add_only = flavor == "symmetric"
-    total = 0
-    for v in br.vertices_at_level(r, add_only):
-        if not pred(v, n):
-            continue
-        k = sum(1 for t in br.enumerate_paths(v, add_only)
-                if all(pred(w, n) for w in t))
-        total += k * k
-    return total
-
-
-def algebra_dimension(r: int, flavor: str) -> int:
-    if flavor == "symmetric":
-        out = 1
-        for k in range(2, r + 1):
-            out *= k
-        return out
-    out = 1
-    for k in range(1, 2 * r, 2):
-        out *= k
-    return out
 
 
 def marginal_vertices(r: int, n: int, flavor: str) -> list[Vertex]:

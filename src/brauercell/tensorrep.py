@@ -1,6 +1,6 @@
 """Exact matrix representations of the Brauer algebra on symplectic and
-orthogonal tensor space, the place-permutation action of the symmetric
-group, and the Pfaffian/minor functionals attached to diagrams.
+orthogonal tensor space, and the place-permutation action of the symmetric
+group.
 
 Conventions (pinned by tests):
 
@@ -156,6 +156,7 @@ class TensorRep:
             raise CapExceeded(
                 f"tensor dimension {self.dim}^{r} exceeds the cap {max_tensor_dim}")
         self._orbit_rows: tuple[int, ...] | None = None
+        self._orbit_words: dict[int, tuple[int, ...]] = {}
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -182,7 +183,8 @@ class TensorRep:
         fixed.  Permutation: the letters are renumbered in order of first
         occurrence.  So the fixed words are built letter by letter: after k
         classes have been used, a word continues with a letter of those
-        classes (or the middle letter) or with the next new one, k."""
+        classes (or the middle letter) or with the next new one, k.  The
+        words are kept, so ``rep_diagram`` need not rebuild them."""
         if self._orbit_rows is None:
             d = self.dim
             if self.form is None:
@@ -197,27 +199,20 @@ class TensorRep:
             for _ in range(self.r):
                 level = [(w + (a,), k) for w, k in level for a in known(k)] + [
                     (w + (k,), k + 1) for w, k in level if k < classes]
-            self._orbit_rows = tuple(sorted(self.idx(w) for w, _ in level))
+            self._orbit_words = {self.idx(w): w for w, _ in level}
+            self._orbit_rows = tuple(sorted(self._orbit_words))
         return self._orbit_rows
-
-    # -- place permutations ---------------------------------------------------
-
-    def place_matrix(self, pi: tuple[int, ...]) -> SparseMat:
-        """Unsigned place permutation: the factor in place j moves to place
-        pi(j), so its digit weight becomes dim^(r - pi(j))."""
-        weights = [self.dim ** (self.r - p) for p in pi]
-        return SparseMat(self.size, {i: {sum(map(int.__mul__, self.word(i), weights)): 1}
-                                     for i in range(self.size)})
 
     # -- representation of diagrams ------------------------------------------
 
     def rep_diagram(self, diag: BrauerDiagram, rows=None) -> SparseMat:
         """Image of a diagram via a generator-product factorization
         D = P(sigma) (e_1 e_3 ... e_{2s-1}) P(tau), built on the word
-        indices in ``rows`` only (all rows when ``rows`` is None).  Each
-        word is moved by sigma; the rows of E_1 E_3 ... E_{2s-1} contract
-        places (1, 2), ..., (2s-1, 2s) with the form and put omega there;
-        tau relabels the columns."""
+        indices in ``rows`` only (all rows when ``rows`` is None); the
+        words of orbit rows are read from the table ``orbit_rows`` keeps.
+        Each word is moved by sigma; the rows of E_1 E_3 ... E_{2s-1}
+        contract places (1, 2), ..., (2s-1, 2s) with the form and put omega
+        there; tau relabels the columns."""
         if diag.r != self.r:
             raise ValueError("strand count mismatch")
         if self.flavor == "permutation" and not diag.is_permutation():
@@ -253,8 +248,9 @@ class TensorRep:
             heads = [(h + a * weights[k] + b * weights[k + 1], c * coeff)
                      for h, c in heads for a, b, coeff in omega]
         low_source, low_weights = source[2 * s:], weights[2 * s:]
+        known = self._orbit_words
         words = (enumerate(itertools.product(range(d), repeat=r)) if rows is None
-                 else ((i, self.word(i)) for i in rows))
+                 else ((i, known.get(i) or self.word(i)) for i in rows))
         out = SparseMat(self.size)
         for i, w in words:
             c = 1
@@ -267,53 +263,6 @@ class TensorRep:
                 low = sum(w[j] * x for j, x in zip(low_source, low_weights))
                 out.rows[i] = {h + low: c * v for h, v in heads}
         return out
-
-    def rep_diagram_closed_form(self, diag: BrauerDiagram) -> SparseMat:
-        """Image of a diagram straight from the strand structure: top
-        horizontal strands contract with the form, bottom ones insert omega,
-        vertical ones place-permute; the symplectic case carries the global
-        sign (-1)^{length}."""
-        if diag.r != self.r:
-            raise ValueError("strand count mismatch")
-        if self.flavor == "permutation":
-            if not diag.is_permutation():
-                raise ValueError("permutation flavor: diagram has horizontal strands")
-            return self.place_matrix(diag.to_perm())
-        top, bot, vert = diag.strand_types()
-        d = self.dim
-        sign = (-1) ** diag.length() if self.flavor == "symplectic" else 1
-        omega = self.form.omega()
-        m = SparseMat(self.size)
-        for tchoice in itertools.product(range(d), repeat=len(top)):
-            cin = sign
-            in_word = [0] * self.r
-            for (i, j), x in zip(top, tchoice):
-                y = d - 1 - x
-                c = self.form.pair(x, y)
-                if c == 0:
-                    cin = 0
-                    break
-                cin *= c
-                in_word[i - 1] = x
-                in_word[j - 1] = y
-            if cin == 0:
-                continue
-            for vchoice in itertools.product(range(d), repeat=len(vert)):
-                for (i, _j), x in zip(vert, vchoice):
-                    in_word[i - 1] = x
-                row = self.idx(tuple(in_word))
-                out_word = [0] * self.r
-                for (_i, j), x in zip(vert, vchoice):
-                    out_word[j - 1] = x
-                for bchoice in itertools.product(range(len(omega)), repeat=len(bot)):
-                    cout = cin
-                    for (i, j), k in zip(bot, bchoice):
-                        a, b, coeff = omega[k]
-                        out_word[i - 1] = a
-                        out_word[j - 1] = b
-                        cout *= coeff
-                    m.add(row, self.idx(tuple(out_word)), cout)
-        return m
 
     def check_element(self, a: AlgebraElement) -> None:
         """Raise unless ``a`` has r strands and, for the Brauer flavors, the
@@ -367,113 +316,21 @@ def image_rank(generators, rep: TensorRep, field="Q") -> int:
     """Rank of the span of the vectorized images of the given elements,
     over Q or over F_p (field = ("Fp", p)).  Each image is built and read
     on ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every
-    p (module docstring)."""
+    p (module docstring).
+
+    The rank is taken by columns: rank A = rank A^T over any field, so the
+    rank kernel is given one line per nonzero column of the image matrix,
+    {generator index: value}.  Its stop rule (a rank never exceeds the
+    number of distinct columns) then ends the elimination once the rank
+    reaches the number of generators with a nonzero image."""
     rows = rep.orbit_rows()
-    vecs = [rep.rep_element(a, rows=rows).to_vector() for a in generators]
+    lines: dict[int, dict[int, int]] = {}
+    for g, a in enumerate(generators):
+        for key, x in rep.rep_element(a, rows=rows).to_vector().items():
+            lines.setdefault(key, {})[g] = x
     if field == "Q":
-        return sparse_rank_q(vecs)
+        return sparse_rank_q(list(lines.values()))
     name, p = field
     if name != "Fp":
         raise ValueError(f"unknown field {field!r}")
-    return rank_modp(vecs, p)
-
-
-# -- Pfaffian and determinant functionals -------------------------------------
-
-
-def pfaffian_interleaved(a: list[list]) -> int:
-    """Pfaffian of a skew-symmetric matrix by first-row expansion, in the
-    interleaved (i_1 j_1 i_2 j_2 ...) vertex-ordering convention, so that
-    Pf([[0, x], [-x, 0]]) = x and the 4x4 value is a12 a34 - a13 a24 + a14 a23."""
-    n = len(a)
-    if n % 2:
-        raise ValueError("Pfaffian needs even size")
-    if n == 0:
-        return 1
-
-    def rec(rows: tuple[int, ...]):
-        if not rows:
-            return 1
-        i = rows[0]
-        rest = rows[1:]
-        total = 0
-        for k, j in enumerate(rest):
-            v = a[i][j]
-            if v:
-                sub = rest[:k] + rest[k + 1:]
-                total += (-1) ** k * v * rec(sub)
-        return total
-
-    return rec(tuple(range(n)))
-
-
-def pfaffian_recursive(a: list[list]) -> int:
-    """Pfaffian in the rows-then-columns (h_1..h_r k_1..k_r) vertex-ordering
-    convention realized by the diagram signs sgn(sigma_D); it differs from
-    the interleaved convention by the shuffle sign (-1)^{r(r-1)/2}."""
-    r = len(a) // 2
-    shuffle = -1 if (r * (r - 1) // 2) % 2 else 1
-    return shuffle * pfaffian_interleaved(a)
-
-
-def pfaffian_diagram_sum(a: list[list]) -> int:
-    """Pfaffian as the signed sum over Brauer diagrams: sum_D sgn(sigma_D)
-    prod_{(i,j) in D} a[i][j] (1-indexed strands over 2r points)."""
-    from .diagrams import all_diagrams
-    n = len(a)
-    if n % 2:
-        raise ValueError("Pfaffian needs even size")
-    r = n // 2
-    total = 0
-    for diag in all_diagrams(r):
-        term = diag.sign()
-        for i, j in diag.pairs:
-            term *= a[i - 1][j - 1]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
-def pfaffian_functional(r: int, n: int, xs: list[int]) -> int:
-    """Signed diagram sum of symplectic pairings over 2r basis-vector
-    indices (0-indexed into the 2N-dimensional Darboux basis)."""
-    if len(xs) != 2 * r:
-        raise ValueError("need 2r vector indices")
-    form = BilinearStructure("symplectic", n)
-    a = [[form.pair(xs[i], xs[j]) if i != j else 0 for j in range(2 * r)]
-         for i in range(2 * r)]
-    for i in range(2 * r):
-        for j in range(i):
-            a[i][j] = -a[j][i]
-    return pfaffian_diagram_sum(a)
-
-
-def walled_det_sum(a: int, b: int, w: list[list]) -> int:
-    """Signed sum over (a,b)-walled diagrams of prod_{(i,j) in D} w[i][j],
-    for a symmetric 2r x 2r value table (r = a + b).  Equals the determinant
-    of the r x r matrix (x_i, y_j) under the standard reindexing."""
-    from .diagrams import all_diagrams, walled_filter
-    r = a + b
-    total = 0
-    for diag in all_diagrams(r):
-        ok, sign = walled_filter(a, b, diag)
-        if not ok:
-            continue
-        term = sign
-        for i, j in diag.pairs:
-            term *= w[i - 1][j - 1]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
-def walled_det_matrix(a: int, b: int, w: list[list]) -> list[list]:
-    """The r x r matrix (x_i, y_j) built from the 2r-point value table by the
-    reindexing x = (w_1..w_a, w_{r+a+1}..w_{2r}), y = (w_{r+1}..w_{r+a},
-    w_{a+1}..w_r)."""
-    r = a + b
-    xi = list(range(a)) + list(range(r + a, 2 * r))
-    yi = list(range(r, r + a)) + list(range(a, r))
-    return [[w[xi[i]][yi[j]] for j in range(r)] for i in range(r)]
+    return rank_modp(list(lines.values()), p)

@@ -17,10 +17,10 @@ from brauercell.seminormal import (gz_idempotents, jm_seminormal_check,
 from brauercell.sft import (algebra_dimension, expected_image_dimension,
                             ideal_generators, ideal_span_rank, sum_all_diagrams,
                             walled_signed_sum)
-from brauercell.tensorrep import (TensorRep, image_rank, pfaffian_diagram_sum,
-                                  pfaffian_recursive, walled_det_matrix,
-                                  walled_det_sum)
+from brauercell.tensorrep import TensorRep, image_rank
 from exact_ops import det_cofactor
+from tensor_ops import (pfaffian_diagram_sum, pfaffian_recursive,
+                        walled_det_matrix, walled_det_sum)
 
 DOUBLE_FACTORIALS = [1, 1, 3, 15, 105, 945, 10395]
 

@@ -319,3 +319,46 @@ def test_certify_stdout_pinned(capsys, argv):
     code, out = run(capsys, "certify", "--flavor", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_STDOUT_SHA256[argv]
+
+
+# sha256 of the stdout of dims on the perfbench dims grid, recorded before
+# image ranks were taken by columns.
+DIMS_STDOUT_SHA256 = {
+    "symplectic --N 1 --r 5": "a4e0c498a79e2f943ab5ecc489f81521b623bb42730533a6e29a751cb8003bb5",
+    "symplectic --N 2 --r 4": "41364d4cfc5c00f5922bff1db4251bdacc6f838054e14fb3b1b70090fbca713e",
+    "symplectic --N 3 --r 4": "75af3c461e7cb15c9d755bfea5ab8c545311f97dbe9870f184b3b6e53688d875",
+    "orthogonal --N 2 --r 5": "6f96bdfa12ac2eb12471e076f787405bb02508d9865c9a3003ef43c162bb0374",
+    "orthogonal --N 5 --r 4": "5df5fa379fb02f3003e58260ac77ede306f601983e23f77d775becc3f4e4854d",
+    "orthogonal --N 6 --r 4": "cb9de4cf35292bcf125c2119440425790fde8f4407c398393489b052a6a28120",
+    "symmetric --N 3 --r 5": "1897c1032277ee148449478c0fc8bf16ef6a8b124962f9f3a395db65b24f0744",
+    "symmetric --N 4 --r 5": "5027cb62437628b239085ebbdb6facffa0ab39e3cbcb39fd2f2b981a439f68b7",
+    "symplectic --N 2 --r 4 --format table":
+        "2d2735557e71148bf230bc7712dbf843b05d9eda4b715876239c75298d5a5b0a",
+}
+
+
+@pytest.mark.parametrize("argv", list(DIMS_STDOUT_SHA256))
+def test_dims_stdout_pinned(capsys, argv):
+    code, out = run(capsys, "dims", "--flavor", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMS_STDOUT_SHA256[argv]
+
+
+def test_dims_loads_no_cellular_basis_modules():
+    """dims needs the tensor side only: a fresh interpreter running it never
+    imports sft, murphy, seminormal or dataclasses."""
+    src = str(Path(brauercell.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "from brauercell.cli import main\n"
+            "main(['dims', '--flavor', sys.argv[1], '--N', '2', '--r', '3'])\n"
+            "sys.stderr.write('modules: ' + ' '.join(sorted(sys.modules)) + '\\n')\n")
+    for flavor in ("symplectic", "orthogonal", "symmetric"):
+        proc = subprocess.run([sys.executable, "-c", code, flavor], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.rsplit("modules: ", 1)[1].split())
+        assert "brauercell.tensorrep" in loaded
+        assert not loaded & {"brauercell.sft", "brauercell.murphy",
+                             "brauercell.seminormal", "dataclasses"}

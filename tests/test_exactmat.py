@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from brauercell.exactmat import (ExactMatrix, inverse_columns, rank_modp,
-                                 sparse_rank_q, spin_rank_q)
+from brauercell.exactmat import (ExactMatrix, _cancel_mod, _cancel_z, _rank,
+                                 inverse_columns, rank_modp, sparse_rank_q,
+                                 spin_rank_q)
 from brauercell.rings import Poly
 from exact_ops import LinearSolver, det_cofactor
 
@@ -198,6 +199,37 @@ def test_sparse_rank_matches_dense(rng):
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
         assert sparse_rank_q(sparse) == rank_gauss_fraction(rows)
+
+
+def test_rank_stops_at_the_column_count(rng):
+    """Short unit rows reach the column count first; the rows left over are
+    never read, and the rank is that of a Fraction elimination, over Q and
+    mod p."""
+    for _ in range(25):
+        m = rng.randint(2, 6)
+        units = [{j: rng.choice([-1, 1, 2])} for j in range(m)]
+        longs = [{j: rng.randint(1, 2) for j in range(m)} for _ in range(rng.randint(1, 6))]
+        rows = units + longs
+        rng.shuffle(rows)
+        dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+        assert rank_gauss_fraction(dense) == m
+        left = [dict(row) for row in rows]
+        assert _rank(left, _cancel_z) == m
+        assert len(left) == len(longs)
+        for p in (3, 5):
+            left = [{c: v % p for c, v in row.items()} for row in rows]
+            assert _rank(left, _cancel_mod(p)) == m
+            assert len(left) == len(longs)
+        assert sparse_rank_q(rows) == rank_modp(rows, 3) == m
+
+
+def test_rank_of_empty_and_zero_rows():
+    assert _rank([], _cancel_z) == sparse_rank_q([]) == rank_modp([], 3) == 0
+    assert sparse_rank_q([{}, {0: 0, 4: 0}, {}]) == 0
+    assert rank_modp([{0: 5, 7: -10}, {}], 5) == 0
+    # zero rows beside one nonzero row: one distinct column, rank one
+    assert sparse_rank_q([{}, {2: 3}, {}, {2: -6}]) == 1
+    assert rank_modp([{2: 7}, {2: 3, 5: 7}], 7) == 1
 
 
 def test_spin_rank_q():

@@ -7,12 +7,12 @@ from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import rank_modp, sparse_rank_q
 from brauercell.tensorrep import (BilinearStructure, SparseMat, TensorRep,
-                                  image_rank, image_vectors,
-                                  pfaffian_diagram_sum, pfaffian_functional,
-                                  pfaffian_interleaved, pfaffian_recursive,
-                                  walled_det_matrix, walled_det_sum)
+                                  image_rank, image_vectors)
 from exact_ops import det_cofactor
 from sparse_ops import identity, matmul, scale, transpose
+from tensor_ops import (pfaffian_diagram_sum, pfaffian_functional,
+                        pfaffian_interleaved, pfaffian_recursive, place_matrix,
+                        rep_diagram_closed_form, walled_det_matrix, walled_det_sum)
 
 FLAVOR_GRID = [("symplectic", 1), ("symplectic", 2), ("orthogonal", 1),
                ("orthogonal", 2), ("orthogonal", 3)]
@@ -92,7 +92,7 @@ def generator_e(rep: TensorRep, i: int) -> SparseMat:
 
 def generator_s(rep: TensorRep, i: int) -> SparseMat:
     """S in tensor places i, i+1: (x ten y)S = y ten x."""
-    return rep.place_matrix((*range(1, i), i + 1, i, *range(i + 2, rep.r + 1)))
+    return place_matrix(rep, (*range(1, i), i + 1, i, *range(i + 2, rep.r + 1)))
 
 
 @pytest.mark.parametrize("flavor,n", FLAVOR_GRID)
@@ -141,7 +141,7 @@ def _place_matrix_by_words(rep: TensorRep, pi: tuple[int, ...]) -> SparseMat:
 def test_place_matrix_matches_word_loop(n, r):
     rep = TensorRep("permutation", n, r)
     for pi in itertools.permutations(range(1, r + 1)):
-        assert rep.place_matrix(pi) == _place_matrix_by_words(rep, pi)
+        assert place_matrix(rep, pi) == _place_matrix_by_words(rep, pi)
 
 
 def test_parameter_mismatch():
@@ -171,10 +171,10 @@ def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
     for k, (i, j) in enumerate(vert):
         sigma[i - 1] = 2 * s + k + 1
         tau[2 * s + k] = j
-    mat = rep.place_matrix(tuple(sigma))
+    mat = place_matrix(rep, tuple(sigma))
     for k in range(s):
         mat = matmul(mat, generator_e(rep, 2 * k + 1))
-    mat = matmul(mat, rep.place_matrix(tuple(tau)))
+    mat = matmul(mat, place_matrix(rep, tuple(tau)))
     if rep.flavor == "symplectic":
         mat = scale(mat, perm_sign(sigma) * perm_sign(tau))
     return mat
@@ -187,7 +187,7 @@ def test_closed_form_equals_generator_products(flavor, n, r):
     rep = TensorRep(flavor, n, r)
     for d in all_diagrams(r):
         image = _generator_matrix_product(rep, d)
-        assert rep.rep_diagram_closed_form(d) == image
+        assert rep_diagram_closed_form(rep, d) == image
         assert rep.rep_diagram(d) == image
 
 
@@ -311,6 +311,52 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
         assert image_rank(elements, rep) == sparse_rank_q(full)
 
 
+COLUMN_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
+                for n in (1, 2, 3) for r in (1, 2, 3, 4)]
+               + [("symplectic", 1, 5), ("orthogonal", 2, 5)])
+
+
+@pytest.mark.parametrize("flavor,n,r", COLUMN_GRID)
+def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
+    """``image_rank`` eliminates the columns of the orbit-row image matrix;
+    over Q and over F_3, F_5 and F_7 its rank is that of the row vectors, on
+    all diagrams, on random integer elements with the kernel generators, and
+    on the kernel generators alone (rank 0: no nonzero column)."""
+    from brauercell.sft import ideal_generators
+    rep = _rep(flavor, n, r)
+    rows = rep.orbit_rows()
+    kernel = ideal_generators(r, n, flavor, rep.delta0)
+    for elements in ([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)],
+                     _random_elements(rng, rep, 8), kernel):
+        vecs = [rep.rep_element(a, rows=rows).to_vector() for a in elements]
+        assert image_rank(elements, rep) == sparse_rank_q(vecs)
+        for p in (3, 5, 7):
+            assert image_rank(elements, rep, field=("Fp", p)) == rank_modp(vecs, p)
+    assert image_rank(kernel, rep) == 0
+
+
+@pytest.mark.parametrize("flavor,n", [(f, n) for f in ("symplectic", "orthogonal", "symmetric")
+                                      for n in (1, 2, 3, 4)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_orbit_word_table(flavor, n, r, rng):
+    """``orbit_rows`` keeps the word of each orbit row, and it is
+    ``word(i)``; ``rep_diagram`` on rows off the orbit set (alone or mixed
+    with orbit rows) is the full image restricted to them."""
+    rep = _rep(flavor, n, r)
+    rows = rep.orbit_rows()
+    assert sorted(rep._orbit_words) == list(rows)
+    assert all(rep._orbit_words[i] == rep.word(i) for i in rows)
+    chosen = set(rows)
+    off = [i for i in range(rep.size) if i not in chosen]
+    off = sorted(rng.sample(off, min(12, len(off))))
+    for subset in (off, sorted(off + list(rows[:3]))):
+        wanted = set(subset)
+        for d in _diagrams(rep):
+            full = rep.rep_diagram(d).rows
+            assert rep.rep_diagram(d, subset).rows == {
+                i: row for i, row in full.items() if i in wanted}
+
+
 def test_kernel_membership_orthogonal_minor():
     # d_{2,1} lies in the kernel for N = 2 (a + b = 3 = N + 1)
     from brauercell.sft import walled_signed_sum
@@ -321,7 +367,7 @@ def test_kernel_membership_orthogonal_minor():
 def test_closed_form_identity():
     for flavor, n in FLAVOR_GRID:
         rep = TensorRep(flavor, n, 2)
-        ident = rep.rep_diagram_closed_form(BrauerDiagram.identity(2))
+        ident = rep_diagram_closed_form(rep, BrauerDiagram.identity(2))
         assert ident == identity(rep.size)
 
 
