@@ -178,31 +178,6 @@ def vertex_dominates(a: Vertex, b: Vertex, dual: bool = False) -> bool:
     return col_dominates(a.lam, b.lam) if dual else dominates(a.lam, b.lam)
 
 
-def vertex_strictly_dominates(a: Vertex, b: Vertex, dual: bool = False) -> bool:
-    return a != b and vertex_dominates(a, b, dual)
-
-
-def path_dominates(s: Path, t: Path, dual: bool = False) -> bool:
-    if len(s) != len(t):
-        raise ValueError("path dominance compares equal-length paths")
-    return all(vertex_dominates(a, b, dual) for a, b in zip(s, t))
-
-
-def path_strictly_dominates(s: Path, t: Path, dual: bool = False) -> bool:
-    return s != t and path_dominates(s, t, dual)
-
-
-def path_revlex_gt(s: Path, t: Path, dual: bool = False) -> bool:
-    """s > t in reverse-lexicographic order: at the last index where they
-    differ, s's vertex strictly dominates t's."""
-    if len(s) != len(t):
-        raise ValueError("reverse-lex compares equal-length paths")
-    for a, b in zip(reversed(s), reversed(t)):
-        if a != b:
-            return vertex_strictly_dominates(a, b, dual)
-    return False
-
-
 def permissible_symplectic(v: Vertex, n: int) -> bool:
     """lam_1 <= N (first row bounded)."""
     return not v.lam or v.lam[0] <= n
@@ -280,19 +255,6 @@ def edge_content(a: Vertex, b: Vertex) -> Poly:
 
 def sn_contents(t: Path) -> tuple[Poly, ...]:
     return tuple(edge_content(a, b) for a, b in zip(t, t[1:]))
-
-
-def separation_check(level: int, add_only: bool = False) -> bool:
-    """Whether all distinct paths at the level have distinct content
-    sequences as polynomials in delta."""
-    seen = set()
-    for v in vertices_at_level(level, add_only):
-        for t in enumerate_paths(v, add_only):
-            key = tuple(tuple(sorted(c.coeffs.items())) for c in sn_contents(t))
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
 
 
 def residue_collisions(level: int, delta0, flavor: str, n: int,

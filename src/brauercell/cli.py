@@ -170,11 +170,16 @@ def cmd_certify(args) -> tuple[dict, int]:
         sections = [("split_basis", cert), ("quotient_cell_modules", quo)]
         all_pass = cert.passed and quo.passed
         if args.r <= args.seminormal_cap:
-            from .seminormal import gz_idempotents, specialize_quotient
+            from .seminormal import (gz_idempotents, quotient_record,
+                                     specialize_quotient)
             records = []
             for v in split.basis.vertices:
-                sd = gz_idempotents(split.basis, v)
-                rec = specialize_quotient(sd, split.delta0, args.flavor, args.N)
+                if split.perm_pred(v):
+                    rec = specialize_quotient(gz_idempotents(split.basis, v),
+                                              split.delta0, args.flavor, args.N)
+                else:
+                    rec = quotient_record(v, split.basis.paths[v], split.delta0,
+                                          args.flavor, args.N)
                 records.append(rec)
                 if not rec.skipped:
                     all_pass = all_pass and rec.passed

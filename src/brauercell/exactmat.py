@@ -155,10 +155,6 @@ class ExactMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

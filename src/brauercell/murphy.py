@@ -9,7 +9,8 @@ Four flavors share one construction:
   graph adds box-removal edges, cell generators acquire a suffix of e's.
 
 Every basis element m_st = d_s* m_lambda d_t is expanded in the diagram
-basis at construction time; the expansion is an integer combination of
+basis, a whole cell (vertex) at a time, the first time that cell is read
+(``MurphyBasis.elements``); the expansion is an integer combination of
 diagrams whose corank equals the vertex corank, which makes the transition
 matrix to the diagram basis block diagonal by corank, each block of
 determinant +-1.
@@ -24,6 +25,7 @@ applied to products, with no expansion over Q(delta).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 
 from . import branching as br
@@ -191,20 +193,10 @@ class MurphyBasis:
             for ti, t in enumerate(self.paths[v]):
                 self.d_elements[(v, ti)] = self._path_d(t)
 
-        self.index: list[tuple[Vertex, int, int]] = []
-        self.elements: dict[tuple[Vertex, int, int], AlgebraElement] = {}
-        for v in verts:
-            gen = self.generators[v]
-            n = len(self.paths[v])
-            lefts = [self.d_elements[(v, s)].involution() * gen for s in range(n)]
-            for s in range(n):
-                for t in range(n):
-                    elt = lefts[s] * self.d_elements[(v, t)]
-                    if not elt.has_integer_coeffs():
-                        raise ArithmeticError(
-                            f"Murphy element at {v} is not an integer diagram sum")
-                    self.elements[(v, s, t)] = elt.as_integer()
-                    self.index.append((v, s, t))
+        self.index: list[tuple[Vertex, int, int]] = [
+            (v, s, t) for v in verts for s in range(len(self.paths[v]))
+            for t in range(len(self.paths[v]))]
+        self.elements = CellElements(self)
         self.col_of = {key: i for i, key in enumerate(self.index)}
 
         if self.add_only:
@@ -223,12 +215,6 @@ class MurphyBasis:
         lam = conjugate(v.lam) if self.dual else v.lam
         return (-v.l, tuple(-p for p in lam))
 
-    def dominates(self, a: Vertex, b: Vertex) -> bool:
-        return br.vertex_dominates(a, b, self.dual)
-
-    def strictly_dominates(self, a: Vertex, b: Vertex) -> bool:
-        return br.vertex_strictly_dominates(a, b, self.dual)
-
     # -- construction helpers ----------------------------------------------
 
     def edge_factors(self, a: Vertex, b: Vertex) -> tuple[AlgebraElement, AlgebraElement]:
@@ -246,6 +232,23 @@ class MurphyBasis:
         for a, b in reversed(list(zip(t, t[1:]))):
             out = out * self.edge_factors(a, b)[0]
         return out
+
+    def expand_cell(self, v: Vertex) -> dict[tuple[Vertex, int, int], AlgebraElement]:
+        """The m_(v,s,t) = (d_s* m_lambda) d_t of the cell of v in the
+        diagram basis; raises unless each is an integer diagram sum.  Called
+        by ``elements`` on the first read of the cell."""
+        gen = self.generators[v]
+        n = len(self.paths[v])
+        lefts = [self.d_elements[(v, s)].involution() * gen for s in range(n)]
+        cell = {}
+        for s in range(n):
+            for t in range(n):
+                elt = lefts[s] * self.d_elements[(v, t)]
+                if not elt.has_integer_coeffs():
+                    raise ArithmeticError(
+                        f"Murphy element at {v} is not an integer diagram sum")
+                cell[(v, s, t)] = elt.as_integer()
+        return cell
 
     # -- cell-row functionals -----------------------------------------------
 
@@ -384,6 +387,32 @@ class MurphyBasis:
                 "element": self.elements[(v, s, t)].to_json(),
             })
         return out
+
+
+class CellElements(Mapping):
+    """The basis elements m_(v,s,t) of a ``MurphyBasis``, keyed (v, s, t)
+    and iterated in ``index`` order.  A cell is expanded in the diagram
+    basis (``MurphyBasis.expand_cell``) the first time one of its keys is
+    read, and kept; a reader that needs some cells pays for those only."""
+
+    def __init__(self, basis: MurphyBasis):
+        self._basis = basis
+        self._cells: dict[tuple[Vertex, int, int], AlgebraElement] = {}
+
+    def __getitem__(self, key):
+        elt = self._cells.get(key)
+        if elt is None:
+            if key not in self._basis.col_of:
+                raise KeyError(key)
+            self._cells.update(self._basis.expand_cell(key[0]))
+            elt = self._cells[key]
+        return elt
+
+    def __iter__(self):
+        return iter(self._basis.index)
+
+    def __len__(self):
+        return len(self._basis.index)
 
 
 def _poly_or_constant(powers: dict):

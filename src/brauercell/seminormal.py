@@ -18,7 +18,6 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import branching as br
@@ -64,15 +63,17 @@ def quotient_at(num, den: Poly, x0):
     return Fraction(num.evaluate(x0), den.evaluate(x0))
 
 
-@dataclass
 class SeminormalData:
     """Per-vertex seminormal package over Z[delta]."""
 
-    basis: MurphyBasis
-    vertex: Vertex
-    paths: list[Path]
-    jm_matrices: list[Matrix]                     # L_1 .. L_r on the cell module
-    idempotents: dict[int, tuple[Matrix, Poly]]   # path index -> (N_t, D_t)
+    def __init__(self, basis: MurphyBasis, vertex: Vertex, paths: list[Path],
+                 jm_matrices: list[Matrix],
+                 idempotents: dict[int, tuple[Matrix, Poly]]):
+        self.basis = basis
+        self.vertex = vertex
+        self.paths = paths
+        self.jm_matrices = jm_matrices    # L_1 .. L_r on the cell module
+        self.idempotents = idempotents    # path index -> (N_t, D_t)
 
 
 def gz_idempotents(basis: MurphyBasis, vertex: Vertex) -> SeminormalData:
@@ -107,38 +108,17 @@ def gz_idempotents(basis: MurphyBasis, vertex: Vertex) -> SeminormalData:
     return SeminormalData(basis, vertex, list(paths), jms, idempotents)
 
 
-def jm_seminormal_check(sd: SeminormalData) -> bool:
-    """f_t L_i = kappa_t(i) f_t for every path t and JM index i, checked on
-    n_t = D_t f_t, row t of N_t."""
-    for ti, t in enumerate(sd.paths):
-        contents = br.sn_contents(t)
-        f = sd.idempotents[ti][0][ti]
-        for i in range(1, sd.basis.r + 1):
-            jm = sd.jm_matrices[i - 1]
-            kappa = contents[i - 1]
-            got = [0] * len(f)
-            for a, va in enumerate(f):
-                if not va:
-                    continue
-                for b in range(len(f)):
-                    if jm[a][b]:
-                        got[b] = got[b] + va * jm[a][b]
-            if any(got[b] != kappa * f[b] for b in range(len(f))):
-                return False
-    return True
-
-
-@dataclass
 class QuotientSeminormalRecord:
     """Outcome of specializing one vertex's seminormal data at delta0."""
 
-    vertex: Vertex
-    delta0: object
-    permissible: list[int]
-    skipped: bool = False
-    reason: str = ""
-    collisions: list = field(default_factory=list)
-    checks: list = field(default_factory=list)   # (name, passed)
+    def __init__(self, vertex: Vertex, delta0, permissible: list[int]):
+        self.vertex = vertex
+        self.delta0 = delta0
+        self.permissible = permissible
+        self.skipped = False
+        self.reason = ""
+        self.collisions: list = []
+        self.checks: list = []   # (name, passed)
 
     def add(self, name: str, passed: bool) -> None:
         self.checks.append((name, bool(passed)))
@@ -153,6 +133,21 @@ class QuotientSeminormalRecord:
                 "reason": self.reason,
                 "collisions": [[v.to_json() for v in c] for c in self.collisions],
                 "checks": [{"name": n, "pass": ok} for n, ok in self.checks]}
+
+
+def quotient_record(vertex: Vertex, paths: list[Path], delta0, flavor: str,
+                    n: int) -> QuotientSeminormalRecord:
+    """The record of one vertex before any check: the indices of its
+    permissible paths, and skipped when the vertex is not permissible, as
+    no quotient cell survives there.  It reads the paths alone, so a
+    vertex that is not permissible needs no idempotents."""
+    pred = br.PERMISSIBLE[flavor]
+    record = QuotientSeminormalRecord(vertex, delta0, [
+        ti for ti, t in enumerate(paths) if all(pred(v, n) for v in t)])
+    if not pred(vertex, n):
+        record.skipped = True
+        record.reason = "vertex not permissible: no quotient cell survives"
+    return record
 
 
 def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
@@ -170,13 +165,9 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
     When a permissible F_t fails to be evaluable, the record reports the
     sibling-edge residue collisions responsible (the orthogonal even case)
     and skips the remaining checks instead of failing."""
-    pred = br.PERMISSIBLE[flavor]
     npaths = len(sd.paths)
-    record = QuotientSeminormalRecord(sd.vertex, delta0, [
-        ti for ti, t in enumerate(sd.paths) if all(pred(v, n) for v in t)])
-    if not pred(sd.vertex, n):
-        record.skipped = True
-        record.reason = "vertex not permissible: no quotient cell survives"
+    record = quotient_record(sd.vertex, sd.paths, delta0, flavor, n)
+    if record.skipped:
         return record
 
     evaluable = {}

@@ -25,10 +25,10 @@ n_st = m_st when both paths are permissible and maps to zero otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import lcm
+from typing import NamedTuple
 
 from . import branching as br
 from .branching import (Path, Vertex, algebra_dimension, conjugate,
@@ -37,7 +37,7 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .tensorrep import TensorRep, image_rank, image_vectors
+from .tensorrep import TensorRep, image_lines, image_rank, image_vectors
 
 FLAVOR_DATA = {
     # flavor -> (basis flavor, delta0(N))
@@ -88,8 +88,7 @@ def _orbit_correction(head: AlgebraElement, group: list) -> AlgebraElement:
     return AlgebraElement(head.r, terms, head.delta)
 
 
-@dataclass(frozen=True)
-class KernelGenerator:
+class KernelGenerator(NamedTuple):
     """Marginal-vertex data: m = b - b', b in the kernel, b' = m * beta'."""
 
     flavor: str
@@ -234,14 +233,6 @@ class SplitBasis:
         return sum(1 for v, s, t in self.iter_pairs()
                    if not self.pair_permissible(v, s, t))
 
-    def permissible_dimension(self) -> int:
-        total = 0
-        for v in self.basis.vertices:
-            k = sum(1 for ti in range(len(self.basis.paths[v]))
-                    if self.path_permissible[(v, ti)])
-            total += k * k
-        return total
-
     def to_json(self) -> list:
         out = []
         for v, s, t in self.iter_pairs():
@@ -255,8 +246,7 @@ class SplitBasis:
         return out
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: object
     got: object
@@ -277,10 +267,10 @@ def _jsonable(x):
     return x
 
 
-@dataclass
 class Certificate:
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, params: dict):
+        self.params = params
+        self.checks: list[CheckResult] = []
 
     def add(self, name: str, expected, got) -> CheckResult:
         res = CheckResult(name, expected, got, expected == got)
@@ -295,21 +285,6 @@ class Certificate:
         return {"params": _jsonable(self.params),
                 "checks": [c.to_json() for c in self.checks],
                 "pass": self.passed}
-
-
-def marginal_vertices(r: int, n: int, flavor: str) -> list[Vertex]:
-    """Vertices at levels <= r carrying the boundary value (lam_1 = N+1,
-    lam'_1 + lam'_2 = N+1, or N+1 rows).  Every marginal point -- a
-    non-permissible vertex reachable by an otherwise permissible path --
-    has this value, and the kernel-generator identities below hold for the
-    whole boundary set."""
-    add_only = flavor == "symmetric"
-    out = []
-    for level in range(1, r + 1):
-        for v in br.vertices_at_level(level, add_only):
-            if _is_marginal(v, n, flavor):
-                out.append(v)
-    return out
 
 
 def ideal_generators(r: int, n: int, flavor: str, delta0) -> list[AlgebraElement]:
@@ -361,11 +336,12 @@ def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
     return spin_rank_q([{index[d]: c for d, c in g.terms.items()} for g in gens], maps)
 
 
-def split_image_vectors(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int, int]], bool]:
+def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int, int]], bool]:
     """The images of the permissible n_st, in ``iter_pairs`` order, on the
     orbit rows of ``rep`` (which keeps ranks and zero tests, see
-    ``tensorrep``), and whether Phi(m a_u) = 0 for every path u that is not
-    permissible, m being the cell generator at the end of u.
+    ``tensorrep``), transposed by ``image_lines`` for the rank; and whether
+    Phi(m a_u) = 0 for every path u that is not permissible, m being the
+    cell generator at the end of u.
 
     Neither forms n_st = a_s* m a_t.  When s and t are permissible, a_s =
     d_s and a_t = d_t, so n_st = m_st, the Murphy element read at delta0.
@@ -389,7 +365,7 @@ def split_image_vectors(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[in
         (basis.elements[key].with_delta(delta0) for key in permissible),
         (m_a(v, u) for v in basis.vertices for u in range(len(basis.paths[v]))
          if not split.path_permissible[(v, u)])), rep)
-    return vectors[:len(permissible)], not any(vectors[len(permissible):])
+    return image_lines(islice(vectors, len(permissible))), not any(vectors)
 
 
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
@@ -405,22 +381,25 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
        rank = dim ker;
     5. (optional) image rank over F_p agrees with the rank over Q.
 
-    Lines 1 and 2 read ``split_image_vectors``, which forms no n_st.
+    Lines 1 and 2 read ``split_image_lines``, which forms no n_st; the
+    rank of line 1 is taken by columns, and stops once it reaches the
+    number of nonzero images.
     """
-    cert = Certificate({"flavor": flavor, "r": r, "N": n})
     if flavor == "symmetric":
         return harterich_check(r, n, max_tensor_dim=max_tensor_dim,
                                check_ideal=check_ideal, fields=fields)
+    cert = Certificate({"flavor": flavor, "r": r, "N": n})
     split = split if split is not None else SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r, max_tensor_dim=max_tensor_dim)
     dim_alg = algebra_dimension(r, flavor)
     dim_im = expected_image_dimension(r, n, flavor)
 
-    perm_vectors, kernel_zero = split_image_vectors(split, rep)
+    perm_lines, kernel_zero = split_image_lines(split, rep)
     cert.add("kernel elements map to zero", True, kernel_zero)
-    cert.add("permissible pair count", dim_im, len(perm_vectors))
+    cert.add("permissible pair count", dim_im,
+             sum(split.pair_permissible(*key) for key in split.iter_pairs()))
     cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, sparse_rank_q(perm_vectors))
+             dim_im, sparse_rank_q(perm_lines))
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 
@@ -475,27 +454,33 @@ def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
     """Kernel/image certificate for the symmetric group acting by unsigned
     place permutations on (Z^N)^{tensor r}, in the dual-Murphy basis:
     cells with more than N rows span the kernel; the antisymmetrizer on N+1
-    letters generates it as an ideal."""
+    letters generates it as an ideal.
+
+    The cells of at most N rows are imaged whole, for the rank (taken by
+    columns, as in ``certify_sft``).  A kernel cell is imaged through its
+    generator y_lam alone, and never expanded.  That is exact:
+    ``MurphyBasis`` builds every element of the cell of lam as m_st =
+    (d_s* y_lam) d_t, and Phi is a homomorphism (``tensorrep``: rep(ab) =
+    rep(a) rep(b)), so Phi(m_st) = Phi(d_s*) Phi(y_lam) Phi(d_t), which is
+    zero once Phi(y_lam) is.  So when every kernel generator maps to zero,
+    every element of every kernel cell does, and the line "kernel cells
+    map to zero" is true.  The kernel count is the number of those
+    elements, the sum of |paths(lam)|^2 over the kernel cells."""
     cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
     basis = murphy_basis(r, "symmetric-dual")
     rep = TensorRep("permutation", n, r, max_tensor_dim=max_tensor_dim)
     dim_im = expected_image_dimension(r, n, "symmetric")
     dim_alg = algebra_dimension(r, "symmetric")
 
-    perm_vectors = []
-    kernel_zero = True
-    kernel_count = 0
-    vectors = image_vectors((basis.elements[key] for key in basis.index), rep)
-    for (v, _s, _t), vec in zip(basis.index, vectors):
-        if len(v.lam) <= n:
-            perm_vectors.append(vec)
-        else:
-            kernel_count += 1
-            if vec:
-                kernel_zero = False
-    cert.add("kernel cells map to zero", True, kernel_zero)
-    cert.add("image rank over Q", dim_im, sparse_rank_q(perm_vectors))
-    cert.add("kernel count + image dimension", dim_alg, kernel_count + dim_im)
+    image = [key for key in basis.index if len(key[0].lam) <= n]
+    kernel = [v for v in basis.vertices if len(v.lam) > n]
+    vectors = image_vectors(chain((basis.elements[key] for key in image),
+                                  (basis.generators[v] for v in kernel)), rep)
+    perm_lines = image_lines(islice(vectors, len(image)))
+    cert.add("kernel cells map to zero", True, not any(vectors))
+    cert.add("image rank over Q", dim_im, sparse_rank_q(perm_lines))
+    cert.add("kernel count + image dimension", dim_alg,
+             sum(len(basis.paths[v]) ** 2 for v in kernel) + dim_im)
     if check_ideal is None:
         check_ideal = r <= 4
     if check_ideal and r > n:

@@ -285,16 +285,16 @@ class TensorRep:
         return out
 
 
-def image_vectors(elements, rep: TensorRep) -> list[dict[int, int]]:
+def image_vectors(elements, rep: TensorRep):
     """The images of ``elements`` (``TensorRep.check_element``) on the orbit
     rows of ``rep`` only, which keeps ranks and zero tests (module
-    docstring), each flattened as by ``SparseMat.to_vector``.  Each
-    diagram's image is built once per call and kept as three machine-int
-    arrays: row position, column and value."""
+    docstring), each flattened as by ``SparseMat.to_vector``; an iterator,
+    which images each element when it is read.  Each diagram's image is
+    built once per call and kept as three machine-int arrays: row
+    position, column and value."""
     rows = rep.orbit_rows()
     starts = [i * rep.size for i in rows]
     images: dict[BrauerDiagram, tuple] = {}
-    out = []
     for a in elements:
         rep.check_element(a)
         vec: dict[int, int] = {}
@@ -308,8 +308,20 @@ def image_vectors(elements, rep: TensorRep) -> list[dict[int, int]]:
             for k, j, x in zip(*image):
                 key = starts[k] + j
                 vec[key] = vec.get(key, 0) + c * x
-        out.append({k: x for k, x in vec.items() if x})
-    return out
+        yield {k: x for k, x in vec.items() if x}
+
+
+def image_lines(vectors) -> list[dict[int, int]]:
+    """The transpose of the sparse rows ``vectors`` (an iterable, read once,
+    so the rows need not all be held): one line per nonzero column,
+    {row position: value}.  rank A = rank A^T over any field, and the rank
+    kernels stop once their pivots number as many as the distinct columns,
+    which here is the count of nonzero rows."""
+    lines: dict[int, dict[int, int]] = {}
+    for g, vec in enumerate(vectors):
+        for key, x in vec.items():
+            lines.setdefault(key, {})[g] = x
+    return list(lines.values())
 
 
 def image_rank(generators, rep: TensorRep, field="Q") -> int:
@@ -318,19 +330,15 @@ def image_rank(generators, rep: TensorRep, field="Q") -> int:
     on ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every
     p (module docstring).
 
-    The rank is taken by columns: rank A = rank A^T over any field, so the
-    rank kernel is given one line per nonzero column of the image matrix,
-    {generator index: value}.  Its stop rule (a rank never exceeds the
-    number of distinct columns) then ends the elimination once the rank
+    The rank is taken by columns (``image_lines``): the rank kernel is
+    given one line per nonzero column of the image matrix, {generator
+    index: value}, and its stop rule ends the elimination once the rank
     reaches the number of generators with a nonzero image."""
     rows = rep.orbit_rows()
-    lines: dict[int, dict[int, int]] = {}
-    for g, a in enumerate(generators):
-        for key, x in rep.rep_element(a, rows=rows).to_vector().items():
-            lines.setdefault(key, {})[g] = x
+    lines = image_lines(rep.rep_element(a, rows=rows).to_vector() for a in generators)
     if field == "Q":
-        return sparse_rank_q(list(lines.values()))
+        return sparse_rank_q(lines)
     name, p = field
     if name != "Fp":
         raise ValueError(f"unknown field {field!r}")
-    return rank_modp(list(lines.values()), p)
+    return rank_modp(lines, p)

@@ -12,12 +12,12 @@ from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
 from brauercell.murphy import (brauer_branching_factors, brauer_cell_generator,
                                murphy_basis)
 from brauercell.rings import Poly
-from brauercell.seminormal import (gz_idempotents, jm_seminormal_check,
-                                   specialize_quotient)
+from brauercell.seminormal import gz_idempotents, specialize_quotient
 from brauercell.sft import (algebra_dimension, expected_image_dimension,
                             ideal_generators, ideal_span_rank, sum_all_diagrams,
                             walled_signed_sum)
 from brauercell.tensorrep import TensorRep, image_rank
+from cell_ops import jm_seminormal_check, path_strictly_dominates
 from exact_ops import det_cofactor
 from tensor_ops import (pfaffian_diagram_sum, pfaffian_recursive,
                         walled_det_matrix, walled_det_sum)
@@ -261,8 +261,7 @@ def test_criterion_10_seminormal_suite():
                 ok &= f[ti][ti] == den
                 for tj in range(npaths):
                     if tj != ti and f[ti][tj]:
-                        ok &= br.path_strictly_dominates(sd.paths[tj],
-                                                         sd.paths[ti])
+                        ok &= path_strictly_dominates(sd.paths[tj], sd.paths[ti])
             ok &= jm_seminormal_check(sd)
     # specialized quotient structure, symplectic N <= 2, r <= 4
     for n in (1, 2):

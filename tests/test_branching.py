@@ -5,13 +5,11 @@ import pytest
 from brauercell.branching import (EMPTY, Vertex, brauer_edges, col_dominates,
                                   conjugate, dominates, edge_content,
                                   enumerate_paths, partitions_of,
-                                  path_permissible, path_revlex_gt,
-                                  path_strictly_dominates,
-                                  permissible_orthogonal,
+                                  path_permissible, permissible_orthogonal,
                                   permissible_symplectic, residue_collisions,
-                                  separation_check, sn_contents,
-                                  vertices_at_level, young_edges)
+                                  sn_contents, vertices_at_level, young_edges)
 from brauercell.rings import Poly
+from cell_ops import path_revlex_gt, path_strictly_dominates, separation_check
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945}
 

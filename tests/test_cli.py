@@ -362,3 +362,47 @@ def test_dims_loads_no_cellular_basis_modules():
         assert "brauercell.tensorrep" in loaded
         assert not loaded & {"brauercell.sft", "brauercell.murphy",
                              "brauercell.seminormal", "dataclasses"}
+
+
+def test_certify_loads_no_dataclasses():
+    """A fresh interpreter running certify never imports dataclasses (nor
+    inspect or ast, which it would pull in)."""
+    src = str(Path(brauercell.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "from brauercell.cli import main\n"
+            "main(['certify', '--flavor', sys.argv[1], '--N', '1', '--r', '3'])\n"
+            "sys.stderr.write('modules: ' + ' '.join(sorted(sys.modules)) + '\\n')\n")
+    for flavor in ("symplectic", "orthogonal", "symmetric"):
+        proc = subprocess.run([sys.executable, "-c", code, flavor], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.rsplit("modules: ", 1)[1].split())
+        assert "brauercell.sft" in loaded
+        assert not loaded & {"dataclasses", "inspect", "ast"}
+
+
+@pytest.mark.parametrize("flavor,r,n", [("symplectic", 3, 1), ("symplectic", 4, 2),
+                                        ("orthogonal", 4, 2), ("orthogonal", 3, 1)])
+def test_certify_builds_idempotents_at_permissible_vertices_only(capsys, monkeypatch,
+                                                                 flavor, r, n):
+    """gz_idempotents runs once per permissible vertex and never at another;
+    every vertex still has its seminormal record."""
+    import brauercell.seminormal as seminormal
+    from brauercell.sft import SplitBasis
+    called = []
+    gz_idempotents = seminormal.gz_idempotents
+    monkeypatch.setattr(seminormal, "gz_idempotents",
+                        lambda basis, v: called.append(v) or gz_idempotents(basis, v))
+    code, out = run(capsys, "certify", "--flavor", flavor, "--r", str(r), "--N", str(n))
+    assert code == 0
+    split = SplitBasis(r, n, flavor)
+    permissible = [v for v in split.basis.vertices if split.perm_pred(v)]
+    assert called == permissible
+    assert len(permissible) < len(split.basis.vertices)
+    records = json.loads(out)["sections"]["seminormal"]
+    assert len(records) == len(split.basis.vertices)
+    reason = "vertex not permissible: no quotient cell survives"
+    assert [rec["reason"] == reason for rec in records] == [
+        not split.perm_pred(v) for v in split.basis.vertices]

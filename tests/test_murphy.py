@@ -6,7 +6,7 @@ import pytest
 
 import brauercell.branching as br
 from brauercell import murphy
-from brauercell.branching import Path, Vertex, path_strictly_dominates
+from brauercell.branching import Path, Vertex
 from brauercell.cli import main
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  diagram_mult)
@@ -18,6 +18,8 @@ from brauercell.murphy import (FLAVORS, brauer_branching_factors,
                                sym_cell_generators)
 from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
+from cell_ops import (eager_elements, path_strictly_dominates, strictly_dominates,
+                      transpose)
 from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
@@ -233,7 +235,7 @@ def test_gram_symmetric(flavor, r):
     mb = murphy_basis(r, flavor)
     for v in mb.vertices:
         g = mb.gram_matrix(v)
-        assert g.rows == g.transpose().rows
+        assert g.rows == transpose(g).rows
 
 
 def test_jm_action_examples():
@@ -289,7 +291,7 @@ def test_cellular_multiplication_law(flavor, r, rng):
                         if w == v:
                             assert u1 == s
                         else:
-                            assert mb.strictly_dominates(w, v)
+                            assert strictly_dominates(mb, w, v)
                     rows[(s, t)] = [coeffs.get((v, s, u), 0) for u in range(n)]
             for t in range(min(n, 2)):
                 base = rows[(0, t)]
@@ -438,7 +440,7 @@ def test_gram_full_equation():
                             assert (u1, u2) == (0, 0)
                             assert c == gram[s, t]
                         else:
-                            assert mb.strictly_dominates(w, v)
+                            assert strictly_dominates(mb, w, v)
                     if gram[s, t] == 0:
                         assert (v, 0, 0) not in coeffs
 
@@ -636,3 +638,35 @@ def test_dependent_cell_block_exit_code(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: cell functional")
     assert "dependent" in err
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_cells_read_on_demand_equal_the_eager_expansion(flavor, r):
+    """Each cell is expanded when it is first read, whatever the order of
+    the reads, and every element equals the eager expansion; iteration
+    follows ``index``."""
+    mb = murphy.MurphyBasis(r, flavor)
+    eager = eager_elements(mb)
+    for key in reversed(mb.index):
+        assert mb.elements[key] == eager[key]
+    assert list(mb.elements) == mb.index == list(eager)
+    assert len(mb.elements) == len(mb.index)
+    assert dict(mb.elements.items()) == eager
+    assert (Vertex((r + 1,), 0), 0, 0) not in mb.elements
+    with pytest.raises(KeyError):
+        mb.elements[(mb.vertices[0], len(mb.paths[mb.vertices[0]]), 0)]
+
+
+def test_cells_are_expanded_once_and_only_when_read(monkeypatch):
+    expanded = []
+    expand_cell = murphy.MurphyBasis.expand_cell
+    monkeypatch.setattr(murphy.MurphyBasis, "expand_cell",
+                        lambda self, v: expanded.append(v) or expand_cell(self, v))
+    mb = murphy.MurphyBasis(4, "brauer-murphy")
+    assert expanded == []
+    v = mb.vertices[-1]
+    first = mb.elements[(v, 0, 0)]
+    assert mb.elements[(v, 0, 0)] is first
+    assert expanded == [v]
+    mb.transition_dets()
+    assert sorted(expanded, key=mb.vertices.index) == mb.vertices

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from brauercell.branching import Vertex, path_strictly_dominates
+from brauercell.branching import Vertex
 from brauercell.murphy import murphy_basis
 from brauercell.rings import Poly
-from brauercell.seminormal import (gz_idempotents, jm_seminormal_check,
-                                   quotient_at, specialize_quotient)
+from brauercell.seminormal import gz_idempotents, quotient_at, specialize_quotient
+from cell_ops import jm_seminormal_check, path_strictly_dominates
 from exact_ops import det_cofactor
 
 d = Poly.delta()

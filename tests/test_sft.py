@@ -10,15 +10,16 @@ from brauercell.branching import Vertex
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, walled_filter)
 from brauercell.exactmat import Echelon, _cancel_field, sparse_rank_q
-from brauercell.murphy import murphy_basis
+from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
                             ideal_generators, ideal_span_rank,
-                            marginal_vertices, quotient_cell_modules,
-                            split_image_vectors, sum_all_diagrams,
-                            walled_signed_sum)
-from brauercell.tensorrep import SparseMat, TensorRep, image_vectors
+                            quotient_cell_modules, split_image_lines,
+                            sum_all_diagrams, walled_signed_sum)
+from brauercell.tensorrep import SparseMat, TensorRep, image_lines, image_vectors
+from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
+                      path_revlex_gt, permissible_dimension, strictly_dominates)
 from sparse_ops import matmul, scale
 
 
@@ -142,7 +143,7 @@ def test_split_basis_b2():
     v11 = Vertex((1, 1), 0)
     assert sb.element(v11, 0, 0) == AlgebraElement.one(2, -2)
     assert sb.kernel_count() == 1
-    assert sb.permissible_dimension() == 2
+    assert permissible_dimension(sb) == 2
 
 
 @pytest.mark.parametrize("flavor,n,rmax", [("symplectic", 1, 5), ("symplectic", 2, 5),
@@ -157,8 +158,7 @@ def test_split_basis_unitriangular(flavor, n, rmax):
                 assert vec[ti] == 1
                 for tj in range(len(paths)):
                     if tj != ti and vec[tj] != 0:
-                        assert br.path_revlex_gt(paths[tj], paths[ti],
-                                                 sb.basis.dual)
+                        assert path_revlex_gt(paths[tj], paths[ti], sb.basis.dual)
 
 
 def test_split_equals_murphy_on_permissible():
@@ -334,7 +334,7 @@ def test_quotient_cellularity_shadow(rng):
                 if w == v:
                     assert u1 == s
                 else:
-                    assert sb.basis.strictly_dominates(w, v)
+                    assert strictly_dominates(sb.basis, w, v)
 
 
 def test_split_basis_rejects_symmetric():
@@ -349,7 +349,7 @@ def test_place_vectors_match_rep_element(r, n):
     images of the basis elements restricted to the orbit rows."""
     basis = murphy_basis(r, "symmetric-dual")
     rep = TensorRep("permutation", n, r)
-    vectors = image_vectors((basis.elements[key] for key in basis.index), rep)
+    vectors = list(image_vectors((basis.elements[key] for key in basis.index), rep))
     chosen = set(rep.orbit_rows())
     assert len(vectors) == len(basis.index)
     for key, vec in zip(basis.index, vectors):
@@ -389,7 +389,7 @@ def test_rep_element_from_images_matches_fold(flavor, n, r):
         for t in range(len(split.basis.paths[v])):
             a_t = split.a_elements[(v, t)]
             elements += [a_t, gen * a_t]
-    assert image_vectors(elements, rep) == [
+    assert list(image_vectors(elements, rep)) == [
         _fold_scale_add(rep, images, a).to_vector() for a in elements]
 
 
@@ -426,9 +426,12 @@ SPLIT_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal") for n in (1, 2, 3
 def test_split_image_vectors_match_factored_route(flavor, n, r):
     split = SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r)
-    vectors, kernel_zero = split_image_vectors(split, rep)
-    assert (vectors, kernel_zero) == _factored_route(split, rep)
-    assert kernel_zero
+    vectors, kernel_zero = _factored_route(split, rep)
+    lines, got_zero = split_image_lines(split, rep)
+    # the same columns {pair index: value}, in the order each route meets them
+    assert sorted(map(sorted, map(dict.items, lines))) == sorted(
+        map(sorted, map(dict.items, image_lines(vectors))))
+    assert got_zero is kernel_zero is True
 
 
 @pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
@@ -443,7 +446,7 @@ def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
                                     "brauer-dual-murphy"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_cell_generators_are_self_adjoint(flavor, r):
-    """m* = m, which ``split_image_vectors`` uses for a non-permissible s."""
+    """m* = m, which ``split_image_lines`` uses for a non-permissible s."""
     basis = murphy_basis(r, flavor)
     for v in basis.vertices:
         assert basis.generators[v].involution() == basis.generators[v]
@@ -460,8 +463,54 @@ def test_kernel_line_fails_without_the_correction(flavor, n, r):
                 if not split.path_permissible[(v, t)])
     split.a_elements[(v, t)] = split.basis.d_elements[(v, t)].with_delta(split.delta0)
     rep = TensorRep(flavor, n, r)
-    assert split_image_vectors(split, rep)[1] is False
+    assert split_image_lines(split, rep)[1] is False
     assert _factored_route(split, rep)[1] is False
     cert = certify_sft(r, n, flavor, split=split, check_ideal=False)
     line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
     assert not line.passed and not cert.passed
+
+
+HARTERICH_GRID = [(r, n) for n in (1, 2, 3, 4) for r in range(1, 6)] + [(6, 2)]
+
+
+@pytest.mark.parametrize("r,n", HARTERICH_GRID)
+def test_kernel_generator_line_agrees_with_every_kernel_element(r, n):
+    """The kernel line images one generator y_lam per kernel cell; the
+    oracle images every element of every kernel cell, on all rows."""
+    cert = harterich_check(r, n, check_ideal=False)
+    got = {c.name: c.got for c in cert.checks}
+    assert kernel_elements_map_to_zero(r, n)
+    assert got["kernel cells map to zero"] is True
+    assert cert.passed
+
+
+def _fresh_symmetric_basis(monkeypatch, r):
+    basis = MurphyBasis(r, "symmetric-dual", max_r=r)
+    monkeypatch.setattr("brauercell.sft.murphy_basis", lambda r_, flavor: basis)
+    return basis
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (4, 2), (5, 3)])
+def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(monkeypatch, r, n):
+    """A kernel cell whose generator is replaced by that of a cell of at
+    most N rows, whose image is not zero, turns the kernel line False."""
+    basis = _fresh_symmetric_basis(monkeypatch, r)
+    kernel = next(v for v in basis.vertices if len(v.lam) > n)
+    image = next(v for v in basis.vertices if len(v.lam) <= n)
+    basis.generators[kernel] = basis.generators[image]
+    cert = harterich_check(r, n, check_ideal=False)
+    line = next(c for c in cert.checks if c.name == "kernel cells map to zero")
+    assert not line.passed and not cert.passed
+
+
+def test_harterich_expands_no_kernel_cell(monkeypatch):
+    """At r=6, N=2 the certificate reads the cells of at most 2 rows only."""
+    basis = _fresh_symmetric_basis(monkeypatch, 6)
+    expanded = []
+    expand_cell = MurphyBasis.expand_cell
+    monkeypatch.setattr(MurphyBasis, "expand_cell",
+                        lambda self, v: expanded.append(v) or expand_cell(self, v))
+    assert harterich_check(6, 2).passed
+    assert expanded
+    assert sorted(expanded, key=basis.vertices.index) == [
+        v for v in basis.vertices if len(v.lam) <= 2]

@@ -151,9 +151,9 @@ def test_parameter_mismatch():
     with pytest.raises(ValueError):
         rep.rep_element(AlgebraElement.one(2))
     with pytest.raises(ValueError):
-        image_vectors([AlgebraElement.one(2, delta=1)], rep)
+        list(image_vectors([AlgebraElement.one(2, delta=1)], rep))
     with pytest.raises(ValueError):
-        image_vectors([AlgebraElement.one(3, delta=-2)], rep)
+        list(image_vectors([AlgebraElement.one(3, delta=-2)], rep))
 
 
 @pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
@@ -304,7 +304,7 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
         for a, f, o in zip(elements, full, orbit):
             assert o == {k: x for k, x in f.items() if k // rep.size in chosen}
             assert (not o) == (not f)
-        assert image_vectors(elements, rep) == orbit
+        assert list(image_vectors(elements, rep)) == orbit
         assert sparse_rank_q(orbit) == sparse_rank_q(full)
         for p in (3, 5):
             assert rank_modp(orbit, p) == rank_modp(full, p)
