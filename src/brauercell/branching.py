@@ -24,23 +24,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
-def dominates(a: Partition, b: Partition) -> bool:
-    """a dominates b: all partial sums of a majorize those of b."""
-    if sum(a) != sum(b):
-        raise ValueError("dominance compares partitions of equal size")
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa < sb:
-            return False
-    return True
-
-
-def col_dominates(a: Partition, b: Partition) -> bool:
-    return dominates(conjugate(a), conjugate(b))
-
-
 def partitions_of(n: int) -> list[Partition]:
     @lru_cache(maxsize=None)
     def rec(n, maxpart):
@@ -166,16 +149,6 @@ def enumerate_paths(target: Vertex, add_only: bool = False) -> list[Path]:
     out = list(_paths_to(target, add_only))
     out.sort(key=lambda p: tuple(vertex_sort_key(v) for v in p))
     return out
-
-
-def vertex_dominates(a: Vertex, b: Vertex, dual: bool = False) -> bool:
-    """Dominance on same-level vertices: higher corank dominates; at equal
-    corank, (column) dominance of partitions."""
-    if a.level != b.level:
-        raise ValueError("dominance compares same-level vertices")
-    if a.l != b.l:
-        return a.l > b.l
-    return col_dominates(a.lam, b.lam) if dual else dominates(a.lam, b.lam)
 
 
 def permissible_symplectic(v: Vertex, n: int) -> bool:

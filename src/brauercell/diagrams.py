@@ -231,9 +231,13 @@ class BrauerDiagram:
         return f"BrauerDiagram({self.r}, {list(self.pairs)})"
 
 
-# partner tuple -> the one diagram with that matching, filled by diagram_mult;
-# it holds at most (2r-1)!! entries per r
+# partner tuple -> the one diagram with that matching, filled by diagram_mult
+# and by the enumerations; it holds at most (2r-1)!! entries per r
 _INTERNED: dict[tuple[int, ...], BrauerDiagram] = {}
+
+
+def _interned(d: BrauerDiagram) -> BrauerDiagram:
+    return _INTERNED.setdefault(d._partner, d)
 
 
 def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
@@ -299,12 +303,14 @@ def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int
 def all_diagrams(r: int) -> list[BrauerDiagram]:
     """All (2r-1)!! diagrams of B_r, in lexicographic canonical order.
 
-    This order is the global diagram-basis order used by every matrix."""
+    This order is the global diagram-basis order used by every matrix.
+    Each diagram is the interned object of its matching, the one that
+    ``diagram_mult`` returns, so a lookup of a product is by identity."""
     out = []
 
     def rec(free: tuple[int, ...], acc: list):
         if not free:
-            out.append(BrauerDiagram(r, acc))
+            out.append(_interned(BrauerDiagram(r, acc)))
             return
         first, rest = free[0], free[1:]
         for k, second in enumerate(rest):
@@ -319,8 +325,9 @@ def all_diagrams(r: int) -> list[BrauerDiagram]:
 
 def all_permutation_diagrams(r: int) -> list[BrauerDiagram]:
     """Permutation diagrams of B_r (the symmetric group), in the same
-    lexicographic canonical order used by all_diagrams."""
-    out = [BrauerDiagram.from_perm(p) for p in itertools.permutations(range(1, r + 1))]
+    lexicographic canonical order used by all_diagrams, interned as there."""
+    out = [_interned(BrauerDiagram.from_perm(p))
+           for p in itertools.permutations(range(1, r + 1))]
     out.sort(key=lambda d: d.pairs)
     return out
 

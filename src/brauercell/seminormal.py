@@ -18,8 +18,6 @@ form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import branching as br
 from .branching import Path, Vertex
 from .murphy import MurphyBasis
@@ -47,20 +45,58 @@ def _times_shifted(a: Matrix, jm_rows: list[list[tuple]], kappa) -> Matrix:
     return out
 
 
-def quotient_at(num, den: Poly, x0):
-    """num / den at delta = x0, after cancelling each factor (delta - x0) of
-    den from num by exact synthetic division.  None when num has fewer such
-    factors than den: a pole at x0."""
-    if not num:
+def _at(x, x0, k: int):
+    """(x / (delta - x0)^k) at delta = x0, for x an int or a Poly over Z:
+    k synthetic divisions by the monic delta - x0, which keep the quotient
+    integral, then Horner's rule.  None when a division leaves a remainder,
+    that is when (delta - x0)^k does not divide x."""
+    if not x:
         return 0
-    num = num if isinstance(num, Poly) else Poly.const(num)
-    root = Poly({0: -x0, 1: 1})
-    while den.evaluate(x0) == 0:
-        num, rem = num.divmod(root)
-        if rem:
+    coeffs = ([x.coeffs.get(e, 0) for e in range(x.degree, -1, -1)]
+              if isinstance(x, Poly) else [x])
+    for _ in range(k):
+        acc, quo = 0, []
+        for c in coeffs:
+            acc = acc * x0 + c
+            quo.append(acc)
+        if quo.pop():
             return None
-        den = den.divmod(root)[0]
-    return Fraction(num.evaluate(x0), den.evaluate(x0))
+        coeffs = quo
+    acc = 0
+    for c in coeffs:
+        acc = acc * x0 + c
+    return acc
+
+
+def cleared_at(num: Matrix, den: Poly, x0) -> tuple[list[list[int]], int] | None:
+    """F = num / den at delta = x0 as an integer matrix M and one integer q
+    with F(x0) = M / q.  den is divided once by its factor (delta - x0)^k,
+    and every entry of num exactly by (delta - x0)^k, before evaluating.
+    None when an entry lacks that factor: a pole of F at x0."""
+    k = 0
+    while (q := _at(den, x0, k)) == 0:
+        k += 1
+    rows = []
+    for row in num:
+        out = [_at(x, x0, k) for x in row]
+        if None in out:
+            return None
+        rows.append(out)
+    return rows, q
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
+def _row_times(x: list[int], mat: list[list[int]]) -> list[int]:
+    """The row vector x * mat."""
+    out = [0] * len(mat[0])
+    for a, row in zip(x, mat):
+        if a:
+            for j, y in enumerate(row):
+                out[j] += a * y
+    return out
 
 
 class SeminormalData:
@@ -164,86 +200,82 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
 
     When a permissible F_t fails to be evaluable, the record reports the
     sibling-edge residue collisions responsible (the orthogonal even case)
-    and skips the remaining checks instead of failing."""
-    npaths = len(sd.paths)
+    and skips the remaining checks instead of failing.
+
+    Every check is an identity over Z.  F_t(delta0) = M_t / q_t with M_t an
+    integer matrix and q_t a nonzero integer (``cleared_at``), so f_t, row t
+    of F_t, is M_t[t] / q_t.  With G the Gram at delta0, H_t = M_t G^T is
+    formed once (entry (a, i) is row a of M_t dotted with row i of G), so
+    that x M_t lies in the radical {w : G w^T = 0} iff x H_t = 0, and
+    D_t = H_t[t] . M_t[t] = q_t^2 <f_t, f_t>.  A vector lies in the radical
+    iff every nonzero multiple of it does, so each rational test below is
+    its integer multiple:
+
+    * <f_t, f_t> != 0 iff D_t != 0, and <f_s, f_t> = 0 iff
+      H_s[s] . M_t[t] = 0;
+    * w F_t is in the radical iff w H_t = 0;
+    * f_s F_t - delta_st f_s is in the radical iff M_s[s] H_t = 0 for
+      s != t, and M_t[t] H_t = q_t H_t[t];
+    * row a of E_tt - F_t, that is (G f_t^T)[a] / <f_t, f_t> f_t - F_t[a],
+      times q_t D_t, is q_t H_t[t][a] M_t[t] - D_t M_t[a], which is in the
+      radical iff q_t H_t[t][a] H_t[t] = D_t H_t[a]."""
     record = quotient_record(sd.vertex, sd.paths, delta0, flavor, n)
     if record.skipped:
         return record
 
-    evaluable = {}
-    for ti in record.permissible:
-        num, den = sd.idempotents[ti]
-        ev = [[quotient_at(x, den, delta0) for x in row] for row in num]
-        if any(v is None for row in ev for v in row):
-            evaluable[ti] = None
-        else:
-            evaluable[ti] = ev
-    if any(v is None for v in evaluable.values()):
-        collisions = []
-        for level in range(1, sd.basis.r + 1):
-            collisions += br.residue_collisions(level, delta0, flavor, n,
-                                                sd.basis.add_only)
-        record.collisions = collisions
-        record.skipped = True
-        record.reason = ("interpolation denominators vanish at the "
-                         "specialization; residue collisions reported")
-        # a non-evaluable permissible idempotent without a residue collision
-        # to blame would contradict the quotient seminormal theorem
-        record.add("non-evaluable idempotents explained by residue collisions",
-                   bool(collisions))
-        return record
+    perm = record.permissible
+    m, q = {}, {}
+    for t in perm:
+        cleared = cleared_at(*sd.idempotents[t], delta0)
+        if cleared is None:
+            collisions = []
+            for level in range(1, sd.basis.r + 1):
+                collisions += br.residue_collisions(level, delta0, flavor, n,
+                                                    sd.basis.add_only)
+            record.collisions = collisions
+            record.skipped = True
+            record.reason = ("interpolation denominators vanish at the "
+                             "specialization; residue collisions reported")
+            # a non-evaluable permissible idempotent without a residue
+            # collision to blame would contradict the quotient seminormal
+            # theorem
+            record.add("non-evaluable idempotents explained by residue "
+                       "collisions", bool(collisions))
+            return record
+        m[t], q[t] = cleared
     record.add("permissible idempotents evaluable", True)
 
     g0 = sd.basis.gram_matrix(sd.vertex, delta0).rows
     # f_t is row t of F_t, so it is evaluable with F_t
-    f0 = {ti: evaluable[ti][ti] for ti in record.permissible}
     record.add("permissible seminormal vectors evaluable", True)
+    h = {t: [[_dot(row, g) for g in g0] for row in m[t]] for t in perm}
 
-    def form0(x, y):
-        return sum(x[i] * g0[i][j] * y[j]
-                   for i in range(npaths) for j in range(npaths))
-
-    diag = {ti: form0(f0[ti], f0[ti]) for ti in record.permissible}
+    diag = {t: _dot(m[t][t], h[t][t]) for t in perm}
     record.add("specialized <f_t, f_t> nonzero for permissible t",
-               all(v != 0 for v in diag.values()))
-    orthogonal = all(form0(f0[s], f0[t]) == 0
-                     for s in record.permissible for t in record.permissible
-                     if s != t)
+               all(diag.values()))
+    orthogonal = all(not _dot(m[t][t], h[s][s])
+                     for s in perm for t in perm if s != t)
     record.add("specialized <f_s, f_t> zero for s != t", orthogonal)
 
     from .exactmat import ExactMatrix
     rank = ExactMatrix(g0).rank()
     record.add("specialized Gram rank = permissible path count",
-               rank == len(record.permissible))
+               rank == len(perm))
 
     # matrix units on the quotient by the Gram radical, as honest operators
     # on the specialized module: E_st(w) = <w, f_s> / <f_s, f_s> * f_t.
-    perm = record.permissible
-    if all(v != 0 for v in diag.values()):
-        def in_radical(vec) -> bool:
-            return all(sum(g0[i][j] * vec[j] for j in range(npaths)) == 0
-                       for i in range(npaths))
-
+    if all(diag.values()):
         # the specialized idempotents preserve the radical ...
         rad_basis = ExactMatrix(g0).kernel()
-        preserves = True
-        for t in perm:
-            for w in rad_basis:
-                img = [sum(w[a] * evaluable[t][a][b] for a in range(npaths))
-                       for b in range(npaths)]
-                preserves &= in_radical(img)
-        record.add("specialized idempotents preserve the Gram radical", preserves)
+        record.add("specialized idempotents preserve the Gram radical",
+                   not any(any(_row_times(w, h[t])) for t in perm for w in rad_basis))
 
         # ... and induce the diagonal matrix units on the quotient:
         # f_s F_t = delta_{st} f_s modulo the radical.
-        induced_ok = True
-        for s in perm:
-            for t in perm:
-                vec = [sum(f0[s][a] * evaluable[t][a][b] for a in range(npaths))
-                       for b in range(npaths)]
-                if s == t:
-                    vec = [vec[b] - f0[s][b] for b in range(npaths)]
-                induced_ok &= in_radical(vec)
+        induced_ok = all(
+            _row_times(m[s][s], h[t]) == ([q[t] * y for y in h[t][t]] if s == t
+                                          else [0] * len(h[t][t]))
+            for s in perm for t in perm)
         record.add("specialized F_t induce the diagonal matrix units", induced_ok)
 
         # The matrix units E_st(w) = <w, f_s> / <f_s, f_s> * f_t compose as
@@ -257,11 +289,8 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
 
         # E_tt agrees with the specialized idempotent modulo the radical:
         # row a of E_tt is <e_a, f_t> / <f_t, f_t> * f_t
-        agree = True
-        for t in perm:
-            for a in range(npaths):
-                c = Fraction(sum(g0[a][j] * f0[t][j] for j in range(npaths)), diag[t])
-                row = [c * f0[t][b] - evaluable[t][a][b] for b in range(npaths)]
-                agree &= in_radical(row)
+        agree = all([q[t] * h[t][t][a] * y for y in h[t][t]]
+                    == [diag[t] * y for y in h[t][a]]
+                    for t in perm for a in range(len(g0)))
         record.add("E_tt = specialized F_t modulo the radical", agree)
     return record

@@ -157,8 +157,9 @@ class SplitBasis:
         # a_t per (vertex, path index); d_t for permissible paths
         self.a_elements: dict[tuple[Vertex, int], AlgebraElement] = {}
         self.path_permissible: dict[tuple[Vertex, int], bool] = {}
-        # module coordinates of n_t in the Murphy basis of the cell module
-        self.module_vectors: dict[tuple[Vertex, int], list[int]] = {}
+        # module coordinates of n_t, built on first read (``module_vector``)
+        self._module_vectors: dict[tuple[Vertex, int], list[int]] = {}
+        self._module_lefts: dict[Vertex, AlgebraElement] = {}
         for v in self.basis.vertices:
             paths = self.basis.paths[v]
             for ti, t in enumerate(paths):
@@ -169,7 +170,6 @@ class SplitBasis:
                 else:
                     a_t = self._correction(v, t)
                 self.a_elements[(v, ti)] = a_t
-            self._module_expand(v)
 
     def _generator(self, v: Vertex) -> KernelGenerator:
         if v not in self._gen_cache:
@@ -190,24 +190,33 @@ class SplitBasis:
             d2 = d2 * self.basis.edge_factors(a, b)[0].with_delta(self.delta0)
         return d2 * beta * d1
 
-    def _module_expand(self, v: Vertex) -> None:
-        """Module coordinates of n_t = m_lambda a_t: the coefficients of
-        m_(v,0,u) in d_{s0}* m_lambda a_t; raises unless they are integers."""
-        npaths = len(self.basis.paths[v])
-        gen = self.basis.generators[v].with_delta(self.delta0)
-        left = self.basis.d_elements[(v, 0)].involution().with_delta(self.delta0) * gen
-        for ti in range(npaths):
-            elt = left * self.a_elements[(v, ti)]
-            vec = []
-            for tj in range(npaths):
-                c = self.basis.cell_coefficient(v, tj, elt)
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise ArithmeticError(
-                            f"split basis vector at {v} is not integral: {c}")
-                    c = int(c)
-                vec.append(c)
-            self.module_vectors[(v, ti)] = vec
+    def module_vector(self, v: Vertex, ti: int) -> list[int]:
+        """Module coordinates of n_t = m_lambda a_t in the Murphy basis of
+        the cell module of v: the coefficients of m_(v,0,u) in
+        d_{s0}* m_lambda a_t.  Built the first time it is read, and kept;
+        raises unless they are integers."""
+        vec = self._module_vectors.get((v, ti))
+        if vec is None:
+            vec = self._module_vectors[(v, ti)] = self._module_expand(v, ti)
+        return vec
+
+    def _module_expand(self, v: Vertex, ti: int) -> list[int]:
+        left = self._module_lefts.get(v)
+        if left is None:
+            gen = self.basis.generators[v].with_delta(self.delta0)
+            left = self._module_lefts[v] = (
+                self.basis.d_elements[(v, 0)].involution().with_delta(self.delta0) * gen)
+        elt = left * self.a_elements[(v, ti)]
+        vec = []
+        for tj in range(len(self.basis.paths[v])):
+            c = self.basis.cell_coefficient(v, tj, elt)
+            if isinstance(c, Fraction):
+                if c.denominator != 1:
+                    raise ArithmeticError(
+                        f"split basis vector at {v} is not integral: {c}")
+                c = int(c)
+            vec.append(c)
+        return vec
 
     # -- pair-level data -------------------------------------------------------
 
@@ -440,7 +449,7 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
         for ti in range(len(paths)):
             if split.path_permissible[(v, ti)]:
                 continue
-            vec = split.module_vectors[(v, ti)]
+            vec = split.module_vector(v, ti)
             image = [sum(g0[i][j] * vec[j] for j in range(len(vec)))
                      for i in range(len(vec))]
             radical_ok &= all(x == 0 for x in image)

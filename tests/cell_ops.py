@@ -1,4 +1,5 @@
-"""Orders, checks and oracles that only the tests read: strict dominance of
+"""Orders, checks and oracles that only the tests read: dominance of
+partitions (by rows and by columns) and of vertices, strict dominance of
 vertices and of paths, the reverse-lexicographic path order, separation of
 paths by their contents, the Jucys-Murphy eigenvector check on seminormal
 data, the marginal vertices, the permissible dimension of a split basis,
@@ -7,14 +8,42 @@ and the image of every kernel element of the symmetric certificate.  The
 package needs none of them."""
 
 import brauercell.branching as br
+from brauercell.branching import Partition, Vertex, conjugate
 from brauercell.exactmat import ExactMatrix
 from brauercell.murphy import MurphyBasis
 from brauercell.sft import _is_marginal
 from brauercell.tensorrep import TensorRep
 
 
+def dominates(a: Partition, b: Partition) -> bool:
+    """a dominates b: all partial sums of a majorize those of b."""
+    if sum(a) != sum(b):
+        raise ValueError("dominance compares partitions of equal size")
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
+        if sa < sb:
+            return False
+    return True
+
+
+def col_dominates(a: Partition, b: Partition) -> bool:
+    return dominates(conjugate(a), conjugate(b))
+
+
+def vertex_dominates(a: Vertex, b: Vertex, dual: bool = False) -> bool:
+    """Dominance on same-level vertices: higher corank dominates; at equal
+    corank, (column) dominance of partitions."""
+    if a.level != b.level:
+        raise ValueError("dominance compares same-level vertices")
+    if a.l != b.l:
+        return a.l > b.l
+    return col_dominates(a.lam, b.lam) if dual else dominates(a.lam, b.lam)
+
+
 def vertex_strictly_dominates(a, b, dual=False) -> bool:
-    return a != b and br.vertex_dominates(a, b, dual)
+    return a != b and vertex_dominates(a, b, dual)
 
 
 def strictly_dominates(basis, a, b) -> bool:
@@ -26,7 +55,7 @@ def strictly_dominates(basis, a, b) -> bool:
 def path_dominates(s, t, dual=False) -> bool:
     if len(s) != len(t):
         raise ValueError("path dominance compares equal-length paths")
-    return all(br.vertex_dominates(a, b, dual) for a, b in zip(s, t))
+    return all(vertex_dominates(a, b, dual) for a, b in zip(s, t))
 
 
 def path_strictly_dominates(s, t, dual=False) -> bool:

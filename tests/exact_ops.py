@@ -1,12 +1,17 @@
 """Exact oracles for the tests: a general solver over Z, the oracle of the
-cell-row functionals and of the cellular expansion, and the cofactor
-determinant.  The package itself needs neither: it reads only columns of
-block inverses (``exactmat.inverse_columns``) and takes determinants by
-elimination."""
+cell-row functionals and of the cellular expansion, the cofactor
+determinant, and the specialization of seminormal data over Q.  The package
+itself needs none of them: it reads only columns of block inverses
+(``exactmat.inverse_columns``), takes determinants by elimination, and
+checks the specialized seminormal structure as identities over Z
+(``seminormal.specialize_quotient``)."""
 
 from fractions import Fraction
 
-from brauercell.exactmat import Echelon, _cancel_z, _z_row
+import brauercell.branching as br
+from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row
+from brauercell.rings import Poly
+from brauercell.seminormal import quotient_record
 
 
 class LinearSolver:
@@ -55,3 +60,125 @@ def det_cofactor(b: list[list]):
         minor = [row[:j] + row[j + 1:] for row in b[1:]]
         total += (-1) ** j * b[0][j] * det_cofactor(minor)
     return total
+
+
+def quotient_at(num, den: Poly, x0):
+    """num / den at delta = x0, after cancelling each factor (delta - x0) of
+    den from num by exact synthetic division.  None when num has fewer such
+    factors than den: a pole at x0."""
+    if not num:
+        return 0
+    num = num if isinstance(num, Poly) else Poly.const(num)
+    root = Poly({0: -x0, 1: 1})
+    while den.evaluate(x0) == 0:
+        num, rem = num.divmod(root)
+        if rem:
+            return None
+        den = den.divmod(root)[0]
+    return Fraction(num.evaluate(x0), den.evaluate(x0))
+
+
+def specialize_quotient_oracle(sd, delta0, flavor: str, n: int):
+    """The record ``seminormal.specialize_quotient`` must give, with its
+    checks made over Q as before they were integer identities: each entry
+    of F_t is evaluated by ``quotient_at``, and each radical test multiplies
+    a dense Fraction vector by the Gram at delta0."""
+    npaths = len(sd.paths)
+    record = quotient_record(sd.vertex, sd.paths, delta0, flavor, n)
+    if record.skipped:
+        return record
+
+    evaluable = {}
+    for ti in record.permissible:
+        num, den = sd.idempotents[ti]
+        ev = [[quotient_at(x, den, delta0) for x in row] for row in num]
+        if any(v is None for row in ev for v in row):
+            evaluable[ti] = None
+        else:
+            evaluable[ti] = ev
+    if any(v is None for v in evaluable.values()):
+        collisions = []
+        for level in range(1, sd.basis.r + 1):
+            collisions += br.residue_collisions(level, delta0, flavor, n,
+                                                sd.basis.add_only)
+        record.collisions = collisions
+        record.skipped = True
+        record.reason = ("interpolation denominators vanish at the "
+                         "specialization; residue collisions reported")
+        # a non-evaluable permissible idempotent without a residue collision
+        # to blame would contradict the quotient seminormal theorem
+        record.add("non-evaluable idempotents explained by residue collisions",
+                   bool(collisions))
+        return record
+    record.add("permissible idempotents evaluable", True)
+
+    g0 = sd.basis.gram_matrix(sd.vertex, delta0).rows
+    # f_t is row t of F_t, so it is evaluable with F_t
+    f0 = {ti: evaluable[ti][ti] for ti in record.permissible}
+    record.add("permissible seminormal vectors evaluable", True)
+
+    def form0(x, y):
+        return sum(x[i] * g0[i][j] * y[j]
+                   for i in range(npaths) for j in range(npaths))
+
+    diag = {ti: form0(f0[ti], f0[ti]) for ti in record.permissible}
+    record.add("specialized <f_t, f_t> nonzero for permissible t",
+               all(v != 0 for v in diag.values()))
+    orthogonal = all(form0(f0[s], f0[t]) == 0
+                     for s in record.permissible for t in record.permissible
+                     if s != t)
+    record.add("specialized <f_s, f_t> zero for s != t", orthogonal)
+
+    rank = ExactMatrix(g0).rank()
+    record.add("specialized Gram rank = permissible path count",
+               rank == len(record.permissible))
+
+    # matrix units on the quotient by the Gram radical, as honest operators
+    # on the specialized module: E_st(w) = <w, f_s> / <f_s, f_s> * f_t.
+    perm = record.permissible
+    if all(v != 0 for v in diag.values()):
+        def in_radical(vec) -> bool:
+            return all(sum(g0[i][j] * vec[j] for j in range(npaths)) == 0
+                       for i in range(npaths))
+
+        # the specialized idempotents preserve the radical ...
+        rad_basis = ExactMatrix(g0).kernel()
+        preserves = True
+        for t in perm:
+            for w in rad_basis:
+                img = [sum(w[a] * evaluable[t][a][b] for a in range(npaths))
+                       for b in range(npaths)]
+                preserves &= in_radical(img)
+        record.add("specialized idempotents preserve the Gram radical", preserves)
+
+        # ... and induce the diagonal matrix units on the quotient:
+        # f_s F_t = delta_{st} f_s modulo the radical.
+        induced_ok = True
+        for s in perm:
+            for t in perm:
+                vec = [sum(f0[s][a] * evaluable[t][a][b] for a in range(npaths))
+                       for b in range(npaths)]
+                if s == t:
+                    vec = [vec[b] - f0[s][b] for b in range(npaths)]
+                induced_ok &= in_radical(vec)
+        record.add("specialized F_t induce the diagonal matrix units", induced_ok)
+
+        # The matrix units E_st(w) = <w, f_s> / <f_s, f_s> * f_t compose as
+        # w E_st E_uv = <w, f_s> / <f_s, f_s> * <f_t, f_u> / <f_u, f_u> * f_v,
+        # that is E_st E_uv = <f_t, f_u> / <f_u, f_u> * E_sv.  Every
+        # <f_t, f_t> is nonzero here, so f_s, f_v and w -> <w, f_s> are all
+        # nonzero and E_sv != 0.  Hence the law E_st E_uv = delta_tu E_sv holds
+        # for all s, t, u, v iff <f_t, f_u> = 0 for t != u: the orthogonality
+        # checked above.
+        record.add("quotient matrix-unit law", orthogonal)
+
+        # E_tt agrees with the specialized idempotent modulo the radical:
+        # row a of E_tt is <e_a, f_t> / <f_t, f_t> * f_t
+        agree = True
+        for t in perm:
+            for a in range(npaths):
+                c = Fraction(sum(g0[a][j] * f0[t][j] for j in range(npaths)), diag[t])
+                row = [c * f0[t][b] - evaluable[t][a][b] for b in range(npaths)]
+                agree &= in_radical(row)
+        record.add("E_tt = specialized F_t modulo the radical", agree)
+    return record

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from brauercell.branching import (EMPTY, Vertex, brauer_edges, col_dominates,
-                                  conjugate, dominates, edge_content,
-                                  enumerate_paths, partitions_of,
+from brauercell.branching import (EMPTY, Vertex, brauer_edges, conjugate,
+                                  edge_content, enumerate_paths, partitions_of,
                                   path_permissible, permissible_orthogonal,
                                   permissible_symplectic, residue_collisions,
                                   sn_contents, vertices_at_level, young_edges)
 from brauercell.rings import Poly
-from cell_ops import path_revlex_gt, path_strictly_dominates, separation_check
+from cell_ops import (col_dominates, dominates, path_revlex_gt,
+                      path_strictly_dominates, separation_check)
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945}
 

@@ -311,6 +311,10 @@ CERTIFY_STDOUT_SHA256 = {
         "010dd545fe9fb3317f2cc74c27cfc0453cec02a95ef4448972578c3656826671",
     "symmetric --r 5 --N 3 --field Fp --p 7":
         "279969dae6f79b5ee5264ab5d8869627b44771a7d82aa4fae58c1ddc8667737b",
+    # the largest r=4 seminormal modules, recorded before the seminormal
+    # checks became integer identities
+    "symplectic --r 4 --N 4": "1c600320ead7a54183c78d209bef2d95df5ae51f8638754cd5e1ba324c1b6ffc",
+    "orthogonal --r 4 --N 4": "548f9c9903b2f367d6b61a5e61e5575d59b099b9d7e6072149719733d1bca334",
 }
 
 
@@ -406,3 +410,22 @@ def test_certify_builds_idempotents_at_permissible_vertices_only(capsys, monkeyp
     reason = "vertex not permissible: no quotient cell survives"
     assert [rec["reason"] == reason for rec in records] == [
         not split.perm_pred(v) for v in split.basis.vertices]
+
+
+def test_certify_builds_module_vectors_where_read_only(capsys, monkeypatch):
+    """certify builds a split module vector once for each path that is not
+    permissible at a permissible vertex, the ones the radical line reads,
+    and for no other path."""
+    from brauercell.sft import SplitBasis
+    built = []
+    expand = SplitBasis._module_expand
+    monkeypatch.setattr(SplitBasis, "_module_expand",
+                        lambda self, v, ti: built.append((v, ti)) or expand(self, v, ti))
+    code, _ = run(capsys, "certify", "--flavor", "symplectic", "--r", "5", "--N", "1")
+    assert code == 0
+    split = SplitBasis(5, 1, "symplectic")
+    read = [(v, ti) for v in split.basis.vertices if split.perm_pred(v)
+            for ti in range(len(split.basis.paths[v]))
+            if not split.path_permissible[(v, ti)]]
+    assert read and built == read
+    assert len(read) < sum(len(paths) for paths in split.basis.paths.values())

@@ -7,6 +7,7 @@ from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, diagram_mult,
                                  perm_mult, perm_sign, transposition,
                                  walled_filter, young_subgroup_sum)
+from brauercell.murphy import MurphyBasis
 from brauercell.rings import Poly
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
@@ -335,3 +336,26 @@ def test_perm_sign():
     assert perm_sign((1, 2, 3)) == 1
     assert perm_sign(transposition(1, 3, 3)) == -1
     assert perm_sign((2, 3, 1)) == 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_enumerated_diagrams_are_the_interned_products(r):
+    """A product equal to an enumerated diagram is that very object."""
+    one = BrauerDiagram.identity(r)
+    for d in all_diagrams(r) + all_permutation_diagrams(r):
+        assert diagram_mult(one, d)[0] is d
+        assert diagram_mult(d, one)[0] is d
+
+
+@pytest.mark.parametrize("flavor,delta0", [("brauer-murphy", -2), ("brauer-dual-murphy", 3)])
+def test_gram_at_delta0_compares_no_diagrams(monkeypatch, flavor, delta0):
+    """Every diagram the Gram looks up is found by identity, so
+    BrauerDiagram.__eq__ is never called."""
+    mb = MurphyBasis(4, flavor)
+    calls = []
+    eq = BrauerDiagram.__eq__
+    monkeypatch.setattr(BrauerDiagram, "__eq__",
+                        lambda self, other: calls.append(1) or eq(self, other))
+    for v in mb.vertices:
+        mb.gram_matrix(v, delta0)
+        assert not calls, v

@@ -19,7 +19,7 @@ from brauercell.murphy import (FLAVORS, brauer_branching_factors,
 from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
 from cell_ops import (eager_elements, path_strictly_dominates, strictly_dominates,
-                      transpose)
+                      transpose, vertex_dominates)
 from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
@@ -327,8 +327,8 @@ def test_restriction_filtration_shadow(flavor):
                 for (w, u1, u2), c in coeffs.items():
                     if w != v:
                         continue
-                    assert br.vertex_dominates(paths[u2][r - 1], paths[s][r - 1],
-                                               mb.dual)
+                    assert vertex_dominates(paths[u2][r - 1], paths[s][r - 1],
+                                            mb.dual)
 
 
 def test_cap():
@@ -525,8 +525,8 @@ def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r
         left = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).with_delta(d0)
         for t in range(npaths):
             coeffs = expand_map(mb, left * split.a_elements[(v, t)])
-            assert split.module_vectors[(v, t)] == [coeffs.get((v, 0, u), 0)
-                                                    for u in range(npaths)]
+            assert split.module_vector(v, t) == [coeffs.get((v, 0, u), 0)
+                                                 for u in range(npaths)]
 
 
 def per_pair_gram(mb, v: Vertex, delta0=None) -> list[list]:

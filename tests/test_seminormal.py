@@ -1,13 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from brauercell.branching import Vertex
 from brauercell.murphy import murphy_basis
 from brauercell.rings import Poly
-from brauercell.seminormal import gz_idempotents, quotient_at, specialize_quotient
+from brauercell.seminormal import cleared_at, gz_idempotents, specialize_quotient
 from cell_ops import jm_seminormal_check, path_strictly_dominates
-from exact_ops import det_cofactor
+from exact_ops import det_cofactor, quotient_at, specialize_quotient_oracle
 
 d = Poly.delta()
 
@@ -60,6 +61,22 @@ def test_quotient_at_cancels_the_pole():
     assert quotient_at(0, d - 2, 2) == 0
     assert quotient_at(Poly.zero(), d - 2, 2) == 0
     assert quotient_at(3, 2 * d, 1) == Fraction(3, 2)
+
+
+def test_cleared_at_agrees_with_quotient_at():
+    """F(x0) = M / q, entry by entry, and None exactly where quotient_at
+    finds a pole."""
+    num = [[d - 2, (d - 2) * (d - 2) * (d + 1)], [0, (d - 2) * 3 * d]]
+    for den in (d - 2, (d - 2) * (d + 3), 2 * d, Poly.const(-3)):
+        m, q = cleared_at(num, den, 2)
+        assert isinstance(q, int) and q
+        assert all(isinstance(x, int) for row in m for x in row)
+        assert [[Fraction(x, q) for x in row] for row in m] == \
+            [[quotient_at(x, den, 2) for x in row] for row in num]
+    assert cleared_at(num, (d - 2) * (d - 2), 2) is None
+    assert quotient_at(num[0][0], (d - 2) * (d - 2), 2) is None
+    assert cleared_at([[5]], d - 2, 2) is None
+    assert cleared_at([[0, Poly.zero()]], (d - 2) ** 3, 2) == ([[0, 0]], 1)
 
 
 def test_trivial_modules():
@@ -324,6 +341,96 @@ def test_pole_skips_the_record():
     assert rec.skipped and rec.collisions and rec.passed
     assert rec.checks == [("non-evaluable idempotents explained by residue "
                            "collisions", True)]
+
+
+@lru_cache(maxsize=None)
+def _all_seminormal(r, basis_flavor):
+    mb = murphy_basis(r, basis_flavor)
+    return [gz_idempotents(mb, v) for v in mb.vertices]
+
+
+@pytest.mark.parametrize("flavor,basis_flavor,cases", [
+    ("symplectic", "brauer-murphy", [(n, r) for n in range(1, 5) for r in range(1, 5)]),
+    ("orthogonal", "brauer-dual-murphy",
+     [(n, r) for n in range(1, 5) for r in range(1, 5)] + [(2, 5)]),
+], ids=["symplectic", "orthogonal"])
+def test_specialize_quotient_matches_fraction_oracle(flavor, basis_flavor, cases):
+    """The integer checks give the Fraction oracle's record, byte for byte,
+    on every vertex."""
+    delta0 = {"symplectic": lambda n: -2 * n, "orthogonal": lambda n: n}[flavor]
+    checked = 0
+    for n, r in cases:
+        for sd in _all_seminormal(r, basis_flavor):
+            got = specialize_quotient(sd, delta0(n), flavor, n).to_json()
+            assert got == specialize_quotient_oracle(sd, delta0(n), flavor, n).to_json(), \
+                (n, r, sd.vertex)
+            checked += len(got["checks"]) > 2
+    assert checked > 0
+
+
+def test_pole_record_matches_fraction_oracle():
+    mb = murphy_basis(2, "brauer-dual-murphy")
+    sd = gz_idempotents(mb, Vertex((), 1))
+    num, den = sd.idempotents[0]
+    sd.idempotents[0] = (num, den * (d - 2))
+    got = specialize_quotient(sd, 2, "orthogonal", 2).to_json()
+    assert got["skipped"] and got["collisions"]
+    assert got == specialize_quotient_oracle(sd, 2, "orthogonal", 2).to_json()
+
+
+def _swap_first_two(sd, perm):
+    sd.idempotents[perm[0]] = sd.idempotents[perm[1]]
+
+
+def _transpose_all(sd, perm):
+    for t in perm:
+        num, den = sd.idempotents[t]
+        sd.idempotents[t] = ([list(col) for col in zip(*num)], den)
+
+
+def _double_first_den(sd, perm):
+    num, den = sd.idempotents[perm[0]]
+    sd.idempotents[perm[0]] = (num, 2 * den)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_first_two, _transpose_all, _double_first_den])
+@pytest.mark.parametrize("flavor,basis_flavor,n,v", [
+    ("symplectic", "brauer-murphy", 1, Vertex((1, 1), 1)),
+    ("orthogonal", "brauer-dual-murphy", 2, Vertex((2,), 1)),
+], ids=["symplectic", "orthogonal"])
+def test_failing_checks_match_fraction_oracle(corrupt, flavor, basis_flavor, n, v):
+    """Idempotents that are not the seminormal ones fail some checks, and
+    the integer checks fail exactly where the oracle's do."""
+    delta0 = -2 * n if flavor == "symplectic" else n
+    sd = gz_idempotents(murphy_basis(4, basis_flavor), v)
+    corrupt(sd, specialize_quotient(sd, delta0, flavor, n).permissible)
+    got = specialize_quotient(sd, delta0, flavor, n).to_json()
+    assert not all(c["pass"] for c in got["checks"])
+    assert got == specialize_quotient_oracle(sd, delta0, flavor, n).to_json()
+
+
+@pytest.mark.parametrize("flavor,basis_flavor,n,v", [
+    ("symplectic", "brauer-murphy", 1, Vertex((1, 1), 1)),
+    ("orthogonal", "brauer-dual-murphy", 2, Vertex((2,), 1)),
+], ids=["symplectic", "orthogonal"])
+def test_radical_shift_passes_like_the_oracle(flavor, basis_flavor, n, v):
+    """F_t + e_a (x) w, for w in the Gram radical, is the same operator on
+    the quotient: every check still passes, although w F_t is no longer
+    zero, so the radical tests must multiply by the Gram."""
+    from brauercell.exactmat import ExactMatrix
+    delta0 = -2 * n if flavor == "symplectic" else n
+    mb = murphy_basis(4, basis_flavor)
+    w = ExactMatrix(mb.gram_matrix(v, delta0).rows).kernel()[0]
+    a = next(i for i, x in enumerate(w) if x)
+    sd = gz_idempotents(mb, v)
+    for t in specialize_quotient(sd, delta0, flavor, n).permissible:
+        num, den = sd.idempotents[t]
+        num = [list(row) for row in num]
+        num[a] = [x + den * y for x, y in zip(num[a], w)]
+        sd.idempotents[t] = (num, den)
+    got = specialize_quotient(sd, delta0, flavor, n).to_json()
+    assert len(got["checks"]) == 9 and all(c["pass"] for c in got["checks"])
+    assert got == specialize_quotient_oracle(sd, delta0, flavor, n).to_json()
 
 
 def test_record_json():

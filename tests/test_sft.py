@@ -154,7 +154,7 @@ def test_split_basis_unitriangular(flavor, n, rmax):
         for v in sb.basis.vertices:
             paths = sb.basis.paths[v]
             for ti in range(len(paths)):
-                vec = sb.module_vectors[(v, ti)]
+                vec = sb.module_vector(v, ti)
                 assert vec[ti] == 1
                 for tj in range(len(paths)):
                     if tj != ti and vec[tj] != 0:
@@ -166,7 +166,7 @@ def test_split_equals_murphy_on_permissible():
     for v in sb.basis.vertices:
         for ti in range(len(sb.basis.paths[v])):
             if sb.path_permissible[(v, ti)]:
-                vec = sb.module_vectors[(v, ti)]
+                vec = sb.module_vector(v, ti)
                 assert vec == [1 if tj == ti else 0
                                for tj in range(len(sb.basis.paths[v]))]
 
