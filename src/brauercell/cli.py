@@ -196,7 +196,7 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 def cmd_dims(args) -> tuple[dict, int]:
     from .branching import algebra_dimension, expected_image_dimension
-    from .diagrams import AlgebraElement, all_diagrams, all_permutation_diagrams
+    from .diagrams import all_diagrams, all_permutation_diagrams
     from .tensorrep import TensorRep, image_rank
     symmetric = args.flavor == "symmetric"
     rows = []
@@ -211,8 +211,7 @@ def cmd_dims(args) -> tuple[dict, int]:
             pass  # over the tensor cap: the image rank stays null
         else:
             diagrams = all_permutation_diagrams(r) if symmetric else all_diagrams(r)
-            gens = [AlgebraElement.from_diagram(d, 1, rep.delta0) for d in diagrams]
-            row["image_rank"] = image_rank(gens, rep)
+            row["image_rank"] = image_rank(diagrams, rep)
         rows.append(row)
     payload = {"command": "dims", "flavor": args.flavor, "N": args.N,
                "rows": rows}

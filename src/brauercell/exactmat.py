@@ -9,6 +9,8 @@ of three domains:
 
 * Z (``_cancel_z``): fraction-free, with the row gcd removed after every
   step, so a row stays the primitive integer multiple of its rational value;
+  the row is scaled by a positive factor only, so a row cancelled against a
+  pivot of -1, like one against +1, is updated in place, not copied;
 * F_p (``_cancel_mod``);
 * Q (``_cancel_field``, on Fraction values), for determinants.
 
@@ -34,9 +36,11 @@ from math import gcd, lcm
 
 
 def _cancel_z(row: dict, prow: dict, c: int) -> dict:
-    """a*row - b*prow with a*row[c] = b*prow[c], divided by its content;
-    in place when a = 1."""
+    """a*row - b*prow with a*row[c] = b*prow[c] and a > 0, divided by its
+    content; in place when a = 1, as against a pivot of +-1."""
     g = gcd(row[c], prow[c])
+    if prow[c] < 0:
+        g = -g
     a, b = prow[c] // g, row[c] // g
     if a != 1:
         row = {k: a * x for k, x in row.items()}

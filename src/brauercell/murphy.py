@@ -50,13 +50,6 @@ def _perm_elt(p: tuple[int, ...], r: int, coeff=1) -> AlgebraElement:
     return AlgebraElement.from_perm(full, coeff)
 
 
-def sym_cell_generators(lam: Partition, r: int) -> tuple[AlgebraElement, AlgebraElement]:
-    """x_lam (plain sum over the Young subgroup of lam) and y_lam (signed sum
-    over the Young subgroup of the conjugate), embedded at width r."""
-    return (young_sum(lam, r, signed=False),
-            young_sum(conjugate(lam), r, signed=True))
-
-
 def young_sum(shape: Partition, r: int, signed: bool, delta=None) -> AlgebraElement:
     """The (signed) sum over the Young subgroup S_shape, whose blocks are
     consecutive runs of 1, 2, ..., embedded at width r."""
@@ -121,13 +114,16 @@ def e_suffix(last: int, l: int, r: int) -> AlgebraElement:
 
 
 def brauer_cell_generator(v: Vertex, dual: bool, r: int | None = None) -> AlgebraElement:
-    """x_{(lam,l)} = x_lam e_{k-1}^{(l)} (or the y version), k = level."""
+    """x_{(lam,l)} = x_lam e_{k-1}^{(l)}, k = level, where x_lam is the plain
+    sum over the Young subgroup of lam; or, when ``dual``, the y version,
+    with y_lam the signed sum over the Young subgroup of the conjugate.
+    Only that sum is built, and at l = 0 the e-suffix is the identity."""
     k = v.level
     if r is None:
         r = k
-    x, y = sym_cell_generators(v.lam, r)
-    base = y if dual else x
-    return base * e_suffix(k - 1, v.l, r)
+    base = (young_sum(conjugate(v.lam), r, signed=True) if dual
+            else young_sum(v.lam, r, signed=False))
+    return base * e_suffix(k - 1, v.l, r) if v.l else base
 
 
 def brauer_branching_factors(a: Vertex, b: Vertex, dual: bool,

@@ -13,7 +13,7 @@ Conventions (pinned by tests):
   group on (Z^N)^{tensor r}; diagrams must be permutations.
 
 Matrices act on row vectors from the right, so rep(ab) = rep(a) rep(b).
-All matrices are sparse dicts of integer entries.
+A matrix is the dict {row: {column: value}} of its nonzero integer entries.
 
 Orbit rows.  Every rank and zero test on images reads only the rows of
 ``TensorRep.orbit_rows()``: one word per orbit of the letter group H acting
@@ -42,89 +42,11 @@ flavor H is all of S_N.  Reading the orbit rows alone is exact:
 
 from __future__ import annotations
 
-import itertools
 from array import array
 
 from .diagrams import AlgebraElement, BrauerDiagram, perm_sign
 from .errors import CapExceeded
 from .exactmat import rank_modp, sparse_rank_q
-
-
-class SparseMat:
-    """Sparse integer (or rational) matrix: rows[i] = {j: value}."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows=None):
-        self.n = n
-        self.rows: dict[int, dict[int, int]] = rows if rows is not None else {}
-
-    def add(self, i: int, j: int, v) -> None:
-        if v == 0:
-            return
-        row = self.rows.setdefault(i, {})
-        w = row.get(j, 0) + v
-        if w == 0:
-            row.pop(j, None)
-            if not row:
-                self.rows.pop(i, None)
-        else:
-            row[j] = w
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
-
-    def to_vector(self) -> dict[int, int]:
-        """Flatten to a sparse row vector of length n*n."""
-        out = {}
-        for i, row in self.rows.items():
-            base = i * self.n
-            for j, v in row.items():
-                out[base + j] = v
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, SparseMat) and self.n == other.n and self.rows == other.rows
-
-    def __repr__(self):
-        return f"SparseMat({self.n}, nnz={self.nnz()})"
-
-
-class BilinearStructure:
-    """The pairing table and dual basis data for one flavor."""
-
-    def __init__(self, flavor: str, n: int):
-        if flavor not in ("symplectic", "orthogonal"):
-            raise ValueError(f"no bilinear structure for flavor {flavor!r}")
-        self.flavor = flavor
-        self.n = n
-        self.dim = 2 * n if flavor == "symplectic" else n
-
-    def pair(self, i: int, j: int) -> int:
-        """[v_i, v_j] for 0-indexed basis vectors."""
-        d = self.dim
-        if i + j != d - 1:
-            return 0
-        if self.flavor == "orthogonal":
-            return 1
-        return 1 if i < self.n else -1
-
-    def omega(self) -> list[tuple[int, int, int]]:
-        """omega = sum_i v_i^* tensor v_i as triples (a, b, coeff): the
-        component on v_a tensor v_b."""
-        d = self.dim
-        out = []
-        for b in range(d):
-            a = d - 1 - b
-            coeff = 1
-            if self.flavor == "symplectic" and b >= self.n:
-                coeff = -1
-            out.append((a, b, coeff))
-        return out
 
 
 class TensorRep:
@@ -140,17 +62,23 @@ class TensorRep:
             self.dim = 2 * n
             self.epsilon = -1
             self.delta0 = -2 * n
-            self.form = BilinearStructure("symplectic", n)
         elif flavor == "orthogonal":
             self.dim = n
             self.epsilon = 1
             self.delta0 = n
-            self.form = BilinearStructure("orthogonal", n)
         else:
             self.dim = n
             self.epsilon = 1
             self.delta0 = None
-            self.form = None
+        # the form, built once: pair_sign[x] = <v_x, v_{d-1-x}>, the only
+        # nonzero pairing of v_x; omega = sum_x v_x^* tensor v_x as triples
+        # (a, b, coeff), the component on v_a tensor v_b
+        d = self.dim
+        self.pair_sign = self.omega = None
+        if self.delta0 is not None:
+            self.pair_sign = [-1 if flavor == "symplectic" and x >= n else 1
+                              for x in range(d)]
+            self.omega = [(d - 1 - b, b, self.pair_sign[b]) for b in range(d)]
         self.size = self.dim ** r
         if self.size > max_tensor_dim:
             raise CapExceeded(
@@ -187,7 +115,7 @@ class TensorRep:
         words are kept, so ``rep_diagram`` need not rebuild them."""
         if self._orbit_rows is None:
             d = self.dim
-            if self.form is None:
+            if self.omega is None:
                 classes, known = d, range
             else:
                 classes = d // 2
@@ -205,14 +133,14 @@ class TensorRep:
 
     # -- representation of diagrams ------------------------------------------
 
-    def rep_diagram(self, diag: BrauerDiagram, rows=None) -> SparseMat:
-        """Image of a diagram via a generator-product factorization
-        D = P(sigma) (e_1 e_3 ... e_{2s-1}) P(tau), built on the word
-        indices in ``rows`` only (all rows when ``rows`` is None); the
-        words of orbit rows are read from the table ``orbit_rows`` keeps.
-        Each word is moved by sigma; the rows of E_1 E_3 ... E_{2s-1}
-        contract places (1, 2), ..., (2s-1, 2s) with the form and put omega
-        there; tau relabels the columns."""
+    def rep_diagram(self, diag: BrauerDiagram, rows) -> dict[int, dict[int, int]]:
+        """Image of a diagram on the word indices in ``rows``, as the dict
+        {word index: {column: value}} of its nonzero rows, via a
+        generator-product factorization D = P(sigma) (e_1 e_3 ... e_{2s-1})
+        P(tau); the words of orbit rows are read from the table
+        ``orbit_rows`` keeps.  Each word is moved by sigma; the rows of
+        E_1 E_3 ... E_{2s-1} contract places (1, 2), ..., (2s-1, 2s) with
+        the form and put omega there; tau relabels the columns."""
         if diag.r != self.r:
             raise ValueError("strand count mismatch")
         if self.flavor == "permutation" and not diag.is_permutation():
@@ -241,18 +169,15 @@ class TensorRep:
         weights = [d ** (r - q) for q in tau]
         # the omega part of each row, relabelled by tau: (column, value)
         heads = [(0, sign)]
-        if s:
-            omega = self.form.omega()
-            pair = [self.form.pair(x, d - 1 - x) for x in range(d)]
+        omega, pair = self.omega, self.pair_sign
         for k in range(0, 2 * s, 2):
             heads = [(h + a * weights[k] + b * weights[k + 1], c * coeff)
                      for h, c in heads for a, b, coeff in omega]
         low_source, low_weights = source[2 * s:], weights[2 * s:]
         known = self._orbit_words
-        words = (enumerate(itertools.product(range(d), repeat=r)) if rows is None
-                 else ((i, known.get(i) or self.word(i)) for i in rows))
-        out = SparseMat(self.size)
-        for i, w in words:
+        out = {}
+        for i in rows:
+            w = known.get(i) or self.word(i)
             c = 1
             for k in range(0, 2 * s, 2):
                 x = w[source[k]]
@@ -261,7 +186,7 @@ class TensorRep:
                 c *= pair[x]
             else:
                 low = sum(w[j] * x for j, x in zip(low_source, low_weights))
-                out.rows[i] = {h + low: c * v for h, v in heads}
+                out[i] = {h + low: c * v for h, v in heads}
         return out
 
     def check_element(self, a: AlgebraElement) -> None:
@@ -273,25 +198,14 @@ class TensorRep:
             raise ValueError(
                 f"element has delta={a.delta}, representation needs {self.delta0}")
 
-    def rep_element(self, a: AlgebraElement, rows=None) -> SparseMat:
-        """Image of an algebra element (``check_element``), built on the
-        word indices in ``rows`` only (all rows when ``rows`` is None)."""
-        self.check_element(a)
-        out = SparseMat(self.size)
-        for diag, c in a.terms.items():
-            for i, row in self.rep_diagram(diag, rows).rows.items():
-                for j, v in row.items():
-                    out.add(i, j, c * v)
-        return out
-
 
 def image_vectors(elements, rep: TensorRep):
     """The images of ``elements`` (``TensorRep.check_element``) on the orbit
     rows of ``rep`` only, which keeps ranks and zero tests (module
-    docstring), each flattened as by ``SparseMat.to_vector``; an iterator,
-    which images each element when it is read.  Each diagram's image is
-    built once per call and kept as three machine-int arrays: row
-    position, column and value."""
+    docstring), each flattened to the row vector {i * rep.size + j: value}
+    of its entries (i, j); an iterator, which images each element when it
+    is read.  Each diagram's image is built once per call and kept as three
+    machine-int arrays: row position, column and value."""
     rows = rep.orbit_rows()
     starts = [i * rep.size for i in rows]
     images: dict[BrauerDiagram, tuple] = {}
@@ -301,7 +215,7 @@ def image_vectors(elements, rep: TensorRep):
         for d, c in a.terms.items():
             image = images.get(d)
             if image is None:
-                m = rep.rep_diagram(d, rows).rows
+                m = rep.rep_diagram(d, rows)
                 entries = [(k, j, x) for k, i in enumerate(rows)
                            for j, x in m.get(i, {}).items()]
                 image = images[d] = tuple(array("q", column) for column in zip(*entries))
@@ -324,18 +238,19 @@ def image_lines(vectors) -> list[dict[int, int]]:
     return list(lines.values())
 
 
-def image_rank(generators, rep: TensorRep, field="Q") -> int:
-    """Rank of the span of the vectorized images of the given elements,
-    over Q or over F_p (field = ("Fp", p)).  Each image is built and read
-    on ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every
-    p (module docstring).
+def image_rank(diagrams, rep: TensorRep, field="Q") -> int:
+    """Rank of the span of the images of ``diagrams``, over Q or over F_p
+    (field = ("Fp", p)).  Each image is built and read on
+    ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every p
+    (module docstring), and flattened as in ``image_vectors``.
 
     The rank is taken by columns (``image_lines``): the rank kernel is
-    given one line per nonzero column of the image matrix, {generator
+    given one line per nonzero column of the image matrix, {diagram
     index: value}, and its stop rule ends the elimination once the rank
-    reaches the number of generators with a nonzero image."""
-    rows = rep.orbit_rows()
-    lines = image_lines(rep.rep_element(a, rows=rows).to_vector() for a in generators)
+    reaches the number of diagrams with a nonzero image."""
+    rows, size = rep.orbit_rows(), rep.size
+    lines = image_lines({i * size + j: x for i, row in rep.rep_diagram(d, rows).items()
+                         for j, x in row.items()} for d in diagrams)
     if field == "Q":
         return sparse_rank_q(lines)
     name, p = field

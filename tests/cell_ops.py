@@ -3,16 +3,18 @@ partitions (by rows and by columns) and of vertices, strict dominance of
 vertices and of paths, the reverse-lexicographic path order, separation of
 paths by their contents, the Jucys-Murphy eigenvector check on seminormal
 data, the marginal vertices, the permissible dimension of a split basis,
-the transpose of an exact matrix, the eager expansion of a cellular basis
-and the image of every kernel element of the symmetric certificate.  The
-package needs none of them."""
+the transpose of an exact matrix, the eager expansion of a cellular basis,
+the image of every kernel element of the symmetric certificate and both
+Young-sum cell generators x_lam and y_lam of a partition.  The package
+needs none of them."""
 
 import brauercell.branching as br
 from brauercell.branching import Partition, Vertex, conjugate
 from brauercell.exactmat import ExactMatrix
-from brauercell.murphy import MurphyBasis
+from brauercell.murphy import MurphyBasis, young_sum
 from brauercell.sft import _is_marginal
 from brauercell.tensorrep import TensorRep
+from tensor_ops import rep_element
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -155,5 +157,12 @@ def kernel_elements_map_to_zero(r: int, n: int) -> bool:
     on all rows."""
     basis = MurphyBasis(r, "symmetric-dual")
     rep = TensorRep("permutation", n, r, max_tensor_dim=n ** r)
-    return all(rep.rep_element(basis.elements[key]).is_zero
+    return all(rep_element(rep, basis.elements[key]).is_zero
                for key in basis.index if len(key[0].lam) > n)
+
+
+def sym_cell_generators(lam: Partition, r: int):
+    """x_lam (plain sum over the Young subgroup of lam) and y_lam (signed sum
+    over the Young subgroup of the conjugate), embedded at width r."""
+    return (young_sum(lam, r, signed=False),
+            young_sum(conjugate(lam), r, signed=True))

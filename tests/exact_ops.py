@@ -1,5 +1,6 @@
 """Exact oracles for the tests: a general solver over Z, the oracle of the
-cell-row functionals and of the cellular expansion, the cofactor
+cell-row functionals and of the cellular expansion, the rank, inverse and
+kernel of a dense matrix by Fraction elimination, the cofactor
 determinant, and the specialization of seminormal data over Q.  The package
 itself needs none of them: it reads only columns of block inverses
 (``exactmat.inverse_columns``), takes determinants by elimination, and
@@ -45,6 +46,56 @@ class LinearSolver:
         for c, x in row.items():
             coeffs[~c] = -x * q if q in (1, -1) else Fraction(-x, q)
         return coeffs
+
+
+def rref_fraction(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form over Q of a dense matrix, by
+    Gauss-Jordan elimination on Fractions, and its pivot columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_gauss_fraction(rows) -> int:
+    return len(rref_fraction(rows)[1])
+
+
+def kernel_fraction(rows: list[list]) -> list[list[Fraction]]:
+    """A basis of {v : rows @ v = 0} over Q, one vector per free column of
+    ``rref_fraction``."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = rref_fraction(rows)
+    out = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            v[col] = -reduced[k][free]
+        out.append(v)
+    return out
+
+
+def inverse_fraction(rows):
+    """Gauss-Jordan inverse of a dense invertible matrix over Q: the right
+    half of ``rref_fraction`` of [rows | I]."""
+    n = len(rows)
+    reduced, _ = rref_fraction([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(rows)])
+    return [row[n:] for row in reduced]
 
 
 def det_cofactor(b: list[list]):

@@ -1,14 +1,34 @@
 """Independent routes to tensor-space images and the Pfaffian/minor
-functionals attached to diagrams, for the tests: the place-permutation
-matrix, the closed-form image of a diagram (the oracle of
-``TensorRep.rep_diagram``), and the Pfaffians and walled determinants of
-acceptance criterion 4.  The package itself builds images only through
-``rep_diagram``."""
+functionals attached to diagrams, for the tests: the pairing of two
+letters, the full image of an algebra element (the reference the orbit-row
+images are compared against), the place-permutation matrix, the
+closed-form image of a diagram (the oracle of ``TensorRep.rep_diagram``),
+and the Pfaffians and walled determinants of acceptance criterion 4.  The
+package itself builds images only through ``rep_diagram``."""
 
 import itertools
 
-from brauercell.diagrams import BrauerDiagram, all_diagrams, walled_filter
-from brauercell.tensorrep import BilinearStructure, SparseMat, TensorRep
+from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams, walled_filter
+from brauercell.tensorrep import TensorRep
+from sparse_ops import SparseMat
+
+
+def form_pair(rep: TensorRep, x: int, y: int) -> int:
+    """[v_x, v_y] for 0-indexed letters of a Brauer flavor."""
+    return rep.pair_sign[x] if x + y == rep.dim - 1 else 0
+
+
+def rep_element(rep: TensorRep, a: AlgebraElement, rows=None) -> SparseMat:
+    """Image of an algebra element (``TensorRep.check_element``), built on
+    the word indices in ``rows`` only (all rows when ``rows`` is None)."""
+    rep.check_element(a)
+    rows = range(rep.size) if rows is None else rows
+    out = SparseMat(rep.size)
+    for diag, c in a.terms.items():
+        for i, row in rep.rep_diagram(diag, rows).items():
+            for j, v in row.items():
+                out.add(i, j, c * v)
+    return out
 
 
 def place_matrix(rep: TensorRep, pi: tuple[int, ...]) -> SparseMat:
@@ -33,14 +53,14 @@ def rep_diagram_closed_form(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
     top, bot, vert = diag.strand_types()
     d = rep.dim
     sign = (-1) ** diag.length() if rep.flavor == "symplectic" else 1
-    omega = rep.form.omega()
+    omega = rep.omega
     m = SparseMat(rep.size)
     for tchoice in itertools.product(range(d), repeat=len(top)):
         cin = sign
         in_word = [0] * rep.r
         for (i, j), x in zip(top, tchoice):
             y = d - 1 - x
-            c = rep.form.pair(x, y)
+            c = form_pair(rep, x, y)
             if c == 0:
                 cin = 0
                 break
@@ -125,8 +145,8 @@ def pfaffian_functional(r: int, n: int, xs: list[int]) -> int:
     indices (0-indexed into the 2N-dimensional Darboux basis)."""
     if len(xs) != 2 * r:
         raise ValueError("need 2r vector indices")
-    form = BilinearStructure("symplectic", n)
-    a = [[form.pair(xs[i], xs[j]) if i != j else 0 for j in range(2 * r)]
+    rep = TensorRep("symplectic", n, 1)
+    a = [[form_pair(rep, xs[i], xs[j]) if i != j else 0 for j in range(2 * r)]
          for i in range(2 * r)]
     for i in range(2 * r):
         for j in range(i):

@@ -315,6 +315,14 @@ CERTIFY_STDOUT_SHA256 = {
     # checks became integer identities
     "symplectic --r 4 --N 4": "1c600320ead7a54183c78d209bef2d95df5ae51f8638754cd5e1ba324c1b6ffc",
     "orthogonal --r 4 --N 4": "548f9c9903b2f367d6b61a5e61e5575d59b099b9d7e6072149719733d1bca334",
+    # the three F_p argv of the perfbench certify grid at one more prime,
+    # recorded before image_rank read diagrams
+    "symplectic --r 5 --N 1 --field Fp --p 13":
+        "454d859f87f27a69e857cae253302db7d0f458a5b770133ba7093e3bf8e3cc20",
+    "orthogonal --r 4 --N 2 --field Fp --p 13":
+        "ee87f89c6d85e802d8d3766e2fc78b1c7f231aee39004e11fa5621129bb5afe7",
+    "symmetric --r 5 --N 3 --field Fp --p 13":
+        "353d383172cdf77ca5dba46315273c6f2167696a1c0b202c579805cd16bb51e6",
 }
 
 
@@ -429,3 +437,37 @@ def test_certify_builds_module_vectors_where_read_only(capsys, monkeypatch):
             if not split.path_permissible[(v, ti)]]
     assert read and built == read
     assert len(read) < sum(len(paths) for paths in split.basis.paths.values())
+
+
+def test_image_rank_callers_build_no_algebra_elements(capsys, monkeypatch):
+    """``dims`` and the F_p lines of ``certify`` hand ``image_rank`` the
+    diagrams they hold: ``dims`` builds no ``AlgebraElement`` at all, and an
+    F_p line adds none to what the certificate builds without it."""
+    from brauercell.diagrams import AlgebraElement
+    from brauercell.sft import SplitBasis, certify_sft, harterich_check
+
+    built = [0]
+    init = AlgebraElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def count(job):
+        built[0] = 0
+        job()
+        return built[0]
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting_init)
+    for flavor in ("symplectic", "orthogonal", "symmetric"):
+        assert count(lambda: run(capsys, "dims", "--flavor", flavor, "--N", "2",
+                                 "--r", "4")) == 0
+    for flavor, n in (("symplectic", 1), ("orthogonal", 2)):
+        split = SplitBasis(4, n, flavor)
+        certify_sft(4, n, flavor, split=split)   # expands the cells it reads
+        plain = count(lambda: certify_sft(4, n, flavor, split=split))
+        assert plain > 0
+        assert count(lambda: certify_sft(4, n, flavor, split=split, fields=(3, 5))) == plain
+    harterich_check(4, 2)
+    plain = count(lambda: harterich_check(4, 2))
+    assert count(lambda: harterich_check(4, 2, fields=(3, 5))) == plain

@@ -1,34 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauercell.exactmat import (ExactMatrix, _cancel_mod, _cancel_z, _rank,
                                  inverse_columns, rank_modp, sparse_rank_q,
                                  spin_rank_q)
 from brauercell.rings import Poly
 from cell_ops import transpose
-from exact_ops import LinearSolver, det_cofactor
+from exact_ops import (LinearSolver, det_cofactor, inverse_fraction, kernel_fraction,
+                       rank_gauss_fraction)
 
 d = Poly.delta()
-
-
-def rank_gauss_fraction(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def test_rank_examples():
@@ -80,22 +64,6 @@ def test_poly_entries_raise_type_error():
             mat.rank()
         with pytest.raises(TypeError):
             mat.det()
-
-
-def inverse_fraction(rows):
-    """Gauss-Jordan inverse of a dense invertible matrix over Q."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def random_unimodular(rng, n):
@@ -303,3 +271,86 @@ def test_kernel_random_singular(rng):
             assert all(sum(row[j] * v[j] for j in range(n)) == 0 for row in rows)
         assert rank_gauss_fraction(kernel) == len(kernel)
 
+
+def test_cancel_against_negative_pivot_in_place():
+    """A row cancelled against a pivot of -1 is updated in place, with a
+    positive multiplier of the row, as against +1; a non-unit pivot copies
+    it, and the content is removed either way."""
+    row = {0: 3, 1: 1}
+    out = _cancel_z(row, {0: -1, 2: 1}, 0)
+    assert out is row and out == {1: 1, 2: 3}
+    row = {0: 3, 1: 1}
+    out = _cancel_z(row, {0: 1, 2: 1}, 0)
+    assert out is row and out == {1: 1, 2: -3}
+    row = {0: 2, 1: 2}
+    out = _cancel_z(row, {0: -4, 1: 2}, 0)
+    assert out is not row and out == {1: 1}
+
+
+# entries that make negative and non-unit pivots common
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, -1, 2, -2, 3, -3, 4, -6])
+
+
+@st.composite
+def integer_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """The identity under drawn row additions, swaps and negations."""
+    n = draw(st.integers(1, 5))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-3, 3)), max_size=12)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def _check_inverse_columns(square):
+    n = len(square)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in square]
+    if rank_gauss_fraction(square) < n:
+        with pytest.raises(ArithmeticError):
+            inverse_columns(rows, list(range(n)))
+        return
+    inv = inverse_fraction(square)
+    for k in range(n):
+        if all(inv[j][k].denominator == 1 for j in range(n)):
+            assert inverse_columns(rows, [k]) == [
+                {j: int(inv[j][k]) for j in range(n) if inv[j][k]}]
+        else:
+            with pytest.raises(ArithmeticError):
+                inverse_columns(rows, [k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_elimination_matches_fraction_oracle(dense):
+    """``sparse_rank_q``, ``ExactMatrix.kernel`` and ``inverse_columns``, whose
+    eliminations cancel against negative and non-unit pivots, agree with
+    Fraction elimination: the same rank, a kernel basis spanning the
+    oracle's kernel, and the integral inverse columns (a raise on the
+    others and on a singular square)."""
+    ncols = len(dense[0])
+    assert sparse_rank_q([{j: x for j, x in enumerate(row) if x} for row in dense]) == \
+        rank_gauss_fraction(dense)
+    kernel, oracle = ExactMatrix(dense).kernel(), kernel_fraction(dense)
+    assert len(kernel) == len(oracle)
+    for v in kernel:
+        assert all(sum(row[j] * v[j] for j in range(ncols)) == 0 for row in dense)
+    assert rank_gauss_fraction(kernel + oracle) == len(oracle)
+    k = min(len(dense), ncols)
+    _check_inverse_columns([row[:k] for row in dense[:k]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_matrices())
+def test_inverse_columns_of_unimodular_match_fraction_oracle(square):
+    _check_inverse_columns(square)

@@ -13,13 +13,12 @@ from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import inverse_columns
 from brauercell.murphy import (FLAVORS, brauer_branching_factors,
-                               brauer_cell_generator, jm_element,
-                               murphy_basis, sym_branching_factors,
-                               sym_cell_generators)
+                               brauer_cell_generator, e_suffix, jm_element,
+                               murphy_basis, sym_branching_factors)
 from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
 from cell_ops import (eager_elements, path_strictly_dominates, strictly_dominates,
-                      transpose, vertex_dominates)
+                      sym_cell_generators, transpose, vertex_dominates)
 from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
@@ -149,6 +148,21 @@ def test_sym_compatibility_all_edges(dual):
                 ga, gb = (ya, yb) if dual else (xa, xb)
                 d, u = sym_branching_factors(a.lam, b.lam, dual, r)
                 assert gb * d == u.involution() * ga
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_brauer_cell_generator_equals_young_sum_times_suffix(dual):
+    """The generator builds only the Young sum it uses and skips the
+    identity suffix at l = 0; it equals (y or x) times e_{k-1}^{(l)} built
+    from both sums, at its own level and embedded at width 6."""
+    for r in range(1, 7):
+        for v in br.vertices_at_level(r, False):
+            for width in (r, 6):
+                x, y = sym_cell_generators(v.lam, width)
+                want = (y if dual else x) * e_suffix(r - 1, v.l, width)
+                got = brauer_cell_generator(v, dual, width)
+                assert got == want
+                assert got.delta is None
 
 
 def test_brauer_cell_generator_examples():

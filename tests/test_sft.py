@@ -17,10 +17,11 @@ from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             ideal_generators, ideal_span_rank,
                             quotient_cell_modules, split_image_lines,
                             sum_all_diagrams, walled_signed_sum)
-from brauercell.tensorrep import SparseMat, TensorRep, image_lines, image_vectors
+from brauercell.tensorrep import TensorRep, image_lines, image_vectors
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
                       path_revlex_gt, permissible_dimension, strictly_dominates)
-from sparse_ops import matmul, scale
+from sparse_ops import SparseMat, matmul, scale
+from tensor_ops import rep_element
 
 
 def elt(d, coeff=1, delta=None):
@@ -319,14 +320,14 @@ def test_quotient_cellularity_shadow(rng):
             for t in range(len(sb.basis.paths[v])):
                 if sb.pair_permissible(v, s, t):
                     labels.append((v, s, t))
-                    rows.append(rep.rep_element(
-                        sb.basis.elements[(v, s, t)].with_delta(-2)).to_vector())
+                    rows.append(rep_element(
+                        rep, sb.basis.elements[(v, s, t)].with_delta(-2)).to_vector())
     ds = all_diagrams(r)
     for _ in range(6):
         a = elt(rng.choice(ds), 1, -2)
         for (v, s, t) in labels[:4]:
             prod = sb.basis.elements[(v, s, t)].with_delta(-2) * a
-            coeffs = sparse_solve_q(rows, rep.rep_element(prod).to_vector())
+            coeffs = sparse_solve_q(rows, rep_element(rep, prod).to_vector())
             assert coeffs is not None
             for (w, u1, u2), c in zip(labels, coeffs):
                 if c == 0:
@@ -353,7 +354,7 @@ def test_place_vectors_match_rep_element(r, n):
     chosen = set(rep.orbit_rows())
     assert len(vectors) == len(basis.index)
     for key, vec in zip(basis.index, vectors):
-        full = rep.rep_element(basis.elements[key]).to_vector()
+        full = rep_element(rep, basis.elements[key]).to_vector()
         assert vec == {k: x for k, x in full.items() if k // rep.size in chosen}
 
 
@@ -382,7 +383,7 @@ def test_rep_element_from_images_matches_fold(flavor, n, r):
     split = SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
-    images = {d: rep.rep_diagram(d, rows) for d in split.basis.diagrams}
+    images = {d: SparseMat(rep.size, rep.rep_diagram(d, rows)) for d in split.basis.diagrams}
     elements = []
     for v in split.basis.vertices:
         gen = split.basis.generators[v].with_delta(split.delta0)
@@ -406,8 +407,8 @@ def _factored_route(split: SplitBasis, rep: TensorRep):
         gen = split.basis.generators[v].with_delta(split.delta0)
         scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
                   for a in (split.a_elements[(v, t)] for t in range(npaths))]
-        lefts = [rep.rep_element((gen * a).involution(), rows) for a in scaled]
-        rights = [rep.rep_element(a) for a in scaled]
+        lefts = [rep_element(rep, (gen * a).involution(), rows) for a in scaled]
+        rights = [rep_element(rep, a) for a in scaled]
         for s in range(npaths):
             for t in range(npaths):
                 mat = matmul(lefts[s], rights[t])

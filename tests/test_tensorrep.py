@@ -6,13 +6,13 @@ from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, perm_sign)
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import rank_modp, sparse_rank_q
-from brauercell.tensorrep import (BilinearStructure, SparseMat, TensorRep,
-                                  image_rank, image_vectors)
+from brauercell.tensorrep import TensorRep, image_lines, image_rank, image_vectors
 from exact_ops import det_cofactor
-from sparse_ops import identity, matmul, scale, transpose
-from tensor_ops import (pfaffian_diagram_sum, pfaffian_functional,
+from sparse_ops import SparseMat, identity, matmul, scale, transpose
+from tensor_ops import (form_pair, pfaffian_diagram_sum, pfaffian_functional,
                         pfaffian_interleaved, pfaffian_recursive, place_matrix,
-                        rep_diagram_closed_form, walled_det_matrix, walled_det_sum)
+                        rep_diagram_closed_form, rep_element, walled_det_matrix,
+                        walled_det_sum)
 
 FLAVOR_GRID = [("symplectic", 1), ("symplectic", 2), ("orthogonal", 1),
                ("orthogonal", 2), ("orthogonal", 3)]
@@ -22,21 +22,22 @@ def elt(d, coeff=1, delta=None):
     return AlgebraElement.from_diagram(d, coeff, delta)
 
 
-def all_elements(r, delta):
-    return [elt(d, 1, delta) for d in all_diagrams(r)]
-
-
 def kernel_membership(a: AlgebraElement, rep: TensorRep) -> bool:
-    return rep.rep_element(a).is_zero
+    return rep_element(rep, a).is_zero
 
 
-def triplets(m: SparseMat) -> list[tuple[int, int, int]]:
-    return sorted((i, j, v) for i, row in m.rows.items() for j, v in row.items())
+def full_image(rep: TensorRep, d: BrauerDiagram) -> dict[int, dict[int, int]]:
+    """``rep_diagram`` on every row."""
+    return rep.rep_diagram(d, range(rep.size))
 
 
-def to_csv(m: SparseMat) -> str:
+def triplets(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, int]]:
+    return sorted((i, j, v) for i, row in rows.items() for j, v in row.items())
+
+
+def to_csv(rows: dict[int, dict[int, int]]) -> str:
     """Triplet dump "row,col,value", one entry per line."""
-    return "\n".join(f"{i},{j},{v}" for i, j, v in triplets(m))
+    return "\n".join(f"{i},{j},{v}" for i, j, v in triplets(rows))
 
 
 def sum_all(r, delta):
@@ -51,28 +52,45 @@ def sum_all(r, delta):
 
 @pytest.mark.parametrize("flavor,n", FLAVOR_GRID)
 def test_omega_properties(flavor, n):
-    form = BilinearStructure(flavor, n)
+    form = TensorRep(flavor, n, 1)
     dim = form.dim
-    omega = form.omega()
+    omega = form.omega
+
+    def pair(x, y):
+        return form_pair(form, x, y)
     # x . omega = x and omega . x = x  (x . (v (x) w) = [x,v] w)
     for x in range(dim):
         left = {}
         for a, b, c in omega:
-            v = form.pair(x, a) * c
+            v = pair(x, a) * c
             if v:
                 left[b] = left.get(b, 0) + v
         assert left == {x: 1}
         right = {}
         for a, b, c in omega:
-            v = c * form.pair(b, x)
+            v = c * pair(b, x)
             if v:
                 right[a] = right.get(a, 0) + v
         assert right == {x: 1}
     # [x (x) y, omega] = [y, x]
     for x in range(dim):
         for y in range(dim):
-            val = sum(form.pair(x, a) * form.pair(y, b) * c for a, b, c in omega)
-            assert val == form.pair(y, x)
+            val = sum(pair(x, a) * pair(y, b) * c for a, b, c in omega)
+            assert val == pair(y, x)
+
+
+def test_form_tables():
+    """The form tables ``TensorRep`` builds once: the Darboux signs and
+    their omega for the symplectic flavor, all ones for the orthogonal one,
+    none for the permutation flavor."""
+    sp = TensorRep("symplectic", 2, 1)
+    assert sp.pair_sign == [1, 1, -1, -1]
+    assert sp.omega == [(3, 0, 1), (2, 1, 1), (1, 2, -1), (0, 3, -1)]
+    orth = TensorRep("orthogonal", 3, 1)
+    assert orth.pair_sign == [1, 1, 1]
+    assert orth.omega == [(2, 0, 1), (1, 1, 1), (0, 2, 1)]
+    perm = TensorRep("permutation", 3, 1)
+    assert perm.pair_sign is None and perm.omega is None
 
 
 def generator_e(rep: TensorRep, i: int) -> SparseMat:
@@ -83,9 +101,9 @@ def generator_e(rep: TensorRep, i: int) -> SparseMat:
     for w in itertools.product(range(d), repeat=r - 2):
         base = rep.idx((*w[:i - 1], 0, 0, *w[i - 1:]))
         for xi in range(d):
-            c = rep.form.pair(xi, d - 1 - xi)
+            c = form_pair(rep, xi, d - 1 - xi)
             row = base + xi * stride_i + (d - 1 - xi) * stride_j
-            for a, b, coeff in rep.form.omega():
+            for a, b, coeff in rep.omega:
                 m.add(row, base + a * stride_i + b * stride_j, c * coeff)
     return m
 
@@ -147,9 +165,9 @@ def test_place_matrix_matches_word_loop(n, r):
 def test_parameter_mismatch():
     rep = TensorRep("symplectic", 1, 2)
     with pytest.raises(ValueError):
-        rep.rep_element(AlgebraElement.one(2, delta=1))
+        rep_element(rep, AlgebraElement.one(2, delta=1))
     with pytest.raises(ValueError):
-        rep.rep_element(AlgebraElement.one(2))
+        rep_element(rep, AlgebraElement.one(2))
     with pytest.raises(ValueError):
         list(image_vectors([AlgebraElement.one(2, delta=1)], rep))
     with pytest.raises(ValueError):
@@ -188,7 +206,7 @@ def test_closed_form_equals_generator_products(flavor, n, r):
     for d in all_diagrams(r):
         image = _generator_matrix_product(rep, d)
         assert rep_diagram_closed_form(rep, d) == image
-        assert rep.rep_diagram(d) == image
+        assert full_image(rep, d) == image.rows
 
 
 # -- orbit rows ----------------------------------------------------------------
@@ -202,7 +220,7 @@ def _letter_group(rep: TensorRep) -> list[tuple[tuple[int, ...], tuple[int, ...]
     d = rep.dim
     out = []
     for pi in itertools.permutations(range(d)):
-        if rep.form is None:
+        if rep.omega is None:
             out.append((pi, (1,) * d))
             continue
         if any(pi[d - 1 - x] != d - 1 - pi[x] for x in range(d)):
@@ -210,7 +228,7 @@ def _letter_group(rep: TensorRep) -> list[tuple[tuple[int, ...], tuple[int, ...]
         eps = [1] * d
         if rep.flavor == "symplectic":
             for x in range(d // 2):
-                eps[d - 1 - x] = rep.form.pair(pi[x], d - 1 - pi[x])
+                eps[d - 1 - x] = form_pair(rep, pi[x], d - 1 - pi[x])
         out.append((pi, tuple(eps)))
     return out
 
@@ -268,7 +286,7 @@ def test_images_commute_with_letter_group(flavor, n, r):
     rep = _rep(flavor, n, r)
     gs = [_tensor_power(rep, pi, eps) for pi, eps in _letter_group(rep)]
     for d in _diagrams(rep):
-        m = rep.rep_diagram(d)
+        m = SparseMat(rep.size, full_image(rep, d))
         for g in gs:
             assert matmul(m, g) == matmul(g, m)
 
@@ -291,16 +309,18 @@ def _random_elements(rng, rep: TensorRep, count: int) -> list[AlgebraElement]:
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
     """On all diagrams and on random integer elements: the image built on
-    the orbit rows, by ``rep_element`` or by ``image_vectors``, is the
-    full image restricted to them, and its zero test and ranks over Q, F_3
-    and F_5 are those of the full image."""
+    the orbit rows, by the reference ``rep_element`` or by
+    ``image_vectors``, is the full image restricted to them, and its zero
+    test and ranks over Q, F_3 and F_5 are those of the full image; so is
+    the rank of the transposed orbit-row lines, and on the diagrams that
+    of ``image_rank``."""
     rep = _rep(flavor, n, r)
     rows = rep.orbit_rows()
     chosen = set(rows)
-    for elements in ([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)],
-                     _random_elements(rng, rep, 8)):
-        full = [rep.rep_element(a).to_vector() for a in elements]
-        orbit = [rep.rep_element(a, rows=rows).to_vector() for a in elements]
+    diagram_elements = [AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)]
+    for elements in (diagram_elements, _random_elements(rng, rep, 8)):
+        full = [rep_element(rep, a).to_vector() for a in elements]
+        orbit = [rep_element(rep, a, rows=rows).to_vector() for a in elements]
         for a, f, o in zip(elements, full, orbit):
             assert o == {k: x for k, x in f.items() if k // rep.size in chosen}
             assert (not o) == (not f)
@@ -308,7 +328,9 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
         assert sparse_rank_q(orbit) == sparse_rank_q(full)
         for p in (3, 5):
             assert rank_modp(orbit, p) == rank_modp(full, p)
-        assert image_rank(elements, rep) == sparse_rank_q(full)
+        assert sparse_rank_q(image_lines(image_vectors(elements, rep))) == sparse_rank_q(full)
+        if elements is diagram_elements:
+            assert image_rank(_diagrams(rep), rep) == sparse_rank_q(full)
 
 
 COLUMN_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
@@ -318,21 +340,63 @@ COLUMN_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
 
 @pytest.mark.parametrize("flavor,n,r", COLUMN_GRID)
 def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
-    """``image_rank`` eliminates the columns of the orbit-row image matrix;
-    over Q and over F_3, F_5 and F_7 its rank is that of the row vectors, on
-    all diagrams, on random integer elements with the kernel generators, and
-    on the kernel generators alone (rank 0: no nonzero column)."""
+    """``image_rank`` and the transposed ``image_vectors`` lines eliminate
+    the columns of the orbit-row image matrix; over Q and over F_3, F_5 and
+    F_7 their rank is that of the row vectors: ``image_rank`` on all
+    diagrams, the lines on random integer elements with the kernel
+    generators and on the kernel generators alone (rank 0: no nonzero
+    column)."""
     from brauercell.sft import ideal_generators
     rep = _rep(flavor, n, r)
     rows = rep.orbit_rows()
     kernel = ideal_generators(r, n, flavor, rep.delta0)
-    for elements in ([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)],
-                     _random_elements(rng, rep, 8), kernel):
-        vecs = [rep.rep_element(a, rows=rows).to_vector() for a in elements]
-        assert image_rank(elements, rep) == sparse_rank_q(vecs)
+    diagrams = _diagrams(rep)
+    cases = [([AlgebraElement.from_diagram(d, 1, rep.delta0) for d in diagrams], diagrams),
+             (_random_elements(rng, rep, 8), None), (kernel, None)]
+    for elements, as_diagrams in cases:
+        vecs = [rep_element(rep, a, rows=rows).to_vector() for a in elements]
+        lines = image_lines(image_vectors(elements, rep))
+        assert sparse_rank_q(lines) == sparse_rank_q(vecs)
         for p in (3, 5, 7):
-            assert image_rank(elements, rep, field=("Fp", p)) == rank_modp(vecs, p)
-    assert image_rank(kernel, rep) == 0
+            assert rank_modp(lines, p) == rank_modp(vecs, p)
+        if as_diagrams is not None:
+            assert image_rank(diagrams, rep) == sparse_rank_q(vecs)
+            for p in (3, 5, 7):
+                assert image_rank(diagrams, rep, field=("Fp", p)) == rank_modp(vecs, p)
+    assert sparse_rank_q(image_lines(image_vectors(kernel, rep))) == 0
+
+
+IMAGE_RANK_GRID = [(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
+                   for n in (1, 2, 3) for r in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("flavor,n,r", IMAGE_RANK_GRID)
+def test_image_rank_equals_reference_full_ranks(flavor, n, r):
+    """``image_rank`` on the diagrams, read on the orbit rows and taken by
+    columns, equals the rank of the reference full images (every row, one
+    row vector per diagram) over Q, F_3, F_5 and F_7."""
+    rep = _rep(flavor, n, r)
+    diagrams = _diagrams(rep)
+    full = [rep_element(rep, AlgebraElement.from_diagram(d, 1, rep.delta0)).to_vector()
+            for d in diagrams]
+    assert image_rank(diagrams, rep) == sparse_rank_q(full)
+    for p in (3, 5, 7):
+        assert image_rank(diagrams, rep, field=("Fp", p)) == rank_modp(full, p)
+
+
+def test_image_rank_rejects_bad_input():
+    """Diagrams of the wrong width, horizontal strands under the
+    permutation flavor and an unknown field raise; so does a call of
+    ``rep_diagram`` without rows."""
+    rep = TensorRep("symplectic", 1, 2)
+    with pytest.raises(ValueError):
+        image_rank(all_diagrams(3), rep)
+    with pytest.raises(ValueError):
+        image_rank(all_diagrams(2), TensorRep("permutation", 2, 2))
+    with pytest.raises(ValueError):
+        image_rank(all_diagrams(2), rep, field=("Fq", 5))
+    with pytest.raises(TypeError):
+        rep.rep_diagram(BrauerDiagram.identity(2))
 
 
 @pytest.mark.parametrize("flavor,n", [(f, n) for f in ("symplectic", "orthogonal", "symmetric")
@@ -352,8 +416,8 @@ def test_orbit_word_table(flavor, n, r, rng):
     for subset in (off, sorted(off + list(rows[:3]))):
         wanted = set(subset)
         for d in _diagrams(rep):
-            full = rep.rep_diagram(d).rows
-            assert rep.rep_diagram(d, subset).rows == {
+            full = full_image(rep, d)
+            assert rep.rep_diagram(d, subset) == {
                 i: row for i, row in full.items() if i in wanted}
 
 
@@ -381,7 +445,7 @@ def test_homomorphism_random(flavor, n, r, rng):
     for _ in range(15):
         a = elt(rng.choice(ds), 1, delta)
         b = elt(rng.choice(ds), 1, delta)
-        assert rep.rep_element(a * b) == matmul(rep.rep_element(a), rep.rep_element(b))
+        assert rep_element(rep, a * b) == matmul(rep_element(rep, a), rep_element(rep, b))
 
 
 @pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("orthogonal", 2)])
@@ -390,14 +454,14 @@ def test_star_compatibility(flavor, n):
     rep = TensorRep(flavor, n, r)
     for d in all_diagrams(r):
         a = elt(d, 1, rep.delta0)
-        assert rep.rep_element(a.involution()) == transpose(rep.rep_element(a))
+        assert rep_element(rep, a.involution()) == transpose(rep_element(rep, a))
 
 
 def test_image_rank_examples():
     rep2 = TensorRep("symplectic", 1, 2)
-    assert image_rank(all_elements(2, -2), rep2) == 2
+    assert image_rank(all_diagrams(2), rep2) == 2
     rep3 = TensorRep("symplectic", 1, 3)
-    gens = all_elements(3, -2)
+    gens = all_diagrams(3)
     assert image_rank(gens, rep3) == 5
     assert image_rank(gens, rep3, field=("Fp", 5)) == 5
     assert image_rank(gens, rep3, field=("Fp", 3)) == 5
@@ -407,15 +471,15 @@ def test_image_rank_wide_sparse():
     # 5.76M columns; the 115 orbit rows of 2401 hold about 17.5k of the
     # 252k nonzeros: B_4 acts faithfully on (Q^7)^4
     rep = TensorRep("orthogonal", 7, 4)
-    assert image_rank(all_elements(4, 7), rep) == 105
+    assert image_rank(all_diagrams(4), rep) == 105
 
 
 def test_permutation_flavor():
     rep = TensorRep("permutation", 2, 3)
-    s1 = rep.rep_element(AlgebraElement.from_perm((2, 1, 3)))
+    s1 = rep_element(rep, AlgebraElement.from_perm((2, 1, 3)))
     assert matmul(s1, s1) == identity(8)
     with pytest.raises(ValueError):
-        rep.rep_element(elt(BrauerDiagram.e(1, 3)))
+        rep_element(rep, elt(BrauerDiagram.e(1, 3)))
 
 
 def test_tensor_cap():
@@ -461,10 +525,10 @@ def test_pfaffian_diagram_sum_equals_recursive(r, rng):
 
 def test_pfaffian_functional():
     # r = 1: single diagram, value <x1, x2>
-    form = BilinearStructure("symplectic", 2)
+    form = TensorRep("symplectic", 2, 1)
     for x1 in range(4):
         for x2 in range(4):
-            assert pfaffian_functional(1, 2, [x1, x2]) == form.pair(x1, x2)
+            assert pfaffian_functional(1, 2, [x1, x2]) == form_pair(form, x1, x2)
     # r = N + 1: the matrix is singular, so the functional vanishes
     for xs in itertools.product(range(2), repeat=4):
         assert pfaffian_functional(2, 1, list(xs)) == 0
@@ -491,13 +555,13 @@ def test_walled_det_identity(ab, rng):
 
 def test_matrix_dump_format():
     rep = TensorRep("orthogonal", 1, 2)
-    m = rep.rep_diagram(BrauerDiagram.e(1, 2))
+    m = full_image(rep, BrauerDiagram.e(1, 2))
     assert triplets(m) == [(0, 0, 1)]
 
 
 def test_csv_dump():
     rep = TensorRep("orthogonal", 2, 2)
-    m = rep.rep_diagram(BrauerDiagram.e(1, 2))
+    m = full_image(rep, BrauerDiagram.e(1, 2))
     lines = to_csv(m).splitlines()
     assert all(len(line.split(",")) == 3 for line in lines)
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split(","))))
