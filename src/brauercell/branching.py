@@ -117,8 +117,14 @@ def young_edges(v: Vertex) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
+def successors(v: Vertex, add_only: bool = False) -> tuple[Vertex, ...]:
+    """Successors in Young's lattice when ``add_only``, else in the Brauer
+    graph."""
+    return young_edges(v) if add_only else brauer_edges(v)
+
+
 def is_edge(a: Vertex, b: Vertex, add_only: bool = False) -> bool:
-    return b in (young_edges(a) if add_only else brauer_edges(a))
+    return b in successors(a, add_only)
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +232,6 @@ def edge_content(a: Vertex, b: Vertex) -> Poly:
     raise ValueError(f"not an edge: {a} -> {b}")
 
 
-def sn_contents(t: Path) -> tuple[Poly, ...]:
-    return tuple(edge_content(a, b) for a, b in zip(t, t[1:]))
-
-
 def residue_collisions(level: int, delta0, flavor: str, n: int,
                        add_only: bool = False) -> list:
     """Sibling-edge content collisions after specializing delta.
@@ -244,8 +246,7 @@ def residue_collisions(level: int, delta0, flavor: str, n: int,
     for u in vertices_at_level(level - 1, add_only):
         if not pred(u, n):
             continue
-        kids = young_edges(u) if add_only else brauer_edges(u)
-        for b, c in itertools.combinations(kids, 2):
+        for b, c in itertools.combinations(successors(u, add_only), 2):
             if not (pred(b, n) or pred(c, n)):
                 continue
             if edge_content(u, b).evaluate(delta0) == edge_content(u, c).evaluate(delta0):

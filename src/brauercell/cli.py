@@ -21,6 +21,7 @@ import sys
 import time
 
 from .errors import CapExceeded
+from .tensorrep import MAX_TENSOR_DIM
 
 USAGE_ERROR = 1
 CAP_ERROR = 2
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--max-r", type=int, default=5, dest="max_r")
         if tensor:
-            sp.add_argument("--max-tensor-dim", type=int, default=65536,
+            sp.add_argument("--max-tensor-dim", type=int, default=MAX_TENSOR_DIM,
                             dest="max_tensor_dim")
 
     b = sub.add_parser("basis", help="dump a cellular basis")
@@ -130,21 +131,13 @@ def _basis_flavor(flavor: str, dual: bool) -> str:
 
 
 def cmd_basis(args) -> tuple[dict, int]:
-    from .murphy import murphy_basis
     if args.split:
-        if args.flavor == "symmetric":
-            # the dual-Murphy basis of the symmetric group already splits
-            basis = murphy_basis(args.r, "symmetric-dual", max_r=args.max_r)
-            entries = basis.basis_json()
-            for (v, _s, _t), entry in zip(basis.index, entries):
-                entry["kernel"] = len(v.lam) > args.N
-        else:
-            from .sft import SplitBasis
-            split = SplitBasis(args.r, args.N, args.flavor, max_r=args.max_r)
-            entries = split.to_json()
+        from .sft import SplitBasis
+        split = SplitBasis(args.r, args.N, args.flavor, max_r=args.max_r)
         payload = {"command": "basis", "flavor": args.flavor, "r": args.r,
-                   "N": args.N, "split": True, "entries": entries}
+                   "N": args.N, "split": True, "entries": split.to_json()}
         return payload, 0
+    from .murphy import murphy_basis
     basis = murphy_basis(args.r, _basis_flavor(args.flavor, args.dual),
                          max_r=args.max_r)
     payload = {"command": "basis", "flavor": args.flavor, "r": args.r,
@@ -198,19 +191,18 @@ def cmd_dims(args) -> tuple[dict, int]:
     from .branching import algebra_dimension, expected_image_dimension
     from .diagrams import all_diagrams, all_permutation_diagrams
     from .tensorrep import TensorRep, image_rank
-    symmetric = args.flavor == "symmetric"
     rows = []
     for r in range(1, args.r + 1):
         expected = expected_image_dimension(r, args.N, args.flavor)
         row = {"r": r, "dim_algebra": algebra_dimension(r, args.flavor),
                "sum_squared_permissible_paths": expected, "image_rank": None}
         try:
-            rep = TensorRep("permutation" if symmetric else args.flavor, args.N, r,
-                            max_tensor_dim=args.max_tensor_dim)
+            rep = TensorRep(args.flavor, args.N, r, max_tensor_dim=args.max_tensor_dim)
         except CapExceeded:
             pass  # over the tensor cap: the image rank stays null
         else:
-            diagrams = all_permutation_diagrams(r) if symmetric else all_diagrams(r)
+            diagrams = (all_permutation_diagrams(r) if args.flavor == "symmetric"
+                        else all_diagrams(r))
             row["image_rank"] = image_rank(diagrams, rep)
         rows.append(row)
     payload = {"command": "dims", "flavor": args.flavor, "N": args.N,

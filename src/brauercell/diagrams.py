@@ -557,20 +557,3 @@ def _zero(c) -> bool:
     if isinstance(c, Poly):
         return c.is_zero
     return c == 0
-
-
-def young_subgroup_sum(blocks: list[list[int]], r: int, signed: bool = False,
-                       delta=None) -> AlgebraElement:
-    """Sum over the Young subgroup permuting each block of {1..r} within
-    itself; signed sum if requested."""
-    terms = {}
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        p = list(range(1, r + 1))
-        for block, img in zip(blocks, parts):
-            for src, dst in zip(block, img):
-                p[src - 1] = dst
-        p = tuple(p)
-        coeff = perm_sign(p) if signed else 1
-        d = BrauerDiagram.from_perm(p)
-        terms[d] = terms.get(d, 0) + coeff
-    return AlgebraElement(r, terms, delta)

@@ -34,6 +34,8 @@ from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 
+from .diagrams import perm_sign
+
 
 def _cancel_z(row: dict, prow: dict, c: int) -> dict:
     """a*row - b*prow with a*row[c] = b*prow[c] and a > 0, divided by its
@@ -135,17 +137,6 @@ def _rank(rows: list[dict], cancel) -> int:
     return len(echelon.cols)
 
 
-def _perm_sign(perm: list[int]) -> int:
-    seen, cycles = set(), 0
-    for i in range(len(perm)):
-        if i not in seen:
-            cycles += 1
-            while i not in seen:
-                seen.add(i)
-                i = perm[i]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
-
 class ExactMatrix:
     """Dense matrix of exact values.  It may hold Poly entries (a Gram matrix
     over Z[delta]); ``rank``, ``det`` and ``kernel`` need int or Fraction
@@ -190,7 +181,7 @@ class ExactMatrix:
             if piv is None:
                 return 0
             pivots[i] = piv
-        det = _perm_sign(pivots)
+        det = perm_sign([c + 1 for c in pivots])
         for c in pivots:
             det = echelon.rows[c][c] * det
         return det.numerator if det.denominator == 1 else det

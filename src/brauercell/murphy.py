@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import permutations, product
 
 from . import branching as br
 from .branching import Partition, Path, Vertex, conjugate
 from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, cycle_perm, diagram_mult,
-                       perm_inverse, transposition, young_subgroup_sum)
+                       perm_inverse, perm_mult, perm_sign, transposition)
 from .errors import CapExceeded
 from .exactmat import ExactMatrix, inverse_columns
 from .rings import Poly
@@ -55,9 +56,14 @@ def young_sum(shape: Partition, r: int, signed: bool, delta=None) -> AlgebraElem
     consecutive runs of 1, 2, ..., embedded at width r."""
     blocks, start = [], 1
     for part in shape:
-        blocks.append(list(range(start, start + part)))
+        blocks.append(range(start, start + part))
         start += part
-    return young_subgroup_sum(blocks, r, signed=signed, delta=delta)
+    rest = tuple(range(start, r + 1))
+    terms = {}
+    for parts in product(*map(permutations, blocks)):
+        p = sum(parts, ()) + rest
+        terms[BrauerDiagram.from_perm(p)] = perm_sign(p) if signed else 1
+    return AlgebraElement(r, terms, delta)
 
 
 def _box_added(mu: Partition, lam: Partition) -> tuple[int, int]:
@@ -90,15 +96,8 @@ def sym_branching_factors(mu: Partition, lam: Partition, dual: bool,
     acc = AlgebraElement.zero(r)
     for k in range(mu_j + 1):
         s_a_ak = perm_inverse(cycle_perm(a - k, a, i))
-        acc = acc + _perm_elt(perm_mult_full(s_ia, s_a_ak), r)
+        acc = acc + _perm_elt(perm_mult(s_ia, s_a_ak), r)
     return d, acc
-
-
-def perm_mult_full(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(p), len(q))
-    p = tuple(p) + tuple(range(len(p) + 1, n + 1))
-    q = tuple(q) + tuple(range(len(q) + 1, n + 1))
-    return tuple(q[p[i] - 1] for i in range(n))
 
 
 def e_suffix(last: int, l: int, r: int) -> AlgebraElement:

@@ -130,9 +130,7 @@ def gz_idempotents(basis: MurphyBasis, vertex: Vertex) -> SeminormalData:
                 continue
             num, den = level[p[:-1]]
             kappa_t = _content(p[-2], p[-1])
-            siblings = (br.young_edges(p[-2]) if basis.add_only
-                        else br.brauer_edges(p[-2]))
-            for s in siblings:
+            for s in br.successors(p[-2], basis.add_only):
                 if s != p[-1]:
                     kappa_s = _content(p[-2], s)
                     num = _times_shifted(num, jm_rows, kappa_s)

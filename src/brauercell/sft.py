@@ -8,15 +8,18 @@ kernel/image certificates for diagram algebras acting on tensor space.
   vertices have lam'_1 + lam'_2 = N+1 and carry signed walled-diagram sums d
   (diagrammatic minors).
 * symmetric: the unsigned place-permutation action of the symmetric group
-  on (Z^N)^{tensor r}; the dual-Murphy basis already splits, with kernel
-  cells those of more than N rows.
+  on (Z^N)^{tensor r} with the dual-Murphy basis; marginal vertices have
+  lam'_1 = N+1 and carry the antisymmetrizer on N+1 letters.
 
-Both Brauer settings build their kernel generators the same way: a head
-sum (all of B_{lam_1}, or the signed (lam'_1, lam'_2)-walled sum), times a
-Young-subgroup tail on the remaining rows or columns, times the e-suffix of
-the vertex.  The correction beta' averages the corank >= 1 part of the head
-over the orbits of the head's permutation group (S_{lam_1}, or
-S_{lam'_1} x S_{lam'_2}).
+All three build their kernel generators the same way: a head sum (all of
+B_{lam_1}, the signed (lam'_1, lam'_2)-walled sum, or the antisymmetrizer
+of S_{lam'_1}), times a Young-subgroup tail on the remaining rows or
+columns, times the e-suffix of the vertex.  The correction beta' averages
+the corank >= 1 part of the head over the orbits of the head's permutation
+group (S_{lam_1}, S_{lam'_1} x S_{lam'_2}, or S_{lam'_1}).  The
+antisymmetrizer has no such part: beta' = 0 and beta = 1, so b = y_lam
+and every a_t is d_t, and the dual-Murphy basis of the symmetric group
+already splits, its kernel cells those of more than N rows.
 
 The split basis replaces m_st by n_st = a_s* m a_t, where a_t corrects the
 path at its first non-permissible vertex by the factorization b = m * beta;
@@ -37,13 +40,14 @@ from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
 from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
-from .tensorrep import TensorRep, image_lines, image_rank, image_vectors
+from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
+                        image_rank, image_vectors)
 
 FLAVOR_DATA = {
-    # flavor -> (basis flavor, delta0(N))
-    "symplectic": ("brauer-murphy", lambda n: -2 * n),
-    "orthogonal": ("brauer-dual-murphy", lambda n: n),
-    "symmetric": ("symmetric-dual", lambda n: None),
+    # flavor -> the cellular basis the split basis is built on
+    "symplectic": "brauer-murphy",
+    "orthogonal": "brauer-dual-murphy",
+    "symmetric": "symmetric-dual",
 }
 
 
@@ -107,25 +111,27 @@ def _is_marginal(v: Vertex, n: int, flavor: str) -> bool:
 def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
                            delta0=None) -> KernelGenerator:
     """The kernel generator at a marginal vertex: lam_1 = N+1 (symplectic,
-    b = all of B_{lam_1} (x) x_{(lam_2, ...)}) or lam'_1 + lam'_2 = N+1
-    (orthogonal, d = the signed walled sum (x) y_{(lam'_3, ...)}), followed
-    by the e-suffix of v."""
-    if flavor not in ("symplectic", "orthogonal"):
-        raise ValueError(flavor)
+    b = all of B_{lam_1} (x) x_{(lam_2, ...)}), lam'_1 + lam'_2 = N+1
+    (orthogonal, d = the signed walled sum (x) y_{(lam'_3, ...)}) or
+    lam'_1 = N+1 (symmetric, the antisymmetrizer (x) y_{(lam'_2, ...)},
+    which is y_lam), followed by the e-suffix of v."""
     if not _is_marginal(v, n, flavor):
         raise ValueError(f"{v} is not marginal for the {flavor} case at N={n}")
     if delta0 is None:
-        delta0 = FLAVOR_DATA[flavor][1](n)
+        delta0 = FLAVOR_SPACE[flavor][1](n)
+    conj = conjugate(v.lam)
     if flavor == "symplectic":
         group_shape, tail_shape = v.lam[:1], v.lam[1:]
         head = sum_all_diagrams(v.lam[0], delta0)
-    else:
-        conj = conjugate(v.lam)
+    elif flavor == "orthogonal":
         c1, c2 = (conj + (0,))[:2]
         group_shape, tail_shape = (c1, c2), conj[2:]
         head = walled_signed_sum(c1, c2, delta0)
+    else:
+        group_shape, tail_shape = conj[:1], conj[1:]
+        head = young_sum(group_shape, conj[0], True, delta0)
     width = head.r
-    tail = young_sum(tail_shape, r - width, flavor == "orthogonal", delta0)
+    tail = young_sum(tail_shape, r - width, flavor != "symplectic", delta0)
     suffix = e_suffix(v.level - 1, v.l, r).with_delta(delta0)
     head_prime = AlgebraElement(width, {d: c for d, c in head.terms.items()
                                         if d.rank_corank()[1] >= 1}, delta0)
@@ -138,19 +144,18 @@ def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
 
 
 class SplitBasis:
-    """The modified cellular basis n_st of B_r(Z; delta0) attached to a
-    permissibility bound N, with per-path correction elements a_t."""
+    """The modified cellular basis n_st of B_r(Z; delta0), or of Z S_r for
+    the symmetric flavor, attached to a permissibility bound N, with
+    per-path correction elements a_t."""
 
     def __init__(self, r: int, n: int, flavor: str, basis: MurphyBasis | None = None,
                  max_r: int | None = None):
-        if flavor not in ("symplectic", "orthogonal"):
-            raise ValueError("split basis exists for the symplectic/orthogonal cases")
-        basis_flavor, delta_fn = FLAVOR_DATA[flavor]
         self.flavor = flavor
         self.n = n
         self.r = r
-        self.delta0 = delta_fn(n)
-        self.basis = basis if basis is not None else murphy_basis(r, basis_flavor, max_r)
+        self.delta0 = FLAVOR_SPACE[flavor][1](n)
+        self.basis = (basis if basis is not None
+                      else murphy_basis(r, FLAVOR_DATA[flavor], max_r))
         self.perm_pred = lambda v: br.PERMISSIBLE[flavor](v, n)
 
         self._gen_cache: dict[Vertex, KernelGenerator] = {}
@@ -160,6 +165,8 @@ class SplitBasis:
         # module coordinates of n_t, built on first read (``module_vector``)
         self._module_vectors: dict[tuple[Vertex, int], list[int]] = {}
         self._module_lefts: dict[Vertex, AlgebraElement] = {}
+        # a_s* m_lambda per (vertex, path index), built on first read (``element``)
+        self._lefts: dict[tuple[Vertex, int], AlgebraElement] = {}
         for v in self.basis.vertices:
             paths = self.basis.paths[v]
             for ti, t in enumerate(paths):
@@ -224,9 +231,16 @@ class SplitBasis:
         return self.path_permissible[(v, s)] and self.path_permissible[(v, t)]
 
     def element(self, v: Vertex, s: int, t: int) -> AlgebraElement:
-        """The full algebra element n_st = a_s* m_lambda a_t."""
-        gen = self.basis.generators[v].with_delta(self.delta0)
-        out = (self.a_elements[(v, s)].involution() * gen) * self.a_elements[(v, t)]
+        """The full algebra element n_st = a_s* m_lambda a_t; when s and t
+        are permissible, a_s = d_s and a_t = d_t, and it is the Murphy
+        element m_st read at delta0.  Each a_s* m_lambda formed is kept."""
+        if self.pair_permissible(v, s, t):
+            return self.basis.elements[(v, s, t)].with_delta(self.delta0)
+        left = self._lefts.get((v, s))
+        if left is None:
+            gen = self.basis.generators[v].with_delta(self.delta0)
+            left = self._lefts[(v, s)] = self.a_elements[(v, s)].involution() * gen
+        out = left * self.a_elements[(v, t)]
         if not out.has_integer_coeffs():
             raise ArithmeticError(f"n_st at {v} is not integral")
         return out.as_integer()
@@ -378,7 +392,7 @@ def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int,
 
 
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
-                max_tensor_dim: int = 65536, check_ideal: bool | None = None,
+                max_tensor_dim: int = MAX_TENSOR_DIM, check_ideal: bool | None = None,
                 fields: tuple = ()) -> Certificate:
     """The kernel/image certificate for the symplectic or orthogonal case:
 
@@ -456,7 +470,7 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
     return cert
 
 
-def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
+def harterich_check(r: int, n: int, max_tensor_dim: int = MAX_TENSOR_DIM,
                     check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
     """Kernel/image certificate for the symmetric group acting by unsigned
     place permutations on (Z^N)^{tensor r}, in the dual-Murphy basis:
@@ -475,7 +489,7 @@ def harterich_check(r: int, n: int, max_tensor_dim: int = 65536,
     elements, the sum of |paths(lam)|^2 over the kernel cells."""
     cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
     basis = murphy_basis(r, "symmetric-dual")
-    rep = TensorRep("permutation", n, r, max_tensor_dim=max_tensor_dim)
+    rep = TensorRep("symmetric", n, r, max_tensor_dim=max_tensor_dim)
     dim_im = expected_image_dimension(r, n, "symmetric")
     dim_alg = algebra_dimension(r, "symmetric")
 

@@ -9,7 +9,7 @@ Conventions (pinned by tests):
   s_i by -S_i; loop parameter -2N.
 * orthogonal: V of dimension N with (v_i, v_j) = [j = N+1-i]; e_i -> E_i,
   s_i -> S_i; loop parameter N.
-* permutation: the unsigned place-permutation action of the symmetric
+* symmetric: the unsigned place-permutation action of the symmetric
   group on (Z^N)^{tensor r}; diagrams must be permutations.
 
 Matrices act on row vectors from the right, so rep(ab) = rep(a) rep(b).
@@ -20,11 +20,11 @@ Orbit rows.  Every rank and zero test on images reads only the rows of
 on the words of length r over the letters {0..d-1} of V (d = dim V).  For
 the symplectic and orthogonal flavors H is the group of permutations of the
 letters that commute with iota(x) = d-1-x (they permute the pairs
-{x, iota(x)} and may swap the two ends of a pair); for the permutation
+{x, iota(x)} and may swap the two ends of a pair); for the symmetric
 flavor H is all of S_N.  Reading the orbit rows alone is exact:
 
 1. Each pi in H lifts to a signed permutation matrix g_pi, v_x -> eps_x
-   v_pi(x), in O(V), Sp(V) or S_N.  Orthogonal and permutation: every
+   v_pi(x), in O(V), Sp(V) or S_N.  Orthogonal and symmetric: every
    eps_x = 1, as [pi(x) + pi(y) = d-1] = [x + y = d-1].  Symplectic: for
    each pair {x, iota(x)} with x < N put eps_x = 1 and eps_iota(x) =
    <v_pi(x), v_iota(pi(x))>, which keeps the Darboux form on that pair.
@@ -49,27 +49,29 @@ from .errors import CapExceeded
 from .exactmat import rank_modp, sparse_rank_q
 
 
+# the default cap on the tensor dimension dim V ** r (--max-tensor-dim)
+MAX_TENSOR_DIM = 65536
+
+# flavor -> (dim V(N), loop value delta0(N)); permutations close no loops
+FLAVOR_SPACE = {
+    "symplectic": (lambda n: 2 * n, lambda n: -2 * n),
+    "orthogonal": (lambda n: n, lambda n: n),
+    "symmetric": (lambda n: n, lambda n: None),
+}
+
+
 class TensorRep:
     """The representation of B_r (or the symmetric group) on V^{tensor r}."""
 
-    def __init__(self, flavor: str, n: int, r: int, max_tensor_dim: int = 65536):
-        if flavor not in ("symplectic", "orthogonal", "permutation"):
+    def __init__(self, flavor: str, n: int, r: int, max_tensor_dim: int = MAX_TENSOR_DIM):
+        if flavor not in FLAVOR_SPACE:
             raise ValueError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.n = n
         self.r = r
-        if flavor == "symplectic":
-            self.dim = 2 * n
-            self.epsilon = -1
-            self.delta0 = -2 * n
-        elif flavor == "orthogonal":
-            self.dim = n
-            self.epsilon = 1
-            self.delta0 = n
-        else:
-            self.dim = n
-            self.epsilon = 1
-            self.delta0 = None
+        dim_fn, delta_fn = FLAVOR_SPACE[flavor]
+        self.dim = dim_fn(n)
+        self.delta0 = delta_fn(n)
         # the form, built once: pair_sign[x] = <v_x, v_{d-1-x}>, the only
         # nonzero pairing of v_x; omega = sum_x v_x^* tensor v_x as triples
         # (a, b, coeff), the component on v_a tensor v_b
@@ -108,7 +110,7 @@ class TensorRep:
         orthogonal: each new letter pair {x, d-1-x}, in order of first
         appearance, goes to the next free pair {k, d-1-k}, with its
         first-seen letter sent to k; the middle letter of an odd d stays
-        fixed.  Permutation: the letters are renumbered in order of first
+        fixed.  Symmetric: the letters are renumbered in order of first
         occurrence.  So the fixed words are built letter by letter: after k
         classes have been used, a word continues with a letter of those
         classes (or the middle letter) or with the next new one, k.  The
@@ -143,8 +145,8 @@ class TensorRep:
         the form and put omega there; tau relabels the columns."""
         if diag.r != self.r:
             raise ValueError("strand count mismatch")
-        if self.flavor == "permutation" and not diag.is_permutation():
-            raise ValueError("permutation flavor: diagram has horizontal strands")
+        if self.flavor == "symmetric" and not diag.is_permutation():
+            raise ValueError("symmetric flavor: diagram has horizontal strands")
         top, bot, vert = diag.strand_types()
         s = len(top)
         sigma = [0] * self.r

@@ -1,17 +1,18 @@
 """Orders, checks and oracles that only the tests read: dominance of
 partitions (by rows and by columns) and of vertices, strict dominance of
-vertices and of paths, the reverse-lexicographic path order, separation of
-paths by their contents, the Jucys-Murphy eigenvector check on seminormal
-data, the marginal vertices, the permissible dimension of a split basis,
-the transpose of an exact matrix, the eager expansion of a cellular basis,
-the image of every kernel element of the symmetric certificate and both
-Young-sum cell generators x_lam and y_lam of a partition.  The package
-needs none of them."""
+vertices and of paths, the reverse-lexicographic path order, the content
+sequence of a path and the separation of paths by it, the Jucys-Murphy
+eigenvector check on seminormal data, the marginal vertices, the
+permissible dimension of a split basis, the transpose of an exact matrix,
+the eager expansion of a cellular basis, the image of every kernel element
+of the symmetric certificate and both Young-sum cell generators x_lam and
+y_lam of a partition.  The package needs none of them."""
 
 import brauercell.branching as br
-from brauercell.branching import Partition, Vertex, conjugate
+from brauercell.branching import Partition, Path, Vertex, conjugate
 from brauercell.exactmat import ExactMatrix
 from brauercell.murphy import MurphyBasis, young_sum
+from brauercell.rings import Poly
 from brauercell.sft import _is_marginal
 from brauercell.tensorrep import TensorRep
 from tensor_ops import rep_element
@@ -75,13 +76,18 @@ def path_revlex_gt(s, t, dual=False) -> bool:
     return False
 
 
+def sn_contents(t: Path) -> tuple[Poly, ...]:
+    """The edge contents along the path t."""
+    return tuple(br.edge_content(a, b) for a, b in zip(t, t[1:]))
+
+
 def separation_check(level: int, add_only: bool = False) -> bool:
     """Whether all distinct paths at the level have distinct content
     sequences as polynomials in delta."""
     seen = set()
     for v in br.vertices_at_level(level, add_only):
         for t in br.enumerate_paths(v, add_only):
-            key = tuple(tuple(sorted(c.coeffs.items())) for c in br.sn_contents(t))
+            key = tuple(tuple(sorted(c.coeffs.items())) for c in sn_contents(t))
             if key in seen:
                 return False
             seen.add(key)
@@ -92,7 +98,7 @@ def jm_seminormal_check(sd) -> bool:
     """f_t L_i = kappa_t(i) f_t for every path t and JM index i, checked on
     n_t = D_t f_t, row t of N_t."""
     for ti, t in enumerate(sd.paths):
-        contents = br.sn_contents(t)
+        contents = sn_contents(t)
         f = sd.idempotents[ti][0][ti]
         for i in range(1, sd.basis.r + 1):
             jm = sd.jm_matrices[i - 1]
@@ -156,7 +162,7 @@ def kernel_elements_map_to_zero(r: int, n: int) -> bool:
     N rows has zero image on (Z^N)^{tensor r}: each one expanded and imaged
     on all rows."""
     basis = MurphyBasis(r, "symmetric-dual")
-    rep = TensorRep("permutation", n, r, max_tensor_dim=n ** r)
+    rep = TensorRep("symmetric", n, r, max_tensor_dim=n ** r)
     return all(rep_element(rep, basis.elements[key]).is_zero
                for key in basis.index if len(key[0].lam) > n)
 

@@ -46,9 +46,9 @@ def rep_diagram_closed_form(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
     sign (-1)^{length}."""
     if diag.r != rep.r:
         raise ValueError("strand count mismatch")
-    if rep.flavor == "permutation":
+    if rep.flavor == "symmetric":
         if not diag.is_permutation():
-            raise ValueError("permutation flavor: diagram has horizontal strands")
+            raise ValueError("symmetric flavor: diagram has horizontal strands")
         return place_matrix(rep, diag.to_perm())
     top, bot, vert = diag.strand_types()
     d = rep.dim

@@ -154,12 +154,6 @@ def _generators(flavor, n, r):
     return all_diagrams(r)
 
 
-def _rep(flavor, n, r):
-    if flavor == "symmetric":
-        return TensorRep("permutation", n, r)
-    return TensorRep(flavor, n, r)
-
-
 def test_criterion_6_dimension_certificate():
     t0 = time.monotonic()
     ok = True
@@ -169,7 +163,7 @@ def test_criterion_6_dimension_certificate():
             expected = expected_image_dimension(r, n, flavor)
             if expected_list is not None:
                 ok &= expected == expected_list[r - 1]
-            got = image_rank(_generators(flavor, n, r), _rep(flavor, n, r))
+            got = image_rank(_generators(flavor, n, r), TensorRep(flavor, n, r))
             ok &= got == expected
     elapsed = time.monotonic() - t0
     ok &= elapsed < 600
@@ -211,7 +205,7 @@ def test_criterion_9_field_independence():
     for flavor in ("symplectic", "orthogonal"):
         for n in (1, 2):
             for r in (2, 3, 4):
-                rep = _rep(flavor, n, r)
+                rep = TensorRep(flavor, n, r)
                 gens = _generators(flavor, n, r)
                 expected = expected_image_dimension(r, n, flavor)
                 primes = (2, 3, 5, 7) if flavor == "symplectic" else (3, 5, 7)

@@ -6,10 +6,10 @@ from brauercell.branching import (EMPTY, Vertex, brauer_edges, conjugate,
                                   edge_content, enumerate_paths, partitions_of,
                                   path_permissible, permissible_orthogonal,
                                   permissible_symplectic, residue_collisions,
-                                  sn_contents, vertices_at_level, young_edges)
+                                  vertices_at_level, young_edges)
 from brauercell.rings import Poly
 from cell_ops import (col_dominates, dominates, path_revlex_gt,
-                      path_strictly_dominates, separation_check)
+                      path_strictly_dominates, separation_check, sn_contents)
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945}
 

@@ -42,6 +42,7 @@ def test_usage_errors(capsys):
     assert main(["certify", "--flavor", "orthogonal", "--r", "2", "--N", "2",
                  "--field", "Fp", "--p", "2"]) == 1
     assert main(["certify", "--flavor", "nosuch", "--r", "2", "--N", "1"]) == 1
+    assert main(["dims", "--flavor", "permutation", "--r", "2", "--N", "1"]) == 1
     assert main(["nosuchcommand"]) == 1
     assert main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--jobs", "2"]) == 1
@@ -354,6 +355,25 @@ def test_dims_stdout_pinned(capsys, argv):
     code, out = run(capsys, "dims", "--flavor", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIMS_STDOUT_SHA256[argv]
+
+
+# sha256 of the stdout of basis --split, recorded while the symmetric group
+# still had its own --split branch in the CLI.
+BASIS_SPLIT_STDOUT_SHA256 = {
+    "symplectic --r 5 --N 1": "1379e3d825c781e354020b6bca67fdd33561bbe956171f672d947c35723eadbe",
+    "orthogonal --r 5 --N 2": "c6f14d30c1abfc4769bc8023a5cea033a3837315c9f22f2e4fc5e0653d56a1c8",
+    "symmetric --r 4 --N 2": "10029a44c2031f78a968899a0b26a3fedbcfd9d40b00ec6b2e21a326002f150a",
+    "symmetric --r 5 --N 3": "fba3de365a41e3d96db70d5f3c2b90e643de147d1734feafbf9f011fc64eaabe",
+    "symmetric --r 6 --N 2 --max-r 6":
+        "281b401055f52ac9f214022d3ad49db71ffaedffdaca6c8459c0e15cdee3d75a",
+}
+
+
+@pytest.mark.parametrize("argv", list(BASIS_SPLIT_STDOUT_SHA256))
+def test_basis_split_stdout_pinned(capsys, argv):
+    code, out = run(capsys, "basis", "--split", "--flavor", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIS_SPLIT_STDOUT_SHA256[argv]
 
 
 def test_dims_loads_no_cellular_basis_modules():

@@ -6,8 +6,8 @@ import pytest
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, diagram_mult,
                                  perm_mult, perm_sign, transposition,
-                                 walled_filter, young_subgroup_sum)
-from brauercell.murphy import MurphyBasis
+                                 walled_filter)
+from brauercell.murphy import MurphyBasis, young_sum
 from brauercell.rings import Poly
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
@@ -308,8 +308,8 @@ def test_tensor_and_embed():
 
 
 def test_sign_twist():
-    x = young_subgroup_sum([[1, 2]], 2, signed=False)
-    assert x.sign_twist() == young_subgroup_sum([[1, 2]], 2, signed=True)
+    x = young_sum((2,), 2, signed=False)
+    assert x.sign_twist() == young_sum((2,), 2, signed=True)
     e1 = elt(BrauerDiagram.e(1, 2))
     with pytest.raises(ValueError):
         e1.sign_twist()

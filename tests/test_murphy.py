@@ -18,7 +18,7 @@ from brauercell.murphy import (FLAVORS, brauer_branching_factors,
 from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
 from cell_ops import (eager_elements, path_strictly_dominates, strictly_dominates,
-                      sym_cell_generators, transpose, vertex_dominates)
+                      sn_contents, sym_cell_generators, transpose, vertex_dominates)
 from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
@@ -269,7 +269,7 @@ def test_jm_triangular_with_content_diagonal(flavor, r):
         for i in range(1, r + 1):
             mat = mb.jm_action(i, v)
             for s, t_path in enumerate(paths):
-                kappa = br.sn_contents(t_path)[i - 1]
+                kappa = sn_contents(t_path)[i - 1]
                 assert mat[s][s] == kappa
                 for t in range(len(paths)):
                     if t != s and mat[s][t] != 0:
@@ -404,10 +404,10 @@ def test_jm2_central_sum_acts_by_content_sum(flavor):
         total = total + jm_element(i, r, mb.add_only)
     for v in mb.vertices:
         paths = mb.paths[v]
-        sums = {tuple(sorted(sum(br.sn_contents(t), Poly.zero()).coeffs.items()))
+        sums = {tuple(sorted(sum(sn_contents(t), Poly.zero()).coeffs.items()))
                 for t in paths}
         assert len(sums) == 1  # d(lambda) is path independent
-        d_lam = sum(br.sn_contents(paths[0]), Poly.zero())
+        d_lam = sum(sn_contents(paths[0]), Poly.zero())
         mat = mb.cell_action(v, total)
         n = len(paths)
         for s in range(n):

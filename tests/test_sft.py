@@ -17,7 +17,7 @@ from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             ideal_generators, ideal_span_rank,
                             quotient_cell_modules, split_image_lines,
                             sum_all_diagrams, walled_signed_sum)
-from brauercell.tensorrep import TensorRep, image_lines, image_vectors
+from brauercell.tensorrep import FLAVOR_SPACE, TensorRep, image_lines, image_vectors
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
                       path_revlex_gt, permissible_dimension, strictly_dominates)
 from sparse_ops import SparseMat, matmul, scale
@@ -100,7 +100,7 @@ def test_orbit_correction_with_stabilizers():
                                                  ("orthogonal", (1, 2, 3), 5)])
 def test_marginal_identity_and_factorization(flavor, ns, max_level):
     """m = b - b'; b' = m beta' with support of corank >= m+1 (axiom Q2)."""
-    basis_flavor = FLAVOR_DATA[flavor][0]
+    basis_flavor = FLAVOR_DATA[flavor]
     for n in ns:
         delta0 = -2 * n if flavor == "symplectic" else n
         for level in range(1, max_level + 1):
@@ -278,7 +278,7 @@ SPIN_CASES = ([(f, n, r) for f in FLAVOR_DATA for n in (1, 2, 3)
 
 @pytest.mark.parametrize("flavor,n,r", SPIN_CASES)
 def test_ideal_span_rank_matches_sandwich(flavor, n, r):
-    gens = ideal_generators(r, n, flavor, FLAVOR_DATA[flavor][1](n))
+    gens = ideal_generators(r, n, flavor, FLAVOR_SPACE[flavor][1](n))
     got = ideal_span_rank(gens, r, flavor)
     assert got == _sandwich_rank(gens, r, flavor)
     assert got == algebra_dimension(r, flavor) - expected_image_dimension(r, n, flavor)
@@ -338,9 +338,22 @@ def test_quotient_cellularity_shadow(rng):
                     assert strictly_dominates(sb.basis, w, v)
 
 
-def test_split_basis_rejects_symmetric():
-    with pytest.raises(ValueError):
-        SplitBasis(3, 2, "symmetric")
+@pytest.mark.parametrize("r,n", [(3, 1), (4, 2), (5, 2), (5, 3)])
+def test_split_basis_of_the_symmetric_group(r, n):
+    """The symmetric group is the third split-basis case: at each vertex of
+    N+1 rows the kernel generator is b = y_lam with beta = 1, every a_t is
+    d_t, and the kernel cells are those of more than N rows."""
+    split = SplitBasis(r, n, "symmetric")
+    basis = split.basis
+    for v in basis.vertices:
+        if len(v.lam) == n + 1:
+            g = build_kernel_generator(v, n, r, "symmetric")
+            assert g.b == basis.generators[v]
+            assert g.beta == AlgebraElement.one(r)
+    for key, a_t in split.a_elements.items():
+        assert a_t == basis.d_elements[key]
+    for v, s, t in split.iter_pairs():
+        assert split.pair_permissible(v, s, t) == (len(v.lam) <= n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -349,7 +362,7 @@ def test_place_vectors_match_rep_element(r, n):
     """The place-permutation images read by ``harterich_check`` are the full
     images of the basis elements restricted to the orbit rows."""
     basis = murphy_basis(r, "symmetric-dual")
-    rep = TensorRep("permutation", n, r)
+    rep = TensorRep("symmetric", n, r)
     vectors = list(image_vectors((basis.elements[key] for key in basis.index), rep))
     chosen = set(rep.orbit_rows())
     assert len(vectors) == len(basis.index)
@@ -437,10 +450,15 @@ def test_split_image_vectors_match_factored_route(flavor, n, r):
 
 @pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
 def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
+    """a_s* m a_t = m_st at delta0 when s and t are permissible, which
+    ``SplitBasis.element`` returns there without forming the product."""
     split = SplitBasis(r, n, flavor)
     for v, s, t in split.iter_pairs():
         if split.pair_permissible(v, s, t):
-            assert split.element(v, s, t) == split.basis.elements[(v, s, t)].with_delta(split.delta0)
+            gen = split.basis.generators[v].with_delta(split.delta0)
+            prod = (split.a_elements[(v, s)].involution() * gen) * split.a_elements[(v, t)]
+            assert prod == split.basis.elements[(v, s, t)].with_delta(split.delta0)
+            assert split.element(v, s, t) == prod
 
 
 @pytest.mark.parametrize("flavor", ["symmetric", "symmetric-dual", "brauer-murphy",

@@ -82,14 +82,14 @@ def test_omega_properties(flavor, n):
 def test_form_tables():
     """The form tables ``TensorRep`` builds once: the Darboux signs and
     their omega for the symplectic flavor, all ones for the orthogonal one,
-    none for the permutation flavor."""
+    none for the symmetric flavor."""
     sp = TensorRep("symplectic", 2, 1)
     assert sp.pair_sign == [1, 1, -1, -1]
     assert sp.omega == [(3, 0, 1), (2, 1, 1), (1, 2, -1), (0, 3, -1)]
     orth = TensorRep("orthogonal", 3, 1)
     assert orth.pair_sign == [1, 1, 1]
     assert orth.omega == [(2, 0, 1), (1, 1, 1), (0, 2, 1)]
-    perm = TensorRep("permutation", 3, 1)
+    perm = TensorRep("symmetric", 3, 1)
     assert perm.pair_sign is None and perm.omega is None
 
 
@@ -117,7 +117,7 @@ def generator_s(rep: TensorRep, i: int) -> SparseMat:
 def test_e_s_relations(flavor, n):
     rep = TensorRep(flavor, n, 2)
     E, S = generator_e(rep, 1), generator_s(rep, 1)
-    eps, dim = rep.epsilon, rep.dim
+    eps, dim = (-1 if flavor == "symplectic" else 1), rep.dim
     assert matmul(E, S) == matmul(S, E) == scale(E, eps)
     assert matmul(E, E) == scale(E, eps * dim)
     assert transpose(E) == E
@@ -157,7 +157,7 @@ def _place_matrix_by_words(rep: TensorRep, pi: tuple[int, ...]) -> SparseMat:
 
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)])
 def test_place_matrix_matches_word_loop(n, r):
-    rep = TensorRep("permutation", n, r)
+    rep = TensorRep("symmetric", n, r)
     for pi in itertools.permutations(range(1, r + 1)):
         assert place_matrix(rep, pi) == _place_matrix_by_words(rep, pi)
 
@@ -174,9 +174,6 @@ def test_parameter_mismatch():
         list(image_vectors([AlgebraElement.one(3, delta=-2)], rep))
 
 
-@pytest.mark.parametrize("flavor,n", [("symplectic", 1), ("symplectic", 2),
-                                      ("orthogonal", 2), ("orthogonal", 3)])
-@pytest.mark.parametrize("r", [2, 3, 4])
 def _generator_matrix_product(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
     """P(sigma) E_1 E_3 ... E_{2s-1} P(tau) as a product of full matrices."""
     top, bot, vert = diag.strand_types()
@@ -216,7 +213,7 @@ def _letter_group(rep: TensorRep) -> list[tuple[tuple[int, ...], tuple[int, ...]
     """The letter group H as (pi, eps): v_x -> eps[x] v_pi[x] is the signed
     permutation g_pi of V.  Brauer flavors: the permutations commuting with
     x -> d-1-x, signed on each pair so that the symplectic form is kept;
-    permutation flavor: all of S_N, unsigned."""
+    symmetric flavor: all of S_N, unsigned."""
     d = rep.dim
     out = []
     for pi in itertools.permutations(range(d)):
@@ -244,12 +241,8 @@ def _tensor_power(rep: TensorRep, pi, eps) -> SparseMat:
     return m
 
 
-def _rep(flavor, n, r):
-    return TensorRep("permutation" if flavor == "symmetric" else flavor, n, r)
-
-
 def _diagrams(rep: TensorRep):
-    return (all_permutation_diagrams(rep.r) if rep.flavor == "permutation"
+    return (all_permutation_diagrams(rep.r) if rep.flavor == "symmetric"
             else all_diagrams(rep.r))
 
 
@@ -262,7 +255,7 @@ ORBIT_GRID = [("symplectic", 1), ("symplectic", 2), ("symplectic", 3),
 @pytest.mark.parametrize("flavor,n", ORBIT_GRID)
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_orbit_rows_one_per_orbit(flavor, n, r):
-    rep = _rep(flavor, n, r)
+    rep = TensorRep(flavor, n, r)
     group = _letter_group(rep)
     rows = rep.orbit_rows()
     assert list(rows) == sorted(set(rows))
@@ -283,7 +276,7 @@ def test_orbit_rows_one_per_orbit(flavor, n, r):
                                         ("orthogonal", 2, 4), ("orthogonal", 3, 3),
                                         ("orthogonal", 4, 3), ("symmetric", 3, 3)])
 def test_images_commute_with_letter_group(flavor, n, r):
-    rep = _rep(flavor, n, r)
+    rep = TensorRep(flavor, n, r)
     gs = [_tensor_power(rep, pi, eps) for pi, eps in _letter_group(rep)]
     for d in _diagrams(rep):
         m = SparseMat(rep.size, full_image(rep, d))
@@ -300,8 +293,7 @@ def _random_elements(rng, rep: TensorRep, count: int) -> list[AlgebraElement]:
     for _ in range(count):
         terms = {d: rng.choice([-3, -2, -1, 1, 2, 3]) for d in rng.sample(pool, min(3, len(pool)))}
         out.append(AlgebraElement(rep.r, terms, rep.delta0))
-    flavor = "symmetric" if rep.flavor == "permutation" else rep.flavor
-    return out + ideal_generators(rep.r, rep.n, flavor, rep.delta0)
+    return out + ideal_generators(rep.r, rep.n, rep.flavor, rep.delta0)
 
 
 @pytest.mark.parametrize("flavor,n", [(f, n) for f in ("symplectic", "orthogonal", "symmetric")
@@ -314,7 +306,7 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
     test and ranks over Q, F_3 and F_5 are those of the full image; so is
     the rank of the transposed orbit-row lines, and on the diagrams that
     of ``image_rank`` over Q, F_3, F_5 and F_7."""
-    rep = _rep(flavor, n, r)
+    rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
     chosen = set(rows)
     diagram_elements = [AlgebraElement.from_diagram(d, 1, rep.delta0) for d in _diagrams(rep)]
@@ -349,7 +341,7 @@ def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
     generators and on the kernel generators alone (rank 0: no nonzero
     column)."""
     from brauercell.sft import ideal_generators
-    rep = _rep(flavor, n, r)
+    rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
     kernel = ideal_generators(r, n, flavor, rep.delta0)
     diagrams = _diagrams(rep)
@@ -370,13 +362,15 @@ def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
 
 def test_image_rank_rejects_bad_input():
     """Diagrams of the wrong width, horizontal strands under the
-    permutation flavor and an unknown field raise; so does a call of
-    ``rep_diagram`` without rows."""
+    symmetric flavor and an unknown field raise; so do a call of
+    ``rep_diagram`` without rows and a flavor name the CLI does not take."""
     rep = TensorRep("symplectic", 1, 2)
+    with pytest.raises(ValueError):
+        TensorRep("permutation", 2, 2)
     with pytest.raises(ValueError):
         image_rank(all_diagrams(3), rep)
     with pytest.raises(ValueError):
-        image_rank(all_diagrams(2), TensorRep("permutation", 2, 2))
+        image_rank(all_diagrams(2), TensorRep("symmetric", 2, 2))
     with pytest.raises(ValueError):
         image_rank(all_diagrams(2), rep, field=("Fq", 5))
     with pytest.raises(TypeError):
@@ -390,7 +384,7 @@ def test_orbit_word_table(flavor, n, r, rng):
     """``orbit_rows`` keeps the word of each orbit row, and it is
     ``word(i)``; ``rep_diagram`` on rows off the orbit set (alone or mixed
     with orbit rows) is the full image restricted to them."""
-    rep = _rep(flavor, n, r)
+    rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
     assert sorted(rep._orbit_words) == list(rows)
     assert all(rep._orbit_words[i] == rep.word(i) for i in rows)
@@ -459,7 +453,7 @@ def test_image_rank_wide_sparse():
 
 
 def test_permutation_flavor():
-    rep = TensorRep("permutation", 2, 3)
+    rep = TensorRep("symmetric", 2, 3)
     s1 = rep_element(rep, AlgebraElement.from_perm((2, 1, 3)))
     assert matmul(s1, s1) == identity(8)
     with pytest.raises(ValueError):
