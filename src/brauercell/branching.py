@@ -183,20 +183,20 @@ PERMISSIBLE = {
 
 
 def path_permissible(t: Path, flavor: str, n: int) -> bool:
+    """Every vertex of the path t is permissible."""
     pred = PERMISSIBLE[flavor]
     return all(pred(v, n) for v in t)
 
 
 def expected_image_dimension(r: int, n: int, flavor: str) -> int:
     """Sum over permissible vertices of (number of permissible paths)^2."""
-    pred = PERMISSIBLE[flavor]
     add_only = flavor == "symmetric"
     total = 0
     for v in vertices_at_level(r, add_only):
-        if not pred(v, n):
+        if not PERMISSIBLE[flavor](v, n):
             continue
         k = sum(1 for t in enumerate_paths(v, add_only)
-                if all(pred(w, n) for w in t))
+                if path_permissible(t, flavor, n))
         total += k * k
     return total
 

@@ -10,6 +10,10 @@ computation; a write to --out that fails exits 1 with one "error:" line.
 All numeric output is exact (integers and fraction strings); JSON output is
 byte-identical across runs for the same configuration, with wall-clock
 timing reported on stderr only.
+
+No command forks on the flavor.  ``basis --split`` and ``certify`` build
+one ``sft.SplitBasis`` for every flavor, under the --max-r cap, and
+``certify`` prints the sections ``sft.certify_sections`` picks for it.
 """
 
 from __future__ import annotations
@@ -146,44 +150,13 @@ def cmd_basis(args) -> tuple[dict, int]:
 
 
 def cmd_certify(args) -> tuple[dict, int]:
-    from .sft import SplitBasis, certify_sft, quotient_cell_modules
+    from .sft import SplitBasis, certify_sections
+    split = SplitBasis(args.r, args.N, args.flavor, max_r=args.max_r)
     fields = (args.p,) if args.field == "Fp" else ()
-    sections = []
-    if args.flavor == "symmetric":
-        from .sft import harterich_check
-        cert = harterich_check(args.r, args.N, max_tensor_dim=args.max_tensor_dim,
-                               fields=fields)
-        sections.append(("harterich", cert))
-        all_pass = cert.passed
-    else:
-        split = SplitBasis(args.r, args.N, args.flavor, max_r=args.max_r)
-        cert = certify_sft(args.r, args.N, args.flavor, split=split,
-                           max_tensor_dim=args.max_tensor_dim, fields=fields)
-        quo = quotient_cell_modules(args.r, args.N, args.flavor, split=split)
-        sections = [("split_basis", cert), ("quotient_cell_modules", quo)]
-        all_pass = cert.passed and quo.passed
-        if args.r <= args.seminormal_cap:
-            from .seminormal import (gz_idempotents, quotient_record,
-                                     specialize_quotient)
-            records = []
-            for v in split.basis.vertices:
-                if split.perm_pred(v):
-                    rec = specialize_quotient(gz_idempotents(split.basis, v),
-                                              split.delta0, args.flavor, args.N)
-                else:
-                    rec = quotient_record(v, split.basis.paths[v], split.delta0,
-                                          args.flavor, args.N)
-                records.append(rec)
-                if not rec.skipped:
-                    all_pass = all_pass and rec.passed
-            sections.append(("seminormal", records))
+    sections, all_pass = certify_sections(split, args.max_tensor_dim, fields,
+                                          args.seminormal_cap)
     payload = {"command": "certify", "flavor": args.flavor, "r": args.r,
-               "N": args.N, "pass": all_pass, "sections": {}}
-    for name, obj in sections:
-        if isinstance(obj, list):
-            payload["sections"][name] = [rec.to_json() for rec in obj]
-        else:
-            payload["sections"][name] = obj.to_json()
+               "N": args.N, "pass": all_pass, "sections": sections}
     return payload, 0 if all_pass else CERT_FAILURE
 
 

@@ -38,6 +38,9 @@ from .errors import CapExceeded
 from .exactmat import ExactMatrix, inverse_columns
 from .rings import Poly
 
+# the default cap on r of ``murphy_basis`` (--max-r may raise it)
+MAX_R = 6
+
 FLAVORS = {
     "symmetric": (True, False),
     "symmetric-dual": (True, True),
@@ -162,14 +165,9 @@ class MurphyBasis:
     """A full cellular basis of B_r (or of the symmetric group algebra)
     over the generic ground ring, expanded in the diagram basis."""
 
-    MAX_R = 6
-
-    def __init__(self, r: int, flavor: str, max_r: int | None = None):
+    def __init__(self, r: int, flavor: str):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        cap = self.MAX_R if max_r is None else max_r
-        if r > cap:
-            raise CapExceeded(f"r={r} exceeds the basis cap {cap}")
         self.r = r
         self.flavor = flavor
         self.add_only, self.dual = FLAVORS[flavor]
@@ -186,7 +184,7 @@ class MurphyBasis:
         self.d_elements: dict[tuple[Vertex, int], AlgebraElement] = {}
         for v in verts:
             for ti, t in enumerate(self.paths[v]):
-                self.d_elements[(v, ti)] = self._path_d(t)
+                self.d_elements[(v, ti)] = self.path_d(t)
 
         self.index: list[tuple[Vertex, int, int]] = [
             (v, s, t) for v in verts for s in range(len(self.paths[v]))
@@ -222,10 +220,13 @@ class MurphyBasis:
                 self._edge_cache[key] = brauer_branching_factors(a, b, self.dual, self.r)
         return self._edge_cache[key]
 
-    def _path_d(self, t: Path) -> AlgebraElement:
-        out = AlgebraElement.one(self.r)
+    def path_d(self, t: Path, delta=None) -> AlgebraElement:
+        """d_t, the product of the d factors of the edges of t, last edge
+        first; formed at delta = ``delta`` when it is given, else generic."""
+        out = AlgebraElement.one(self.r, delta)
         for a, b in reversed(list(zip(t, t[1:]))):
-            out = out * self.edge_factors(a, b)[0]
+            factor = self.edge_factors(a, b)[0]
+            out = out * (factor if delta is None else factor.with_delta(delta))
         return out
 
     def expand_cell(self, v: Vertex) -> dict[tuple[Vertex, int, int], AlgebraElement]:
@@ -419,12 +420,13 @@ def _poly_or_constant(powers: dict):
 
 @lru_cache(maxsize=None)
 def _cached_basis(r: int, flavor: str) -> MurphyBasis:
-    return MurphyBasis(r, flavor, max_r=max(r, MurphyBasis.MAX_R))
+    return MurphyBasis(r, flavor)
 
 
 def murphy_basis(r: int, flavor: str, max_r: int | None = None) -> MurphyBasis:
-    """Construct (and cache) the cellular basis of the given flavor."""
-    cap = MurphyBasis.MAX_R if max_r is None else max_r
+    """Construct (and cache) the cellular basis of the given flavor, for r
+    up to the cap ``max_r`` (``MAX_R`` when it is not given)."""
+    cap = MAX_R if max_r is None else max_r
     if r > cap:
         raise CapExceeded(f"r={r} exceeds the basis cap {cap}")
     return _cached_basis(r, flavor)

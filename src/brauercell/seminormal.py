@@ -175,10 +175,9 @@ def quotient_record(vertex: Vertex, paths: list[Path], delta0, flavor: str,
     permissible paths, and skipped when the vertex is not permissible, as
     no quotient cell survives there.  It reads the paths alone, so a
     vertex that is not permissible needs no idempotents."""
-    pred = br.PERMISSIBLE[flavor]
     record = QuotientSeminormalRecord(vertex, delta0, [
-        ti for ti, t in enumerate(paths) if all(pred(v, n) for v in t)])
-    if not pred(vertex, n):
+        ti for ti, t in enumerate(paths) if br.path_permissible(t, flavor, n)])
+    if not br.PERMISSIBLE[flavor](vertex, n):
         record.skipped = True
         record.reason = "vertex not permissible: no quotient cell survives"
     return record

@@ -24,6 +24,8 @@ already splits, its kernel cells those of more than N rows.
 The split basis replaces m_st by n_st = a_s* m a_t, where a_t corrects the
 path at its first non-permissible vertex by the factorization b = m * beta;
 n_st = m_st when both paths are permissible and maps to zero otherwise.
+``certify_sections`` picks a flavor's certificate sections from its split
+basis; the symmetric group's is ``harterich_check``.
 """
 
 from __future__ import annotations
@@ -162,15 +164,14 @@ class SplitBasis:
         # a_t per (vertex, path index); d_t for permissible paths
         self.a_elements: dict[tuple[Vertex, int], AlgebraElement] = {}
         self.path_permissible: dict[tuple[Vertex, int], bool] = {}
-        # module coordinates of n_t, built on first read (``module_vector``)
-        self._module_vectors: dict[tuple[Vertex, int], list[int]] = {}
+        # d_{s0}* m_lambda per vertex, built on first read (``module_vector``)
         self._module_lefts: dict[Vertex, AlgebraElement] = {}
         # a_s* m_lambda per (vertex, path index), built on first read (``element``)
         self._lefts: dict[tuple[Vertex, int], AlgebraElement] = {}
         for v in self.basis.vertices:
             paths = self.basis.paths[v]
             for ti, t in enumerate(paths):
-                perm = all(self.perm_pred(w) for w in t)
+                perm = br.path_permissible(t, flavor, n)
                 self.path_permissible[(v, ti)] = perm
                 if perm:
                     a_t = self.basis.d_elements[(v, ti)].with_delta(self.delta0)
@@ -185,29 +186,19 @@ class SplitBasis:
         return self._gen_cache[v]
 
     def _correction(self, v: Vertex, t: Path) -> AlgebraElement:
-        """a_t = d_{t2} beta_mu d_{t1} for the first non-permissible t(k)."""
+        """a_t = d_{t2} beta_mu d_{t1} for the first non-permissible mu =
+        t(k), with t1 = t(0..k) and t2 = t(k..); every product at delta0."""
         k = next(i for i, w in enumerate(t) if not self.perm_pred(w))
-        mu = t[k]
-        beta = self._generator(mu).beta
-        d1 = AlgebraElement.one(self.r, self.delta0)
-        for a, b in reversed(list(zip(t[:k], t[1:k + 1]))):
-            d1 = d1 * self.basis.edge_factors(a, b)[0].with_delta(self.delta0)
-        d2 = AlgebraElement.one(self.r, self.delta0)
-        for a, b in reversed(list(zip(t[k:], t[k + 1:]))):
-            d2 = d2 * self.basis.edge_factors(a, b)[0].with_delta(self.delta0)
+        beta = self._generator(t[k]).beta
+        d1 = self.basis.path_d(t[:k + 1], self.delta0)
+        d2 = self.basis.path_d(t[k:], self.delta0)
         return d2 * beta * d1
 
     def module_vector(self, v: Vertex, ti: int) -> list[int]:
         """Module coordinates of n_t = m_lambda a_t in the Murphy basis of
         the cell module of v: the coefficients of m_(v,0,u) in
-        d_{s0}* m_lambda a_t.  Built the first time it is read, and kept;
-        raises unless they are integers."""
-        vec = self._module_vectors.get((v, ti))
-        if vec is None:
-            vec = self._module_vectors[(v, ti)] = self._module_expand(v, ti)
-        return vec
-
-    def _module_expand(self, v: Vertex, ti: int) -> list[int]:
+        d_{s0}* m_lambda a_t; raises unless they are integers.  Each call
+        builds the vector; d_{s0}* m_lambda is kept per vertex."""
         left = self._module_lefts.get(v)
         if left is None:
             gen = self.basis.generators[v].with_delta(self.delta0)
@@ -276,18 +267,8 @@ class CheckResult(NamedTuple):
     passed: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "expected": _jsonable(self.expected),
-                "got": _jsonable(self.got), "pass": self.passed}
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        return {"name": self.name, "expected": self.expected, "got": self.got,
+                "pass": self.passed}
 
 
 class Certificate:
@@ -305,7 +286,7 @@ class Certificate:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"params": _jsonable(self.params),
+        return {"params": self.params,
                 "checks": [c.to_json() for c in self.checks],
                 "pass": self.passed}
 
@@ -394,7 +375,8 @@ def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int,
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                 max_tensor_dim: int = MAX_TENSOR_DIM, check_ideal: bool | None = None,
                 fields: tuple = ()) -> Certificate:
-    """The kernel/image certificate for the symplectic or orthogonal case:
+    """The split-basis kernel/image certificate, which ``certify_sections``
+    reads for the symplectic and orthogonal flavors:
 
     1. the images of permissible n_st are linearly independent of rank
        sum (#permissible paths)^2;
@@ -408,9 +390,6 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     rank of line 1 is taken by columns, and stops once it reaches the
     number of nonzero images.
     """
-    if flavor == "symmetric":
-        return harterich_check(r, n, max_tensor_dim=max_tensor_dim,
-                               check_ideal=check_ideal, fields=fields)
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     split = split if split is not None else SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r, max_tensor_dim=max_tensor_dim)
@@ -437,7 +416,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     for p in fields:
         if flavor == "orthogonal" and p == 2:
             continue
-        got_p = image_rank(split.basis.diagrams, rep, field=("Fp", p))
+        got_p = image_rank(split.basis.diagrams, rep, p)
         cert.add(f"image rank over F_{p}", dim_im, got_p)
     return cert
 
@@ -470,38 +449,37 @@ def quotient_cell_modules(r: int, n: int, flavor: str,
     return cert
 
 
-def harterich_check(r: int, n: int, max_tensor_dim: int = MAX_TENSOR_DIM,
+def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
                     check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
     """Kernel/image certificate for the symmetric group acting by unsigned
-    place permutations on (Z^N)^{tensor r}, in the dual-Murphy basis:
-    cells with more than N rows span the kernel; the antisymmetrizer on N+1
-    letters generates it as an ideal.
+    place permutations on (Z^N)^{tensor r}, read from its split basis, the
+    dual-Murphy basis: cells with more than N rows span the kernel; the
+    antisymmetrizer on N+1 letters generates it as an ideal.  Along a path
+    in Young's lattice the row count never falls, so a path is permissible
+    exactly when its end vertex is, and a cell is all kernel or all image.
 
-    The cells of at most N rows are imaged whole, for the rank (taken by
-    columns, as in ``certify_sft``).  A kernel cell is imaged through its
-    generator y_lam alone, and never expanded.  That is exact:
-    ``MurphyBasis`` builds every element of the cell of lam as m_st =
-    (d_s* y_lam) d_t, and Phi is a homomorphism (``tensorrep``: rep(ab) =
-    rep(a) rep(b)), so Phi(m_st) = Phi(d_s*) Phi(y_lam) Phi(d_t), which is
-    zero once Phi(y_lam) is.  So when every kernel generator maps to zero,
-    every element of every kernel cell does, and the line "kernel cells
-    map to zero" is true.  The kernel count is the number of those
-    elements, the sum of |paths(lam)|^2 over the kernel cells."""
+    The image cells are imaged whole, for the rank (taken by columns, as in
+    ``certify_sft``).  A kernel cell is imaged through its generator y_lam
+    alone, and never expanded.  That is exact: ``MurphyBasis`` builds every
+    element of the cell of lam as m_st = (d_s* y_lam) d_t, and Phi is a
+    homomorphism (``tensorrep``: rep(ab) = rep(a) rep(b)), so Phi(m_st) =
+    Phi(d_s*) Phi(y_lam) Phi(d_t), which is zero once Phi(y_lam) is.  So
+    when every kernel generator maps to zero, every element of every kernel
+    cell does, and the line "kernel cells map to zero" is true."""
+    r, n, basis = split.r, split.n, split.basis
     cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
-    basis = murphy_basis(r, "symmetric-dual")
     rep = TensorRep("symmetric", n, r, max_tensor_dim=max_tensor_dim)
     dim_im = expected_image_dimension(r, n, "symmetric")
     dim_alg = algebra_dimension(r, "symmetric")
 
-    image = [key for key in basis.index if len(key[0].lam) <= n]
-    kernel = [v for v in basis.vertices if len(v.lam) > n]
+    image = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
+    kernel = [v for v in basis.vertices if not split.perm_pred(v)]
     vectors = image_vectors(chain((basis.elements[key] for key in image),
                                   (basis.generators[v] for v in kernel)), rep)
     perm_lines = image_lines(islice(vectors, len(image)))
     cert.add("kernel cells map to zero", True, not any(vectors))
     cert.add("image rank over Q", dim_im, sparse_rank_q(perm_lines))
-    cert.add("kernel count + image dimension", dim_alg,
-             sum(len(basis.paths[v]) ** 2 for v in kernel) + dim_im)
+    cert.add("kernel count + image dimension", dim_alg, split.kernel_count() + dim_im)
     if check_ideal is None:
         check_ideal = r <= 4
     if check_ideal and r > n:
@@ -510,6 +488,35 @@ def harterich_check(r: int, n: int, max_tensor_dim: int = MAX_TENSOR_DIM,
         cert.add("ideal generated by the antisymmetrizer has rank dim ker",
                  dim_alg - dim_im, got)
     for p in fields:
-        got_p = image_rank(all_permutation_diagrams(r), rep, field=("Fp", p))
+        got_p = image_rank(basis.diagrams, rep, p)
         cert.add(f"image rank over F_{p}", dim_im, got_p)
     return cert
+
+
+def certify_sections(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
+                     fields: tuple = (), seminormal_cap: int = 4) -> tuple[dict, bool]:
+    """The sections of ``certify`` on ``split``, each as JSON, and whether
+    they all pass; the one place that picks a flavor's sections.  The
+    symmetric group: ``harterich``.  The Brauer flavors: ``split_basis``,
+    ``quotient_cell_modules`` and, when r <= ``seminormal_cap``,
+    ``seminormal``, one record per vertex, in which a vertex that is not
+    permissible is skipped and does not count towards the pass."""
+    if split.flavor == "symmetric":
+        cert = harterich_check(split, max_tensor_dim=max_tensor_dim, fields=fields)
+        return {"harterich": cert.to_json()}, cert.passed
+    cert = certify_sft(split.r, split.n, split.flavor, split=split,
+                       max_tensor_dim=max_tensor_dim, fields=fields)
+    quo = quotient_cell_modules(split.r, split.n, split.flavor, split=split)
+    sections = {"split_basis": cert.to_json(), "quotient_cell_modules": quo.to_json()}
+    passed = cert.passed and quo.passed
+    if split.r <= seminormal_cap:
+        from . import seminormal as sn   # loaded only when its section runs
+        records = [sn.specialize_quotient(sn.gz_idempotents(split.basis, v),
+                                          split.delta0, split.flavor, split.n)
+                   if split.perm_pred(v) else
+                   sn.quotient_record(v, split.basis.paths[v], split.delta0,
+                                      split.flavor, split.n)
+                   for v in split.basis.vertices]
+        sections["seminormal"] = [rec.to_json() for rec in records]
+        passed = passed and all(rec.passed for rec in records if not rec.skipped)
+    return sections, passed

@@ -240,9 +240,9 @@ def image_lines(vectors) -> list[dict[int, int]]:
     return list(lines.values())
 
 
-def image_rank(diagrams, rep: TensorRep, field="Q") -> int:
-    """Rank of the span of the images of ``diagrams``, over Q or over F_p
-    (field = ("Fp", p)).  Each image is built and read on
+def image_rank(diagrams, rep: TensorRep, p: int | None = None) -> int:
+    """Rank of the span of the images of ``diagrams``, over Q, or over F_p
+    when the prime ``p`` is given.  Each image is built and read on
     ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every p
     (module docstring), and flattened as in ``image_vectors``.
 
@@ -253,9 +253,4 @@ def image_rank(diagrams, rep: TensorRep, field="Q") -> int:
     rows, size = rep.orbit_rows(), rep.size
     lines = image_lines({i * size + j: x for i, row in rep.rep_diagram(d, rows).items()
                          for j, x in row.items()} for d in diagrams)
-    if field == "Q":
-        return sparse_rank_q(lines)
-    name, p = field
-    if name != "Fp":
-        raise ValueError(f"unknown field {field!r}")
-    return rank_modp(lines, p)
+    return sparse_rank_q(lines) if p is None else rank_modp(lines, p)

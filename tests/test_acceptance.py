@@ -210,7 +210,7 @@ def test_criterion_9_field_independence():
                 expected = expected_image_dimension(r, n, flavor)
                 primes = (2, 3, 5, 7) if flavor == "symplectic" else (3, 5, 7)
                 for p in primes:
-                    ok &= image_rank(gens, rep, field=("Fp", p)) == expected
+                    ok &= image_rank(gens, rep, p=p) == expected
     report(9, "image rank over F_p equals the rank over Q "
               "(p in 3,5,7 and 2 for symplectic; N<=2, r<=4)", ok)
 

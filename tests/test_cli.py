@@ -78,12 +78,24 @@ def test_certify_exit_codes(capsys):
     assert data["pass"] is True
 
 
+def test_certify_symmetric_honours_max_r(capsys):
+    """The symmetric certificate reads the basis built under --max-r, so r=7
+    runs when the cap admits it."""
+    code, out = run(capsys, "certify", "--flavor", "symmetric", "--r", "7", "--N", "2",
+                    "--max-r", "7")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    checks = {c["name"]: c for c in data["sections"]["harterich"]["checks"]}
+    assert checks["image rank over Q"]["got"] == 429
+
+
 def test_certify_failure_exit_code(capsys, monkeypatch):
     import brauercell.cli as cli
     from brauercell.sft import Certificate
 
-    def fake_harterich(r, n, max_tensor_dim=65536, fields=()):
-        cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
+    def fake_harterich(split, max_tensor_dim=65536, fields=()):
+        cert = Certificate({"flavor": "symmetric", "r": split.r, "N": split.n})
         cert.add("forced failure", 1, 2)
         return cert
 
@@ -98,7 +110,7 @@ def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
     for exc, code, line in [(ArithmeticError("forced exactness failure"), 3,
                              "internal error: forced exactness failure"),
                             (MemoryError(), 2, "cap exceeded: out of memory")]:
-        def broken_harterich(r, n, max_tensor_dim=65536, fields=(), exc=exc):
+        def broken_harterich(split, max_tensor_dim=65536, fields=(), exc=exc):
             raise exc
 
         monkeypatch.setattr("brauercell.sft.harterich_check", broken_harterich)
@@ -446,9 +458,9 @@ def test_certify_builds_module_vectors_where_read_only(capsys, monkeypatch):
     and for no other path."""
     from brauercell.sft import SplitBasis
     built = []
-    expand = SplitBasis._module_expand
-    monkeypatch.setattr(SplitBasis, "_module_expand",
-                        lambda self, v, ti: built.append((v, ti)) or expand(self, v, ti))
+    build = SplitBasis.module_vector
+    monkeypatch.setattr(SplitBasis, "module_vector",
+                        lambda self, v, ti: built.append((v, ti)) or build(self, v, ti))
     code, _ = run(capsys, "certify", "--flavor", "symplectic", "--r", "5", "--N", "1")
     assert code == 0
     split = SplitBasis(5, 1, "symplectic")
@@ -488,6 +500,7 @@ def test_image_rank_callers_build_no_algebra_elements(capsys, monkeypatch):
         plain = count(lambda: certify_sft(4, n, flavor, split=split))
         assert plain > 0
         assert count(lambda: certify_sft(4, n, flavor, split=split, fields=(3, 5))) == plain
-    harterich_check(4, 2)
-    plain = count(lambda: harterich_check(4, 2))
-    assert count(lambda: harterich_check(4, 2, fields=(3, 5))) == plain
+    split = SplitBasis(4, 2, "symmetric")
+    harterich_check(split)
+    plain = count(lambda: harterich_check(split))
+    assert count(lambda: harterich_check(split, fields=(3, 5))) == plain

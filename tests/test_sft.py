@@ -202,19 +202,19 @@ def test_faithful_below_n():
     # full-rank certificates at the faithfulness boundary
     assert certify_sft(3, 3, "symplectic", check_ideal=False).passed
     assert certify_sft(4, 4, "orthogonal", check_ideal=False).passed
-    assert harterich_check(3, 3).passed
+    assert harterich_check(SplitBasis(3, 3, "symmetric")).passed
 
 
 def test_harterich_examples():
-    cert = harterich_check(3, 2)
+    cert = harterich_check(SplitBasis(3, 2, "symmetric"))
     assert cert.passed
     got = {c.name: c.got for c in cert.checks}
     assert got["image rank over Q"] == 5  # dim ker = 1
-    cert4 = harterich_check(4, 2)
+    cert4 = harterich_check(SplitBasis(4, 2, "symmetric"))
     assert cert4.passed
     got4 = {c.name: c.got for c in cert4.checks}
     assert got4["image rank over Q"] == 14  # dim ker = 10
-    assert harterich_check(2, 3).passed  # faithful for r <= N
+    assert harterich_check(SplitBasis(2, 3, "symmetric")).passed  # faithful for r <= N
 
 
 def test_harterich_kernel_generator_is_antisymmetrizer():
@@ -496,40 +496,40 @@ HARTERICH_GRID = [(r, n) for n in (1, 2, 3, 4) for r in range(1, 6)] + [(6, 2)]
 def test_kernel_generator_line_agrees_with_every_kernel_element(r, n):
     """The kernel line images one generator y_lam per kernel cell; the
     oracle images every element of every kernel cell, on all rows."""
-    cert = harterich_check(r, n, check_ideal=False)
+    cert = harterich_check(SplitBasis(r, n, "symmetric"), check_ideal=False)
     got = {c.name: c.got for c in cert.checks}
     assert kernel_elements_map_to_zero(r, n)
     assert got["kernel cells map to zero"] is True
     assert cert.passed
 
 
-def _fresh_symmetric_basis(monkeypatch, r):
-    basis = MurphyBasis(r, "symmetric-dual", max_r=r)
-    monkeypatch.setattr("brauercell.sft.murphy_basis", lambda r_, flavor: basis)
-    return basis
+def _fresh_symmetric_split(r, n):
+    return SplitBasis(r, n, "symmetric", basis=MurphyBasis(r, "symmetric-dual"))
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (4, 2), (5, 3)])
-def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(monkeypatch, r, n):
+def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(r, n):
     """A kernel cell whose generator is replaced by that of a cell of at
     most N rows, whose image is not zero, turns the kernel line False."""
-    basis = _fresh_symmetric_basis(monkeypatch, r)
+    split = _fresh_symmetric_split(r, n)
+    basis = split.basis
     kernel = next(v for v in basis.vertices if len(v.lam) > n)
     image = next(v for v in basis.vertices if len(v.lam) <= n)
     basis.generators[kernel] = basis.generators[image]
-    cert = harterich_check(r, n, check_ideal=False)
+    cert = harterich_check(split, check_ideal=False)
     line = next(c for c in cert.checks if c.name == "kernel cells map to zero")
     assert not line.passed and not cert.passed
 
 
 def test_harterich_expands_no_kernel_cell(monkeypatch):
     """At r=6, N=2 the certificate reads the cells of at most 2 rows only."""
-    basis = _fresh_symmetric_basis(monkeypatch, 6)
+    split = _fresh_symmetric_split(6, 2)
+    basis = split.basis
     expanded = []
     expand_cell = MurphyBasis.expand_cell
     monkeypatch.setattr(MurphyBasis, "expand_cell",
                         lambda self, v: expanded.append(v) or expand_cell(self, v))
-    assert harterich_check(6, 2).passed
+    assert harterich_check(split).passed
     assert expanded
     assert sorted(expanded, key=basis.vertices.index) == [
         v for v in basis.vertices if len(v.lam) <= 2]

@@ -324,7 +324,7 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
         if elements is diagram_elements:
             assert image_rank(_diagrams(rep), rep) == sparse_rank_q(full)
             for p in (3, 5, 7):
-                assert image_rank(_diagrams(rep), rep, field=("Fp", p)) == rank_modp(full, p)
+                assert image_rank(_diagrams(rep), rep, p=p) == rank_modp(full, p)
 
 
 COLUMN_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
@@ -356,13 +356,13 @@ def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
         if as_diagrams is not None:
             assert image_rank(as_diagrams, rep) == sparse_rank_q(vecs)
             for p in (3, 5, 7):
-                assert image_rank(as_diagrams, rep, field=("Fp", p)) == rank_modp(vecs, p)
+                assert image_rank(as_diagrams, rep, p=p) == rank_modp(vecs, p)
     assert sparse_rank_q(image_lines(image_vectors(kernel, rep))) == 0
 
 
 def test_image_rank_rejects_bad_input():
-    """Diagrams of the wrong width, horizontal strands under the
-    symmetric flavor and an unknown field raise; so do a call of
+    """Diagrams of the wrong width and horizontal strands under the
+    symmetric flavor raise; so do a call of
     ``rep_diagram`` without rows and a flavor name the CLI does not take."""
     rep = TensorRep("symplectic", 1, 2)
     with pytest.raises(ValueError):
@@ -371,8 +371,6 @@ def test_image_rank_rejects_bad_input():
         image_rank(all_diagrams(3), rep)
     with pytest.raises(ValueError):
         image_rank(all_diagrams(2), TensorRep("symmetric", 2, 2))
-    with pytest.raises(ValueError):
-        image_rank(all_diagrams(2), rep, field=("Fq", 5))
     with pytest.raises(TypeError):
         rep.rep_diagram(BrauerDiagram.identity(2))
 
@@ -441,8 +439,8 @@ def test_image_rank_examples():
     rep3 = TensorRep("symplectic", 1, 3)
     gens = all_diagrams(3)
     assert image_rank(gens, rep3) == 5
-    assert image_rank(gens, rep3, field=("Fp", 5)) == 5
-    assert image_rank(gens, rep3, field=("Fp", 3)) == 5
+    assert image_rank(gens, rep3, p=5) == 5
+    assert image_rank(gens, rep3, p=3) == 5
 
 
 def test_image_rank_wide_sparse():
