@@ -7,12 +7,15 @@ is reduced against the pivot rows in increasing pivot order.  The echelon is
 parameterised only by how one row is cancelled against a pivot row, in one
 of three domains:
 
-* Z (``_cancel_z``): fraction-free, with the row gcd removed after every
-  step, so a row stays the primitive integer multiple of its rational value;
-  the row is scaled by a positive factor only, so a row cancelled against a
-  pivot of -1, like one against +1, is updated in place, not copied;
+* Z (``_cancel_z``): fraction-free; the row is scaled by a positive
+  factor only, so a row cancelled against a pivot of -1, like one against
+  +1, is updated in place, not copied.  ``Echelon.reduce`` divides out the
+  content at its end, so every row it returns or keeps is primitive;
 * F_p (``_cancel_mod``);
 * Q (``_cancel_field``, on Fraction values), for determinants.
+
+Ranks first peel the singleton rows (``_peel``, the first phase of
+structured Gaussian elimination, LaMacchia-Odlyzko) in every domain.
 
 Each public entry point fixes its own domain.  Values are int or Fraction;
 a matrix over Z[delta] is never eliminated (a Poly value raises TypeError).
@@ -28,18 +31,21 @@ residue mod p.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
+from collections import defaultdict, deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
+from operator import index
 
 from .diagrams import perm_sign
 
 
 def _cancel_z(row: dict, prow: dict, c: int) -> dict:
-    """a*row - b*prow with a*row[c] = b*prow[c] and a > 0, divided by its
-    content; in place when a = 1, as against a pivot of +-1."""
+    """a*row - b*prow with a*row[c] = b*prow[c] and a > 0; in place when
+    a = 1, as against a pivot of +-1, else divided by its content."""
     g = gcd(row[c], prow[c])
     if prow[c] < 0:
         g = -g
@@ -52,10 +58,15 @@ def _cancel_z(row: dict, prow: dict, c: int) -> dict:
             row[k] = w
         else:
             del row[k]
-    g = gcd(*row.values())
-    if g > 1:
-        row = {k: x // g for k, x in row.items()}
+    if a != 1:
+        row = _primitive(row)
     return row
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by its content, the gcd of its values."""
+    g = gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
 
 
 def _cancel_mod(p: int):
@@ -97,11 +108,12 @@ class Echelon:
     def reduce(self, row: dict) -> dict:
         """``row`` with every pivot column cancelled.  A pivot row has no
         column below its pivot, so cancelling at c only adds columns above c
-        and one pass in increasing pivot order suffices."""
+        and one pass in increasing pivot order suffices.  Over Z the result
+        is divided by its content, so it is primitive."""
         for c in self.cols:
             if c in row:
                 row = self.cancel(row, self.rows[c], c)
-        return row
+        return _primitive(row) if self.cancel is _cancel_z else row
 
     def add(self, row: dict) -> tuple[int | None, dict]:
         """Reduce ``row`` and keep it as a pivot row unless only tag columns
@@ -118,23 +130,62 @@ class Echelon:
 
 
 def _z_row(row: dict) -> dict[int, int]:
-    """A row of int/Fraction values scaled to integers, zeros dropped."""
-    den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
-    return {c: int(v * den) for c, v in row.items() if v}
+    """A row of int/Fraction values scaled to integers, zeros dropped; a row
+    of ints is copied as it is."""
+    try:
+        return {c: index(v) for c, v in row.items() if v}
+    except TypeError:   # a Fraction; a Poly raises again below
+        den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+        return {c: int(v * den) for c, v in row.items() if v}
+
+
+def _peel(rows: list[dict]) -> int:
+    """Peel the singleton rows of ``rows`` in place; returns how many.  A
+    row with one nonzero, at column g, is a pivot, and column g is struck
+    from every row, which may leave new singletons.  The peeled rows leave
+    the list; a row that empties out stays.  A strike subtracts a multiple
+    of the singleton row, whose value is a unit over Q and F_p, so
+    rank(rows) = peeled + rank(what is left) over Q (integer rows too) and
+    every F_p, in any order.  A column -> rows index of machine-int arrays,
+    built only once a singleton exists, and a queue make it O(nnz)."""
+    queue = deque(i for i, row in enumerate(rows) if len(row) == 1)
+    if not queue:
+        return 0
+    holders = defaultdict(lambda: array("i"))   # column -> the rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].append(i)
+    struck = 0
+    while queue:
+        i = queue.popleft()
+        if len(rows[i]) != 1:
+            continue   # emptied since it was queued
+        (g,) = rows[i]
+        for j in holders.pop(g):
+            row = rows[j]
+            del row[g]
+            if len(row) == 1:
+                queue.append(j)
+        struck += 1
+        rows[i] = None
+    rows[:] = [row for row in rows if row is not None]
+    return struck
 
 
 def _rank(rows: list[dict], cancel) -> int:
-    """Rank of ``rows``, which it consumes: a row is popped off the list,
-    shortest first (of equal lengths, the last first) to limit fill-in, and
-    reduced in place.  A rank never exceeds the number of distinct columns,
-    so the elimination stops, leaving the rest of the list, once the pivots
+    """Rank of ``rows``, which it consumes: the singletons are peeled
+    (``_peel``), then a row is popped off the list, shortest first (of
+    equal lengths, the last first) to limit fill-in, and reduced in place.
+    A rank never exceeds the number of distinct columns, so the
+    elimination stops, leaving the rest of the list, once the pivots
     number as many."""
+    struck = _peel(rows)
     rows.sort(key=len, reverse=True)
     width = len(set().union(*rows))
     echelon = Echelon(cancel)
     while rows and len(echelon.cols) < width:
         echelon.add(rows.pop())
-    return len(echelon.cols)
+    return struck + len(echelon.cols)
 
 
 class ExactMatrix:

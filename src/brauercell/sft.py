@@ -36,11 +36,11 @@ from math import lcm
 from typing import NamedTuple
 
 from . import branching as br
-from .branching import (Path, Vertex, algebra_dimension, conjugate,
+from .branching import (Vertex, algebra_dimension, conjugate,
                         expected_image_dimension)
 from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                        all_permutation_diagrams, diagram_mult, walled_filter)
-from .exactmat import ExactMatrix, sparse_rank_q, spin_rank_q
+from .exactmat import ExactMatrix, rank_modp, sparse_rank_q, spin_rank_q
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
 from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
                         image_rank, image_vectors)
@@ -176,7 +176,7 @@ class SplitBasis:
                 if perm:
                     a_t = self.basis.d_elements[(v, ti)].with_delta(self.delta0)
                 else:
-                    a_t = self._correction(v, t)
+                    a_t = self._correction(v, ti)
                 self.a_elements[(v, ti)] = a_t
 
     def _generator(self, v: Vertex) -> KernelGenerator:
@@ -185,14 +185,18 @@ class SplitBasis:
                 v, self.n, self.r, self.flavor, self.delta0)
         return self._gen_cache[v]
 
-    def _correction(self, v: Vertex, t: Path) -> AlgebraElement:
+    def _correction(self, v: Vertex, ti: int) -> AlgebraElement:
         """a_t = d_{t2} beta_mu d_{t1} for the first non-permissible mu =
-        t(k), with t1 = t(0..k) and t2 = t(k..); every product at delta0."""
+        t(k), with t1 = t(0..k) and t2 = t(k..); every product at delta0.
+        When beta_mu = 1 (the symmetric group) it is d_t, read off the basis."""
+        t = self.basis.paths[v][ti]
         k = next(i for i, w in enumerate(t) if not self.perm_pred(w))
-        beta = self._generator(t[k]).beta
+        gen = self._generator(t[k])
+        if not gen.beta_prime.terms:
+            return self.basis.d_elements[(v, ti)].with_delta(self.delta0)
         d1 = self.basis.path_d(t[:k + 1], self.delta0)
         d2 = self.basis.path_d(t[k:], self.delta0)
-        return d2 * beta * d1
+        return d2 * gen.beta * d1
 
     def module_vector(self, v: Vertex, ti: int) -> list[int]:
         """Module coordinates of n_t = m_lambda a_t in the Murphy basis of
@@ -372,6 +376,21 @@ def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int,
     return image_lines(islice(vectors, len(permissible))), not any(vectors)
 
 
+def image_rank_modp(p: int, perm_lines: list[dict[int, int]], rank_q: int,
+                    kernel_zero: bool, diagrams, rep: TensorRep) -> int:
+    """The rank over F_p of the whole image Phi(B_r) (or of Z S_r), from
+    ``perm_lines``, the lines of the permissible basis elements, of rank
+    ``rank_q`` over Q, when they decide it, else from all the ``diagrams``.
+    The split basis is a Z-basis, so once the kernel elements map to zero
+    (``kernel_zero``) the permissible ones span the image over Q, and
+    rank_p(perm) <= rank_p(Phi(B_r)) <= rank_Q(Phi(B_r)) = rank_Q(perm):
+    a rank on the lines that reaches ``rank_q`` (their stop rule ends
+    there) is that of the whole image, and is never a mere lower bound."""
+    if kernel_zero and rank_modp(perm_lines, p) == rank_q:
+        return rank_q
+    return image_rank(diagrams, rep, p)
+
+
 def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
                 max_tensor_dim: int = MAX_TENSOR_DIM, check_ideal: bool | None = None,
                 fields: tuple = ()) -> Certificate:
@@ -388,7 +407,7 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
 
     Lines 1 and 2 read ``split_image_lines``, which forms no n_st; the
     rank of line 1 is taken by columns, and stops once it reaches the
-    number of nonzero images.
+    number of nonzero images; so does line 5 (``image_rank_modp``).
     """
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     split = split if split is not None else SplitBasis(r, n, flavor)
@@ -400,8 +419,9 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     cert.add("kernel elements map to zero", True, kernel_zero)
     cert.add("permissible pair count", dim_im,
              sum(split.pair_permissible(*key) for key in split.iter_pairs()))
+    got_q = sparse_rank_q(perm_lines)
     cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, sparse_rank_q(perm_lines))
+             dim_im, got_q)
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 
@@ -416,7 +436,8 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     for p in fields:
         if flavor == "orthogonal" and p == 2:
             continue
-        got_p = image_rank(split.basis.diagrams, rep, p)
+        got_p = image_rank_modp(p, perm_lines, got_q, kernel_zero,
+                                split.basis.diagrams, rep)
         cert.add(f"image rank over F_{p}", dim_im, got_p)
     return cert
 
@@ -477,8 +498,9 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     vectors = image_vectors(chain((basis.elements[key] for key in image),
                                   (basis.generators[v] for v in kernel)), rep)
     perm_lines = image_lines(islice(vectors, len(image)))
-    cert.add("kernel cells map to zero", True, not any(vectors))
-    cert.add("image rank over Q", dim_im, sparse_rank_q(perm_lines))
+    kernel_zero, got_q = not any(vectors), sparse_rank_q(perm_lines)
+    cert.add("kernel cells map to zero", True, kernel_zero)
+    cert.add("image rank over Q", dim_im, got_q)
     cert.add("kernel count + image dimension", dim_alg, split.kernel_count() + dim_im)
     if check_ideal is None:
         check_ideal = r <= 4
@@ -488,7 +510,7 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
         cert.add("ideal generated by the antisymmetrizer has rank dim ker",
                  dim_alg - dim_im, got)
     for p in fields:
-        got_p = image_rank(basis.diagrams, rep, p)
+        got_p = image_rank_modp(p, perm_lines, got_q, kernel_zero, basis.diagrams, rep)
         cert.add(f"image rank over F_{p}", dim_im, got_p)
     return cert
 

@@ -43,6 +43,7 @@ flavor H is all of S_N.  Reading the orbit rows alone is exact:
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 
 from .diagrams import AlgebraElement, BrauerDiagram, perm_sign
 from .errors import CapExceeded
@@ -87,6 +88,7 @@ class TensorRep:
                 f"tensor dimension {self.dim}^{r} exceeds the cap {max_tensor_dim}")
         self._orbit_rows: tuple[int, ...] | None = None
         self._orbit_words: dict[int, tuple[int, ...]] = {}
+        self._orbit_letters: list[tuple[int, ...]] = []
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -114,7 +116,7 @@ class TensorRep:
         occurrence.  So the fixed words are built letter by letter: after k
         classes have been used, a word continues with a letter of those
         classes (or the middle letter) or with the next new one, k.  The
-        words are kept, so ``rep_diagram`` need not rebuild them."""
+        words, and their letter table, are kept for ``rep_diagram``."""
         if self._orbit_rows is None:
             d = self.dim
             if self.omega is None:
@@ -131,6 +133,7 @@ class TensorRep:
                     (w + (k,), k + 1) for w, k in level if k < classes]
             self._orbit_words = {self.idx(w): w for w, _ in level}
             self._orbit_rows = tuple(sorted(self._orbit_words))
+            self._orbit_letters = list(zip(*map(self._orbit_words.get, self._orbit_rows)))
         return self._orbit_rows
 
     # -- representation of diagrams ------------------------------------------
@@ -139,10 +142,14 @@ class TensorRep:
         """Image of a diagram on the word indices in ``rows``, as the dict
         {word index: {column: value}} of its nonzero rows, via a
         generator-product factorization D = P(sigma) (e_1 e_3 ... e_{2s-1})
-        P(tau); the words of orbit rows are read from the table
-        ``orbit_rows`` keeps.  Each word is moved by sigma; the rows of
-        E_1 E_3 ... E_{2s-1} contract places (1, 2), ..., (2s-1, 2s) with
-        the form and put omega there; tau relabels the columns."""
+        P(tau).  Each word is moved by sigma; the rows of E_1 E_3 ...
+        E_{2s-1} contract places (1, 2), ..., (2s-1, 2s) with the form and
+        put omega there; tau relabels the columns.
+
+        The rows are read by columns of their letter table letters[place][k]
+        (``orbit_rows`` keeps that of the orbit rows): one pass per
+        contracted pair gives the coefficients, one per vertical strand the
+        column offsets."""
         if diag.r != self.r:
             raise ValueError("strand count mismatch")
         if self.flavor == "symmetric" and not diag.is_permutation():
@@ -175,21 +182,21 @@ class TensorRep:
         for k in range(0, 2 * s, 2):
             heads = [(h + a * weights[k] + b * weights[k + 1], c * coeff)
                      for h, c in heads for a, b, coeff in omega]
-        low_source, low_weights = source[2 * s:], weights[2 * s:]
-        known = self._orbit_words
-        out = {}
-        for i in rows:
-            w = known.get(i) or self.word(i)
-            c = 1
-            for k in range(0, 2 * s, 2):
-                x = w[source[k]]
-                if x + w[source[k + 1]] != d - 1:
-                    break
-                c *= pair[x]
-            else:
-                low = sum(w[j] * x for j, x in zip(low_source, low_weights))
-                out[i] = {h + low: c * v for h, v in heads}
-        return out
+        if rows is self._orbit_rows:
+            letters = self._orbit_letters
+        else:
+            rows = list(rows)
+            words = [self.word(i) for i in rows]
+            letters = [[w[q] for w in words] for q in range(r)]
+        coeffs = [1] * len(rows)
+        for k in range(0, 2 * s, 2):
+            coeffs = [c * pair[x] if c and x + y == d - 1 else 0
+                      for c, x, y in zip(coeffs, letters[source[k]], letters[source[k + 1]])]
+        lows = [0] * len(rows)
+        for j, weight in zip(source[2 * s:], weights[2 * s:]):
+            lows = [low + x * weight for low, x in zip(lows, letters[j])]
+        return {i: {h + low: c * v for h, v in heads}
+                for i, c, low in zip(rows, coeffs, lows) if c}
 
     def check_element(self, a: AlgebraElement) -> None:
         """Raise unless ``a`` has r strands and, for the Brauer flavors, the
@@ -244,13 +251,19 @@ def image_rank(diagrams, rep: TensorRep, p: int | None = None) -> int:
     """Rank of the span of the images of ``diagrams``, over Q, or over F_p
     when the prime ``p`` is given.  Each image is built and read on
     ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every p
-    (module docstring), and flattened as in ``image_vectors``.
+    (module docstring).
 
-    The rank is taken by columns (``image_lines``): the rank kernel is
-    given one line per nonzero column of the image matrix, {diagram
-    index: value}, and its stop rule ends the elimination once the rank
-    reaches the number of diagrams with a nonzero image."""
+    The rank is taken by columns, as in ``image_lines``: the rank kernel is
+    given one line per nonzero entry (i, j) of the images, {diagram index:
+    value}, written straight from the rows of ``rep_diagram``, and its stop
+    rule ends the elimination once the rank reaches the number of diagrams
+    with a nonzero image."""
     rows, size = rep.orbit_rows(), rep.size
-    lines = image_lines({i * size + j: x for i, row in rep.rep_diagram(d, rows).items()
-                         for j, x in row.items()} for d in diagrams)
+    by_entry: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for g, d in enumerate(diagrams):
+        for i, row in rep.rep_diagram(d, rows).items():
+            base = i * size
+            for j, x in row.items():
+                by_entry[base + j][g] = x
+    lines = list(by_entry.values())
     return sparse_rank_q(lines) if p is None else rank_modp(lines, p)

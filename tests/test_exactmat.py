@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercell.exactmat import (ExactMatrix, _cancel_mod, _cancel_z, _rank,
-                                 inverse_columns, rank_modp, sparse_rank_q,
-                                 spin_rank_q)
+from brauercell.exactmat import (Echelon, ExactMatrix, _cancel_mod, _cancel_z, _peel,
+                                 _rank, _z_row, inverse_columns, rank_modp,
+                                 sparse_rank_q, spin_rank_q)
 from brauercell.rings import Poly
 from cell_ops import transpose
 from exact_ops import (LinearSolver, det_cofactor, inverse_fraction, kernel_fraction,
@@ -354,3 +355,96 @@ def test_integer_elimination_matches_fraction_oracle(dense):
 @given(unimodular_matrices())
 def test_inverse_columns_of_unimodular_match_fraction_oracle(square):
     _check_inverse_columns(square)
+
+
+# -- the singleton peel and the content pass -----------------------------------
+
+
+def _cascade_rows(rng, m):
+    """Rows over columns 0..m-1 with planted structure: a chain that peels
+    one column at a time (row k becomes a singleton only once column k-1 is
+    struck), duplicates of chain rows, rows that empty out once the chain
+    is struck, and random rows over all the columns."""
+    chain = [{0: rng.choice([-2, -1, 1, 3])}]
+    chain += [{k - 1: rng.randint(-3, 3) or 1, k: rng.choice([-1, 1, 2, 5])}
+              for k in range(1, m // 2)]
+    dupes = [dict(row) for row in rng.sample(chain, min(2, len(chain)))]
+    empties = [{k: rng.randint(1, 4) for k in rng.sample(range(m // 2), min(2, m // 2))}]
+    randoms = [{j: x for j in range(m) if (x := rng.choice([0, 0, 1, -1, 2, 3]))}
+               for _ in range(rng.randint(0, m))]
+    rows = chain + dupes + empties + randoms
+    rng.shuffle(rows)
+    return rows
+
+
+def test_peel_strikes_a_cascade_in_place():
+    """Each strike makes the next row a singleton; the peeled rows leave the
+    list, the rows that empty out stay in it, and the rank is the count."""
+    rows = [{0: 2}, {0: 1, 1: 3}, {1: 1, 2: 1}, {0: 5, 1: 7}, {2: 1, 3: 1},
+            {3: 4, 4: 1}, {4: 1, 3: 1}]
+    dense = [[row.get(j, 0) for j in range(5)] for row in rows]
+    left = [dict(row) for row in rows]
+    assert _peel(left) == 5
+    assert left == [{}, {}]
+    assert _rank([dict(row) for row in rows], _cancel_z) == rank_gauss_fraction(dense) == 5
+    for p in (3, 5):
+        assert rank_modp(rows, p) == rank_gauss_fraction_modp(
+            [[x % p for x in row] for row in dense], p)
+    # nothing to peel: the list is left as it is
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    assert _peel(rows) == 0 and rows == [{0: 1, 1: 1}, {1: 1, 2: 1}]
+
+
+def test_peel_matches_fraction_rank(rng):
+    """Planted cascades, duplicate rows and rows that empty out: the rank
+    with the peel is that of Fraction elimination over Q and mod 3 and 5,
+    and after ``_peel`` no row left holds a struck column."""
+    for _ in range(60):
+        m = rng.randint(2, 9)
+        rows = _cascade_rows(rng, m)
+        dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+        assert sparse_rank_q(rows) == rank_gauss_fraction(dense)
+        for p in (3, 5):
+            assert rank_modp(rows, p) == rank_gauss_fraction_modp(
+                [[x % p for x in row] for row in dense], p)
+        left = [dict(row) for row in rows]
+        struck = _peel(left)
+        kept = {c for row in left for c in row}
+        assert struck + rank_gauss_fraction(
+            [[row.get(j, 0) for j in range(m)] for row in left]) == rank_gauss_fraction(dense)
+        assert len(left) == len(rows) - struck
+        assert all(len(row) != 1 for row in left)
+        assert len({c for row in rows for c in row} - kept) >= struck
+
+
+def test_reduce_returns_primitive_rows(rng):
+    """``Echelon.reduce`` over Z returns, and ``add`` keeps, primitive rows:
+    after a unit cancel, which works in place and divides nothing, and
+    after a non-unit one."""
+    echelon = Echelon(_cancel_z)
+    echelon.add({0: 1, 1: 2})
+    assert echelon.reduce({0: 2, 1: 4, 2: 6}) == {2: 1}          # unit pivot
+    assert echelon.reduce({0: -3, 1: -6, 2: 9, 3: 3}) == {2: 3, 3: 1}
+    echelon = Echelon(_cancel_z)
+    assert echelon.add({0: 2, 1: 1}) == (0, {0: 2, 1: 1})
+    assert echelon.reduce({0: 3, 1: 5, 2: 3}) == {1: 7, 2: 6}     # a = 2
+    assert echelon.reduce({0: 4, 1: 8, 2: 12}) == {1: 1, 2: 2}
+    assert echelon.add({1: 6, 2: 4}) == (1, {1: 3, 2: 2})         # no cancel
+    for _ in range(40):
+        echelon = Echelon(_cancel_z)
+        for _ in range(rng.randint(1, 8)):
+            row = {j: x for j in range(6) if (x := rng.choice([0, 0, 1, -2, 3, 4, -6]))}
+            piv, red = echelon.add(row)
+            assert gcd(*red.values()) in (0, 1)
+        assert all(gcd(*row.values()) == 1 for row in echelon.rows.values())
+
+
+def test_z_row_copies_int_rows_and_scales_fractions():
+    row = {0: 2, 1: 0, 3: -3}
+    out = _z_row(row)
+    assert out == {0: 2, 3: -3} and out is not row
+    assert all(type(x) is int for x in out.values())
+    assert _z_row({0: Fraction(1, 2), 1: Fraction(-1, 3), 2: 1}) == {0: 3, 1: -2, 2: 6}
+    assert _z_row({0: Fraction(4, 2), 1: 3}) == {0: 2, 1: 3}
+    with pytest.raises(TypeError):
+        _z_row({0: 1, 1: d})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brauercell.branching as br
+import brauercell.sft as sft
 from brauercell.branching import Vertex
 from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
                                  all_permutation_diagrams, walled_filter)
@@ -14,10 +15,11 @@ from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
-                            ideal_generators, ideal_span_rank,
+                            ideal_generators, ideal_span_rank, image_rank_modp,
                             quotient_cell_modules, split_image_lines,
                             sum_all_diagrams, walled_signed_sum)
-from brauercell.tensorrep import FLAVOR_SPACE, TensorRep, image_lines, image_vectors
+from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_rank,
+                                  image_vectors)
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
                       path_revlex_gt, permissible_dimension, strictly_dominates)
 from sparse_ops import SparseMat, matmul, scale
@@ -533,3 +535,82 @@ def test_harterich_expands_no_kernel_cell(monkeypatch):
     assert expanded
     assert sorted(expanded, key=basis.vertices.index) == [
         v for v in basis.vertices if len(v.lam) <= 2]
+
+
+@pytest.mark.parametrize("flavor,n,r", [("symplectic", 1, 4), ("symplectic", 2, 4),
+                                        ("orthogonal", 1, 4), ("orthogonal", 2, 4),
+                                        ("symmetric", 2, 4), ("symmetric", 3, 5)])
+def test_corrections_equal_the_product_formula(flavor, n, r):
+    """Every a_t is d_{t2} beta d_{t1}, formed as products, also where beta
+    = 1 and ``SplitBasis`` reads d_t from the basis instead."""
+    split = SplitBasis(r, n, flavor)
+    basis = split.basis
+    for (v, ti), a_t in split.a_elements.items():
+        t = basis.paths[v][ti]
+        if split.path_permissible[(v, ti)]:
+            assert a_t == basis.d_elements[(v, ti)].with_delta(split.delta0)
+            continue
+        k = next(i for i, w in enumerate(t) if not split.perm_pred(w))
+        beta = build_kernel_generator(t[k], n, r, flavor, split.delta0).beta
+        assert a_t == (basis.path_d(t[k:], split.delta0) * beta
+                       * basis.path_d(t[:k + 1], split.delta0))
+
+
+def _certify_fp(split, fields):
+    if split.flavor == "symmetric":
+        return harterich_check(split, check_ideal=False, fields=fields)
+    return certify_sft(split.r, split.n, split.flavor, split=split, check_ideal=False,
+                       fields=fields)
+
+
+FP_GRID = [("symplectic", 1, 4), ("orthogonal", 2, 4), ("symmetric", 2, 4)]
+
+
+@pytest.mark.parametrize("flavor,n,r", FP_GRID)
+def test_fp_line_reads_the_permissible_lines(flavor, n, r, monkeypatch):
+    """When the permissible lines reach the rank over Q mod p, the F_p line
+    images no diagram beyond the Q lines, and its value is the rank of the
+    whole image, ``image_rank`` on all diagrams."""
+    split = SplitBasis(r, n, flavor)
+    rep = TensorRep(flavor, n, r)
+    expected = {p: image_rank(split.basis.diagrams, rep, p) for p in (3, 5)}
+    calls = []
+    rep_diagram = TensorRep.rep_diagram
+    monkeypatch.setattr(TensorRep, "rep_diagram",
+                        lambda self, d, rows: calls.append(d) or rep_diagram(self, d, rows))
+    _certify_fp(split, ())
+    q_calls = len(calls)
+    calls.clear()
+    cert = _certify_fp(split, (3, 5))
+    assert len(calls) == q_calls
+    got = {c.name: c.got for c in cert.checks}
+    assert got["image rank over F_3"] == expected[3] == expected_image_dimension(r, n, flavor)
+    assert got["image rank over F_5"] == expected[5]
+    assert cert.passed
+
+
+@pytest.mark.parametrize("flavor,n,r", FP_GRID)
+def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
+    """A rank on the permissible lines that falls short, or a failed kernel
+    line, sends the F_p line to ``image_rank`` on all diagrams, whose value
+    it reports."""
+    split = SplitBasis(r, n, flavor)
+    rep = TensorRep(flavor, n, r)
+    diagrams = split.basis.diagrams
+    full = image_rank(diagrams, rep, 3)
+    rank_modp = sft.rank_modp
+    monkeypatch.setattr(sft, "rank_modp", lambda lines, p: rank_modp(lines, p) - 1)
+    calls = []
+    rep_diagram = TensorRep.rep_diagram
+    monkeypatch.setattr(TensorRep, "rep_diagram",
+                        lambda self, d, rows: calls.append(d) or rep_diagram(self, d, rows))
+    cert = _certify_fp(split, (3,))
+    assert {c.name: c.got for c in cert.checks}["image rank over F_3"] == full
+    assert calls[-len(diagrams):] == list(diagrams)
+    monkeypatch.setattr(sft, "rank_modp", rank_modp)
+    calls.clear()
+    lines = [{0: 1}]
+    assert image_rank_modp(3, lines, 1, False, diagrams, rep) == full
+    assert calls == list(diagrams)
+    calls.clear()
+    assert image_rank_modp(3, lines, 1, True, diagrams, rep) == 1 and not calls
