@@ -1,5 +1,7 @@
 """Partitions, the branching graphs of the symmetric-group and Brauer
-towers, path (up-down tableau) enumeration, permissibility, and contents.
+towers, path (up-down tableau) enumeration, permissibility, and the dimension
+counts of ``dims``.  The edge contents, which need the ring Z[delta], are in
+``seminormal``.
 
 A vertex is a pair (partition, corank l) at level |partition| + 2l; an edge
 adds a box (same l) or removes one (l+1).  The symmetric-group graph is the
@@ -9,11 +11,8 @@ starting at the empty partition.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
-
-from .rings import Poly
 
 Partition = tuple[int, ...]
 
@@ -210,45 +209,4 @@ def algebra_dimension(r: int, flavor: str) -> int:
     out = 1
     for k in range(1, 2 * r, 2):
         out *= k
-    return out
-
-
-def box_content(pos: tuple[int, int]) -> int:
-    """Column minus row of a box."""
-    return pos[1] - pos[0]
-
-
-def edge_content(a: Vertex, b: Vertex) -> Poly:
-    """Content of an edge: c(box) when adding, 1 - delta - c(box) when
-    removing."""
-    if sum(b.lam) == sum(a.lam) + 1:
-        for pos in addable_boxes(a.lam):
-            if add_box(a.lam, pos) == b.lam:
-                return Poly.const(box_content(pos))
-    elif sum(b.lam) == sum(a.lam) - 1:
-        for pos in removable_boxes(a.lam):
-            if remove_box(a.lam, pos) == b.lam:
-                return Poly({0: 1 - box_content(pos), 1: -1})
-    raise ValueError(f"not an edge: {a} -> {b}")
-
-
-def residue_collisions(level: int, delta0, flavor: str, n: int,
-                       add_only: bool = False) -> list:
-    """Sibling-edge content collisions after specializing delta.
-
-    Returns triples (prefix, b, c) of a permissible path prefix and two
-    distinct extensions, at least one permissible, whose edge contents agree
-    at delta = delta0.  An empty list is the sufficient condition for the
-    specialized Gelfand-Zeitlin idempotents of permissible paths to be
-    evaluable."""
-    pred = PERMISSIBLE[flavor]
-    out = []
-    for u in vertices_at_level(level - 1, add_only):
-        if not pred(u, n):
-            continue
-        for b, c in itertools.combinations(successors(u, add_only), 2):
-            if not (pred(b, n) or pred(c, n)):
-                continue
-            if edge_content(u, b).evaluate(delta0) == edge_content(u, c).evaluate(delta0):
-                out.append((u, b, c))
     return out

@@ -162,7 +162,7 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 def cmd_dims(args) -> tuple[dict, int]:
     from .branching import algebra_dimension, expected_image_dimension
-    from .diagrams import all_diagrams, all_permutation_diagrams
+    from .matchings import all_diagrams, all_permutation_diagrams
     from .tensorrep import TensorRep, image_rank
     rows = []
     for r in range(1, args.r + 1):

@@ -34,13 +34,12 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from collections import defaultdict, deque
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import index
 
-from .diagrams import perm_sign
+from .matchings import perm_sign
 
 
 def _cancel_z(row: dict, prow: dict, c: int) -> dict:
@@ -130,12 +129,18 @@ class Echelon:
 
 
 def _z_row(row: dict) -> dict[int, int]:
-    """A row of int/Fraction values scaled to integers, zeros dropped; a row
-    of ints is copied as it is."""
+    """A row of int/Fraction values scaled to integers, zeros dropped: a row
+    of ints is copied as it is, any other is scaled by the lcm of its
+    values' denominators (an int's is 1), which needs no ``fractions``
+    import.  A value with no denominator, such as a Poly, raises
+    TypeError."""
     try:
         return {c: index(v) for c, v in row.items() if v}
-    except TypeError:   # a Fraction; a Poly raises again below
-        den = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+    except TypeError:   # a Fraction, or a value that is not a number
+        try:
+            den = lcm(*(v.denominator for v in row.values()))
+        except AttributeError:
+            raise TypeError("row values must be int or Fraction") from None
         return {c: int(v * den) for c, v in row.items() if v}
 
 
@@ -222,6 +227,7 @@ class ExactMatrix:
     def det(self):
         """Exact determinant, by elimination over Q: the product of the
         pivots times the sign of the row -> pivot column permutation."""
+        from fractions import Fraction   # only det eliminates over Q
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in self.rows]

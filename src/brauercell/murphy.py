@@ -31,11 +31,11 @@ from itertools import permutations, product
 
 from . import branching as br
 from .branching import Partition, Path, Vertex, conjugate
-from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                       all_permutation_diagrams, cycle_perm, diagram_mult,
-                       perm_inverse, perm_mult, perm_sign, transposition)
+from .diagrams import AlgebraElement, diagram_mult
 from .errors import CapExceeded
 from .exactmat import ExactMatrix, inverse_columns
+from .matchings import (BrauerDiagram, all_diagrams, all_permutation_diagrams, cycle_perm,
+                        perm_inverse, perm_mult, perm_sign, transposition)
 from .rings import Poly
 
 # the default cap on r of ``murphy_basis`` (--max-r may raise it)

@@ -18,6 +18,8 @@ form.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import branching as br
 from .branching import Path, Vertex
 from .murphy import MurphyBasis
@@ -26,9 +28,56 @@ from .rings import Poly
 Matrix = list[list]   # entries int or Poly
 
 
+# Contents of the branching graph's edges, in Z[delta].  They live here, with
+# their one reader, so that ``branching`` (which ``dims`` loads) needs no
+# coefficient ring.
+
+
+def box_content(pos: tuple[int, int]) -> int:
+    """Column minus row of a box."""
+    return pos[1] - pos[0]
+
+
+def edge_content(a: Vertex, b: Vertex) -> Poly:
+    """Content of an edge a -> b of the Brauer branching graph, the
+    eigenvalue of the Jucys-Murphy element on it: c(box) when adding,
+    1 - delta - c(box) when removing."""
+    if sum(b.lam) == sum(a.lam) + 1:
+        for pos in br.addable_boxes(a.lam):
+            if br.add_box(a.lam, pos) == b.lam:
+                return Poly.const(box_content(pos))
+    elif sum(b.lam) == sum(a.lam) - 1:
+        for pos in br.removable_boxes(a.lam):
+            if br.remove_box(a.lam, pos) == b.lam:
+                return Poly({0: 1 - box_content(pos), 1: -1})
+    raise ValueError(f"not an edge: {a} -> {b}")
+
+
+def residue_collisions(level: int, delta0, flavor: str, n: int,
+                       add_only: bool = False) -> list:
+    """Sibling-edge content collisions after specializing delta.
+
+    Returns triples (prefix, b, c) of a permissible path prefix and two
+    distinct extensions, at least one permissible, whose edge contents agree
+    at delta = delta0.  An empty list is the sufficient condition for the
+    specialized Gelfand-Zeitlin idempotents of permissible paths to be
+    evaluable."""
+    pred = br.PERMISSIBLE[flavor]
+    out = []
+    for u in br.vertices_at_level(level - 1, add_only):
+        if not pred(u, n):
+            continue
+        for b, c in combinations(br.successors(u, add_only), 2):
+            if not (pred(b, n) or pred(c, n)):
+                continue
+            if edge_content(u, b).evaluate(delta0) == edge_content(u, c).evaluate(delta0):
+                out.append((u, b, c))
+    return out
+
+
 def _content(a: Vertex, b: Vertex):
     """kappa of the edge a -> b, as an int when it does not depend on delta."""
-    kappa = br.edge_content(a, b)
+    kappa = edge_content(a, b)
     return kappa.constant_value() if kappa.is_constant() else kappa
 
 
@@ -227,7 +276,7 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
         if cleared is None:
             collisions = []
             for level in range(1, sd.basis.r + 1):
-                collisions += br.residue_collisions(level, delta0, flavor, n,
+                collisions += residue_collisions(level, delta0, flavor, n,
                                                     sd.basis.add_only)
             record.collisions = collisions
             record.skipped = True

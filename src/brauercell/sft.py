@@ -38,9 +38,9 @@ from typing import NamedTuple
 from . import branching as br
 from .branching import (Vertex, algebra_dimension, conjugate,
                         expected_image_dimension)
-from .diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                       all_permutation_diagrams, diagram_mult, walled_filter)
+from .diagrams import AlgebraElement, diagram_mult, walled_filter
 from .exactmat import ExactMatrix, rank_modp, sparse_rank_q, spin_rank_q
+from .matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
 from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
                         image_rank, image_vectors)

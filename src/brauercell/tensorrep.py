@@ -44,10 +44,14 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
-from .diagrams import AlgebraElement, BrauerDiagram, perm_sign
 from .errors import CapExceeded
-from .exactmat import rank_modp, sparse_rank_q
+from .exactmat import _cancel_z, _rank, rank_modp
+from .matchings import BrauerDiagram, perm_sign
+
+if TYPE_CHECKING:   # the diagram algebra is only named in annotations here
+    from .diagrams import AlgebraElement
 
 
 # the default cap on the tensor dimension dim V ** r (--max-tensor-dim)
@@ -140,11 +144,25 @@ class TensorRep:
 
     def rep_diagram(self, diag: BrauerDiagram, rows) -> dict[int, dict[int, int]]:
         """Image of a diagram on the word indices in ``rows``, as the dict
-        {word index: {column: value}} of its nonzero rows, via a
-        generator-product factorization D = P(sigma) (e_1 e_3 ... e_{2s-1})
-        P(tau).  Each word is moved by sigma; the rows of E_1 E_3 ...
-        E_{2s-1} contract places (1, 2), ..., (2s-1, 2s) with the form and
-        put omega there; tau relabels the columns.
+        {word index: {column: value}} of its nonzero rows: the dict view of
+        ``diagram_columns``."""
+        if rows is not self._orbit_rows:
+            rows = list(rows)
+        heads, coeffs, lows = self.diagram_columns(diag, rows)
+        return {i: {h + low: c * v for h, v in heads}
+                for i, c, low in zip(rows, coeffs, lows) if c}
+
+    def diagram_columns(self, diag: BrauerDiagram, rows) -> tuple[list, list, list]:
+        """Image of a diagram on the word indices in the sequence ``rows``,
+        as three columns (heads, coeffs, lows): row k of the image is
+        {h + lows[k]: coeffs[k] * v for (h, v) in heads}, and zero when
+        coeffs[k] is 0.  It is built by a generator-product factorization
+        D = P(sigma) (e_1 e_3 ... e_{2s-1}) P(tau).  Each word is moved by
+        sigma; the rows of E_1 E_3 ... E_{2s-1} contract places (1, 2), ...,
+        (2s-1, 2s) with the form and put omega there; tau relabels the
+        columns.  So every nonzero row has the same omega part, the heads
+        (column, value), shifted by the row's offset from its vertical
+        strands and scaled by its coefficient from the contractions.
 
         The rows are read by columns of their letter table letters[place][k]
         (``orbit_rows`` keeps that of the orbit rows): one pass per
@@ -185,7 +203,6 @@ class TensorRep:
         if rows is self._orbit_rows:
             letters = self._orbit_letters
         else:
-            rows = list(rows)
             words = [self.word(i) for i in rows]
             letters = [[w[q] for w in words] for q in range(r)]
         coeffs = [1] * len(rows)
@@ -195,8 +212,7 @@ class TensorRep:
         lows = [0] * len(rows)
         for j, weight in zip(source[2 * s:], weights[2 * s:]):
             lows = [low + x * weight for low, x in zip(lows, letters[j])]
-        return {i: {h + low: c * v for h, v in heads}
-                for i, c, low in zip(rows, coeffs, lows) if c}
+        return heads, coeffs, lows
 
     def check_element(self, a: AlgebraElement) -> None:
         """Raise unless ``a`` has r strands and, for the Brauer flavors, the
@@ -255,15 +271,22 @@ def image_rank(diagrams, rep: TensorRep, p: int | None = None) -> int:
 
     The rank is taken by columns, as in ``image_lines``: the rank kernel is
     given one line per nonzero entry (i, j) of the images, {diagram index:
-    value}, written straight from the rows of ``rep_diagram``, and its stop
-    rule ends the elimination once the rank reaches the number of diagrams
-    with a nonzero image."""
+    value}, and its stop rule ends the elimination once the rank reaches
+    the number of diagrams with a nonzero image.  The lines are written in
+    one pass from each diagram's ``diagram_columns``.  They are owned here
+    and hold nonzero ints, so the Q rank hands them to ``exactmat._rank``
+    as they are, without the copy ``sparse_rank_q`` makes, once the entry
+    index is dropped."""
     rows, size = rep.orbit_rows(), rep.size
+    bases = [i * size for i in rows]
     by_entry: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for g, d in enumerate(diagrams):
-        for i, row in rep.rep_diagram(d, rows).items():
-            base = i * size
-            for j, x in row.items():
-                by_entry[base + j][g] = x
+        heads, coeffs, lows = rep.diagram_columns(d, rows)
+        for base, c, low in zip(bases, coeffs, lows):
+            if c:
+                base += low
+                for h, v in heads:
+                    by_entry[base + h][g] = c * v
     lines = list(by_entry.values())
-    return sparse_rank_q(lines) if p is None else rank_modp(lines, p)
+    del by_entry
+    return _rank(lines, _cancel_z) if p is None else rank_modp(lines, p)

@@ -13,6 +13,7 @@ from brauercell.branching import Partition, Path, Vertex, conjugate
 from brauercell.exactmat import ExactMatrix
 from brauercell.murphy import MurphyBasis, young_sum
 from brauercell.rings import Poly
+from brauercell.seminormal import edge_content
 from brauercell.sft import _is_marginal
 from brauercell.tensorrep import TensorRep
 from tensor_ops import rep_element
@@ -78,7 +79,7 @@ def path_revlex_gt(s, t, dual=False) -> bool:
 
 def sn_contents(t: Path) -> tuple[Poly, ...]:
     """The edge contents along the path t."""
-    return tuple(br.edge_content(a, b) for a, b in zip(t, t[1:]))
+    return tuple(edge_content(a, b) for a, b in zip(t, t[1:]))
 
 
 def separation_check(level: int, add_only: bool = False) -> bool:

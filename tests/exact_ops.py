@@ -9,10 +9,9 @@ checks the specialized seminormal structure as identities over Z
 
 from fractions import Fraction
 
-import brauercell.branching as br
 from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row
 from brauercell.rings import Poly
-from brauercell.seminormal import quotient_record
+from brauercell.seminormal import quotient_record, residue_collisions
 
 
 class LinearSolver:
@@ -150,8 +149,8 @@ def specialize_quotient_oracle(sd, delta0, flavor: str, n: int):
     if any(v is None for v in evaluable.values()):
         collisions = []
         for level in range(1, sd.basis.r + 1):
-            collisions += br.residue_collisions(level, delta0, flavor, n,
-                                                sd.basis.add_only)
+            collisions += residue_collisions(level, delta0, flavor, n,
+                                             sd.basis.add_only)
         record.collisions = collisions
         record.skipped = True
         record.reason = ("interpolation denominators vanish at the "

@@ -8,7 +8,8 @@ package itself builds images only through ``rep_diagram``."""
 
 import itertools
 
-from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams, walled_filter
+from brauercell.diagrams import AlgebraElement, walled_filter
+from brauercell.matchings import BrauerDiagram, all_diagrams
 from brauercell.tensorrep import TensorRep
 from sparse_ops import SparseMat
 

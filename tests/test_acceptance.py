@@ -8,7 +8,8 @@ import time
 
 import brauercell.branching as br
 from brauercell.cli import main as cli_main
-from brauercell.diagrams import AlgebraElement, BrauerDiagram, all_diagrams
+from brauercell.diagrams import AlgebraElement
+from brauercell.matchings import BrauerDiagram, all_diagrams
 from brauercell.murphy import (brauer_branching_factors, brauer_cell_generator,
                                murphy_basis)
 from brauercell.rings import Poly
@@ -149,7 +150,7 @@ EXPECTED_DIMS = {("symplectic", 1): [1, 2, 5, 14, 42],
 
 def _generators(flavor, n, r):
     if flavor == "symmetric":
-        from brauercell.diagrams import all_permutation_diagrams
+        from brauercell.matchings import all_permutation_diagrams
         return all_permutation_diagrams(r)
     return all_diagrams(r)
 

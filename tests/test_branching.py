@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from brauercell.branching import (EMPTY, Vertex, brauer_edges, conjugate,
-                                  edge_content, enumerate_paths, partitions_of,
-                                  path_permissible, permissible_orthogonal,
-                                  permissible_symplectic, residue_collisions,
-                                  vertices_at_level, young_edges)
+from brauercell.branching import (EMPTY, Vertex, brauer_edges, conjugate, enumerate_paths,
+                                  partitions_of, path_permissible, permissible_orthogonal,
+                                  permissible_symplectic, vertices_at_level, young_edges)
 from brauercell.rings import Poly
+from brauercell.seminormal import edge_content, residue_collisions
 from cell_ops import (col_dominates, dominates, path_revlex_gt,
                       path_strictly_dominates, separation_check, sn_contents)
 

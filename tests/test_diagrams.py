@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                 all_permutation_diagrams, diagram_mult,
-                                 perm_mult, perm_sign, transposition,
-                                 walled_filter)
+from brauercell.diagrams import AlgebraElement, diagram_mult, walled_filter
+from brauercell.matchings import (BrauerDiagram, all_diagrams, all_permutation_diagrams,
+                                  perm_mult, perm_sign, transposition)
 from brauercell.murphy import MurphyBasis, young_sum
 from brauercell.rings import Poly
 

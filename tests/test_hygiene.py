@@ -1,9 +1,13 @@
 """Source rules of the package that a grep would otherwise have to enforce:
-no ``assert`` statement carries a check (``python -O`` strips them), and
+no ``assert`` statement carries a check (``python -O`` strips them),
 nothing is imported from outside the standard library and the package
-itself (the package declares no runtime dependency)."""
+itself (the package declares no runtime dependency), and the modules of
+the ``dims`` path load no diagram algebra, coefficient ring or cellular
+basis (a fresh ``dims`` process compiles only what it runs)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +46,61 @@ def test_imports_only_stdlib_and_package(path):
             if top != PACKAGE and top not in sys.stdlib_module_names:
                 outside.append((node.lineno, name))
     assert outside == [], f"{path.name}: imports from outside the standard library {outside}"
+
+
+# the modules a dims run loads, and what none of them may import when it is
+# loaded: the diagram algebra, the ring Z[delta], the cellular side and the
+# rationals (``fractions`` also loads ``decimal``)
+DIMS_PATH = ("tensorrep", "exactmat", "branching", "cli", "matchings")
+NOT_ON_DIMS_PATH = {"diagrams", "rings", "murphy", "sft", "seminormal", "fractions"}
+
+
+def _load_time_imports(body):
+    """The modules that the statements ``body`` import when they run at
+    module level: nested blocks count, function and class bodies do not,
+    and neither does an ``if TYPE_CHECKING:`` block, which never runs."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            else:   # from . import x
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _load_time_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _load_time_imports(getattr(node, field, []))
+
+
+@pytest.mark.parametrize("name", DIMS_PATH)
+def test_dims_path_modules_import_no_algebra(name):
+    path = SOURCES[0].parent / f"{name}.py"
+    loaded = {module.rsplit(".", 1)[-1] for module in _load_time_imports(_tree(path).body)}
+    assert not loaded & NOT_ON_DIMS_PATH, f"{name}.py imports {loaded & NOT_ON_DIMS_PATH}"
+
+
+def test_dims_run_loads_only_the_tensor_side():
+    """A fresh interpreter that runs ``dims`` loads none of those modules,
+    nor ``decimal``, beyond what a bare interpreter already holds."""
+    src = str(SOURCES[0].parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    show = "sys.stderr.write('modules: ' + ' '.join(sorted(sys.modules)))\n"
+    bare = subprocess.run([sys.executable, "-c", "import sys\n" + show], env=env,
+                          capture_output=True, text=True, timeout=60)
+    baseline = set(bare.stderr.rsplit("modules: ", 1)[1].split())
+    banned = {f"{PACKAGE}.{m}" for m in NOT_ON_DIMS_PATH} | {"fractions", "decimal"}
+    code = ("import sys\n"
+            "from brauercell.cli import main\n"
+            "main(['dims', '--flavor', sys.argv[1], '--N', '2', '--r', '3'])\n" + show)
+    for flavor in ("symplectic", "orthogonal", "symmetric"):
+        proc = subprocess.run([sys.executable, "-c", code, flavor], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.rsplit("modules: ", 1)[1].split()) - baseline
+        assert f"{PACKAGE}.tensorrep" in loaded
+        assert not loaded & banned, f"{flavor}: dims loaded {sorted(loaded & banned)}"

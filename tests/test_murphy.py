@@ -8,10 +8,10 @@ import brauercell.branching as br
 from brauercell import murphy
 from brauercell.branching import Path, Vertex
 from brauercell.cli import main
-from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                 diagram_mult)
+from brauercell.diagrams import AlgebraElement, diagram_mult
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import inverse_columns
+from brauercell.matchings import BrauerDiagram, all_diagrams
 from brauercell.murphy import (FLAVORS, brauer_branching_factors,
                                brauer_cell_generator, e_suffix, jm_element,
                                murphy_basis, sym_branching_factors)

@@ -323,7 +323,7 @@ def test_degenerate_orthogonal_guard():
     """A fabricated non-evaluable case must be explained by collisions: at
     delta0 = 2 (orthogonal N = 2) the collision list is nonempty, and the
     record never asserts (SN) when skipping."""
-    from brauercell.branching import residue_collisions
+    from brauercell.seminormal import residue_collisions
     assert residue_collisions(2, 2, "orthogonal", 2)
     assert not residue_collisions(2, 3, "orthogonal", 3)
 

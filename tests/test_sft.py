@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import brauercell.branching as br
 import brauercell.sft as sft
 from brauercell.branching import Vertex
-from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                 all_permutation_diagrams, walled_filter)
+from brauercell.diagrams import AlgebraElement, walled_filter
 from brauercell.exactmat import Echelon, _cancel_field, sparse_rank_q
+from brauercell.matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
@@ -575,9 +575,9 @@ def test_fp_line_reads_the_permissible_lines(flavor, n, r, monkeypatch):
     rep = TensorRep(flavor, n, r)
     expected = {p: image_rank(split.basis.diagrams, rep, p) for p in (3, 5)}
     calls = []
-    rep_diagram = TensorRep.rep_diagram
-    monkeypatch.setattr(TensorRep, "rep_diagram",
-                        lambda self, d, rows: calls.append(d) or rep_diagram(self, d, rows))
+    diagram_columns = TensorRep.diagram_columns
+    monkeypatch.setattr(TensorRep, "diagram_columns",
+                        lambda self, d, rows: calls.append(d) or diagram_columns(self, d, rows))
     _certify_fp(split, ())
     q_calls = len(calls)
     calls.clear()
@@ -601,9 +601,9 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
     rank_modp = sft.rank_modp
     monkeypatch.setattr(sft, "rank_modp", lambda lines, p: rank_modp(lines, p) - 1)
     calls = []
-    rep_diagram = TensorRep.rep_diagram
-    monkeypatch.setattr(TensorRep, "rep_diagram",
-                        lambda self, d, rows: calls.append(d) or rep_diagram(self, d, rows))
+    diagram_columns = TensorRep.diagram_columns
+    monkeypatch.setattr(TensorRep, "diagram_columns",
+                        lambda self, d, rows: calls.append(d) or diagram_columns(self, d, rows))
     cert = _certify_fp(split, (3,))
     assert {c.name: c.got for c in cert.checks}["image rank over F_3"] == full
     assert calls[-len(diagrams):] == list(diagrams)

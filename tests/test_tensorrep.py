@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from brauercell.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                 all_permutation_diagrams, perm_sign)
+from brauercell.diagrams import AlgebraElement
 from brauercell.errors import CapExceeded
 from brauercell.exactmat import rank_modp, sparse_rank_q
+from brauercell.matchings import (BrauerDiagram, all_diagrams, all_permutation_diagrams,
+                                  perm_sign)
 from brauercell.tensorrep import TensorRep, image_lines, image_rank, image_vectors
 from exact_ops import det_cofactor
 from sparse_ops import SparseMat, identity, matmul, scale, transpose
@@ -358,6 +359,41 @@ def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
             for p in (3, 5, 7):
                 assert image_rank(as_diagrams, rep, p=p) == rank_modp(vecs, p)
     assert sparse_rank_q(image_lines(image_vectors(kernel, rep))) == 0
+
+
+# the ranks of the perfbench dims argv (flavor, N, --r): every r up to --r;
+# orthogonal N=2 r=5 among them
+DIMS_GRID = [(f, n, r) for f, n, top in
+             [("symplectic", 1, 5), ("symplectic", 2, 4), ("symplectic", 3, 4),
+              ("orthogonal", 2, 5), ("orthogonal", 5, 4), ("orthogonal", 6, 4),
+              ("symmetric", 3, 5), ("symmetric", 4, 5)]
+             for r in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("flavor,n,r", DIMS_GRID)
+def test_image_rank_lines_are_the_transposed_rows(flavor, n, r, monkeypatch):
+    """``image_rank`` writes its lines from ``diagram_columns`` in one pass;
+    they are, line for line and in order, the rows of ``rep_diagram``
+    transposed, and its ranks over Q and F_3 are those of the old route:
+    ``sparse_rank_q`` and ``rank_modp`` of the transposed rows."""
+    import brauercell.tensorrep as tensorrep
+    rep = TensorRep(flavor, n, r)
+    rows = rep.orbit_rows()
+    diagrams = _diagrams(rep)
+    transposed: dict[int, dict[int, int]] = {}
+    for g, d in enumerate(diagrams):
+        for i, row in rep.rep_diagram(d, rows).items():
+            for j, x in row.items():
+                transposed.setdefault(i * rep.size + j, {})[g] = x
+    old = list(transposed.values())
+    given = []
+    rank = tensorrep._rank
+    monkeypatch.setattr(tensorrep, "_rank",
+                        lambda lines, cancel: given.append([dict(x) for x in lines])
+                        or rank(lines, cancel))
+    assert image_rank(diagrams, rep) == sparse_rank_q(old)
+    assert given == [old]
+    assert image_rank(diagrams, rep, 3) == rank_modp(old, 3)
 
 
 def test_image_rank_rejects_bad_input():
