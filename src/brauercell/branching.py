@@ -83,10 +83,6 @@ class Vertex(NamedTuple):
     def to_json(self) -> dict:
         return {"lam": list(self.lam), "l": self.l}
 
-    @classmethod
-    def from_json(cls, data) -> "Vertex":
-        return cls(tuple(data["lam"]), data["l"])
-
 
 EMPTY = Vertex((), 0)
 

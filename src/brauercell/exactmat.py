@@ -14,16 +14,17 @@ of three domains:
 * F_p (``_cancel_mod``);
 * Q (``_cancel_field``, on Fraction values), for determinants.
 
-Ranks first peel the singleton rows (``_peel``, the first phase of
-structured Gaussian elimination, LaMacchia-Odlyzko) in every domain.
+Every sparse rank, over Q or F_p, is ``rank``; it first peels the
+singleton rows (``_peel``, the first phase of structured Gaussian
+elimination, LaMacchia-Odlyzko).
 
-Each public entry point fixes its own domain.  Values are int or Fraction;
-a matrix over Z[delta] is never eliminated (a Poly value raises TypeError).
-Columns are non-negative ints.  The tag column ``~i`` (that is, -1 - i) of a
-row holds the multiple of input row i that the row contains, so the same
-echelon gives kernels and, with tags on the rows whose inverse columns are
-wanted and a back substitution, the columns of an inverse
-(``inverse_columns``).  There is no general solver.
+Each public entry point fixes its own domain, ``rank`` by its ``p``.
+Values are int or Fraction; a matrix over Z[delta] is never eliminated (a
+Poly value raises TypeError).  Columns are non-negative ints.  The tag
+column ``~i`` (that is, -1 - i) of a row holds the multiple of input row i
+that the row contains, so the same echelon gives kernels and, with tags on
+the rows whose inverse columns are wanted and a back substitution, the
+columns of an inverse (``inverse_columns``).  There is no general solver.
 
 No floating point is used anywhere: every value is an int, a Fraction or a
 residue mod p.
@@ -177,13 +178,22 @@ def _peel(rows: list[dict]) -> int:
     return struck
 
 
-def _rank(rows: list[dict], cancel) -> int:
-    """Rank of ``rows``, which it consumes: the singletons are peeled
-    (``_peel``), then a row is popped off the list, shortest first (of
-    equal lengths, the last first) to limit fill-in, and reduced in place.
-    A rank never exceeds the number of distinct columns, so the
-    elimination stops, leaving the rest of the list, once the pivots
-    number as many."""
+def rank(rows: list[dict[int, int]], p: int | None = None) -> int:
+    """Rank of sparse integer rows, dict column -> nonzero int, over Q, or
+    over F_p when the prime ``p`` is given.  Over Q it consumes ``rows``:
+    it works on them in place and leaves in the list only rows it never
+    read.  Over F_p it only reads them and eliminates a copy reduced mod p,
+    so the same rows can be ranked mod p first and over Q after.
+
+    The singletons are peeled (``_peel``), then a row is popped off the
+    list, shortest first (of equal lengths, the last first) to limit
+    fill-in, and reduced in place.  A rank never exceeds the number of
+    distinct columns, so the elimination stops, leaving the rest of the
+    list, once the pivots number as many."""
+    cancel = _cancel_z
+    if p is not None:
+        rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+        cancel = _cancel_mod(p)
     struck = _peel(rows)
     rows.sort(key=len, reverse=True)
     width = len(set().union(*rows))
@@ -222,7 +232,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rank over Q."""
-        return _rank([_z_row(dict(enumerate(row))) for row in self.rows], _cancel_z)
+        return rank([_z_row(dict(enumerate(row))) for row in self.rows])
 
     def det(self):
         """Exact determinant, by elimination over Q: the product of the
@@ -253,12 +263,6 @@ class ExactMatrix:
             if piv is None:
                 out.append([red.get(~j, 0) for j in range(self.ncols)])
         return out
-
-
-def sparse_rank_q(rows: list[dict[int, int]]) -> int:
-    """Exact rank over Q of sparse integer (or rational) rows, dict col ->
-    value, fraction-free; short rows are placed first to limit fill-in."""
-    return _rank([_z_row(row) for row in rows], _cancel_z)
 
 
 def spin_rank_q(rows: list[dict], maps: list[list[tuple[int, int]]]) -> int:
@@ -294,12 +298,6 @@ def spin_rank_q(rows: list[dict], maps: list[list[tuple[int, int]]]) -> int:
                 image[j] = image.get(j, 0) + f * x
             push({j: x for j, x in image.items() if x})
     return len(echelon.cols)
-
-
-def rank_modp(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of sparse integer rows."""
-    return _rank([{c: v % p for c, v in row.items() if v % p} for row in rows],
-                 _cancel_mod(p))
 
 
 def inverse_columns(rows: list[dict[int, int]], wanted: list[int]) -> list[dict[int, int]]:

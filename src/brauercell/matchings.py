@@ -208,10 +208,6 @@ class BrauerDiagram:
     def to_json(self) -> dict:
         return {"r": self.r, "strands": [list(p) for p in self.pairs]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BrauerDiagram":
-        return cls(data["r"], [tuple(p) for p in data["strands"]])
-
     def __eq__(self, other):
         return (isinstance(other, BrauerDiagram)
                 and self.r == other.r and self.pairs == other.pairs)

@@ -39,7 +39,7 @@ from . import branching as br
 from .branching import (Vertex, algebra_dimension, conjugate,
                         expected_image_dimension)
 from .diagrams import AlgebraElement, diagram_mult, walled_filter
-from .exactmat import ExactMatrix, rank_modp, sparse_rank_q, spin_rank_q
+from .exactmat import ExactMatrix, rank, spin_rank_q
 from .matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
 from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
@@ -376,18 +376,19 @@ def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int,
     return image_lines(islice(vectors, len(permissible))), not any(vectors)
 
 
-def image_rank_modp(p: int, perm_lines: list[dict[int, int]], rank_q: int,
+def image_rank_modp(p: int, perm_lines: list[dict[int, int]], count: int,
                     kernel_zero: bool, diagrams, rep: TensorRep) -> int:
     """The rank over F_p of the whole image Phi(B_r) (or of Z S_r), from
-    ``perm_lines``, the lines of the permissible basis elements, of rank
-    ``rank_q`` over Q, when they decide it, else from all the ``diagrams``.
-    The split basis is a Z-basis, so once the kernel elements map to zero
-    (``kernel_zero``) the permissible ones span the image over Q, and
-    rank_p(perm) <= rank_p(Phi(B_r)) <= rank_Q(Phi(B_r)) = rank_Q(perm):
-    a rank on the lines that reaches ``rank_q`` (their stop rule ends
-    there) is that of the whole image, and is never a mere lower bound."""
-    if kernel_zero and rank_modp(perm_lines, p) == rank_q:
-        return rank_q
+    ``perm_lines``, the lines of the ``count`` permissible basis elements,
+    when they decide it, else from all the ``diagrams``.  It only reads
+    ``perm_lines``, so the Q rank may consume them after.  The split basis
+    is a Z-basis, so once the kernel elements map to zero (``kernel_zero``)
+    the permissible ones span the image over Q, and rank_p(perm) <=
+    rank_p(Phi(B_r)) <= rank_Q(Phi(B_r)) = rank_Q(perm) <= count: a rank
+    on the lines that reaches ``count`` is that of the whole image, and is
+    never a mere lower bound.  One that falls short decides nothing."""
+    if kernel_zero and rank(perm_lines, p) == count:
+        return count
     return image_rank(diagrams, rep, p)
 
 
@@ -407,7 +408,8 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
 
     Lines 1 and 2 read ``split_image_lines``, which forms no n_st; the
     rank of line 1 is taken by columns, and stops once it reaches the
-    number of nonzero images; so does line 5 (``image_rank_modp``).
+    number of nonzero images; so does line 5 (``image_rank_modp``), which
+    is taken first, as the rank of line 1 consumes the lines.
     """
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     split = split if split is not None else SplitBasis(r, n, flavor)
@@ -416,12 +418,14 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     dim_im = expected_image_dimension(r, n, flavor)
 
     perm_lines, kernel_zero = split_image_lines(split, rep)
+    count = sum(split.pair_permissible(*key) for key in split.iter_pairs())
+    got_p = [(p, image_rank_modp(p, perm_lines, count, kernel_zero,
+                                 split.basis.diagrams, rep))
+             for p in fields if not (flavor == "orthogonal" and p == 2)]
     cert.add("kernel elements map to zero", True, kernel_zero)
-    cert.add("permissible pair count", dim_im,
-             sum(split.pair_permissible(*key) for key in split.iter_pairs()))
-    got_q = sparse_rank_q(perm_lines)
+    cert.add("permissible pair count", dim_im, count)
     cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, got_q)
+             dim_im, rank(perm_lines))
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 
@@ -433,12 +437,8 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
         cert.add("ideal generated by marginal generators has rank dim ker",
                  dim_alg - dim_im, got)
 
-    for p in fields:
-        if flavor == "orthogonal" and p == 2:
-            continue
-        got_p = image_rank_modp(p, perm_lines, got_q, kernel_zero,
-                                split.basis.diagrams, rep)
-        cert.add(f"image rank over F_{p}", dim_im, got_p)
+    for p, got in got_p:
+        cert.add(f"image rank over F_{p}", dim_im, got)
     return cert
 
 
@@ -479,12 +479,13 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     in Young's lattice the row count never falls, so a path is permissible
     exactly when its end vertex is, and a cell is all kernel or all image.
 
-    The image cells are imaged whole, for the rank (taken by columns, as in
-    ``certify_sft``).  A kernel cell is imaged through its generator y_lam
-    alone, and never expanded.  That is exact: ``MurphyBasis`` builds every
-    element of the cell of lam as m_st = (d_s* y_lam) d_t, and Phi is a
-    homomorphism (``tensorrep``: rep(ab) = rep(a) rep(b)), so Phi(m_st) =
-    Phi(d_s*) Phi(y_lam) Phi(d_t), which is zero once Phi(y_lam) is.  So
+    The image cells are imaged whole, for the rank (taken by columns, mod p
+    first, as in ``certify_sft``).  A kernel cell is imaged through its
+    generator y_lam alone, and never expanded.  That is exact:
+    ``MurphyBasis`` builds every element of the cell of lam as m_st =
+    (d_s* y_lam) d_t, and Phi is a homomorphism (``tensorrep``: rep(ab) =
+    rep(a) rep(b)), so Phi(m_st) = Phi(d_s*) Phi(y_lam) Phi(d_t), which is
+    zero once Phi(y_lam) is.  So
     when every kernel generator maps to zero, every element of every kernel
     cell does, and the line "kernel cells map to zero" is true."""
     r, n, basis = split.r, split.n, split.basis
@@ -498,9 +499,11 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     vectors = image_vectors(chain((basis.elements[key] for key in image),
                                   (basis.generators[v] for v in kernel)), rep)
     perm_lines = image_lines(islice(vectors, len(image)))
-    kernel_zero, got_q = not any(vectors), sparse_rank_q(perm_lines)
+    kernel_zero = not any(vectors)
+    got_p = [(p, image_rank_modp(p, perm_lines, len(image), kernel_zero,
+                                 basis.diagrams, rep)) for p in fields]
     cert.add("kernel cells map to zero", True, kernel_zero)
-    cert.add("image rank over Q", dim_im, got_q)
+    cert.add("image rank over Q", dim_im, rank(perm_lines))
     cert.add("kernel count + image dimension", dim_alg, split.kernel_count() + dim_im)
     if check_ideal is None:
         check_ideal = r <= 4
@@ -509,9 +512,8 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
         got = ideal_span_rank(gens, r, "symmetric")
         cert.add("ideal generated by the antisymmetrizer has rank dim ker",
                  dim_alg - dim_im, got)
-    for p in fields:
-        got_p = image_rank_modp(p, perm_lines, got_q, kernel_zero, basis.diagrams, rep)
-        cert.add(f"image rank over F_{p}", dim_im, got_p)
+    for p, got in got_p:
+        cert.add(f"image rank over F_{p}", dim_im, got)
     return cert
 
 

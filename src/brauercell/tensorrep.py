@@ -13,7 +13,9 @@ Conventions (pinned by tests):
   group on (Z^N)^{tensor r}; diagrams must be permutations.
 
 Matrices act on row vectors from the right, so rep(ab) = rep(a) rep(b).
-A matrix is the dict {row: {column: value}} of its nonzero integer entries.
+A diagram's image is given by ``TensorRep.diagram_columns`` on chosen rows;
+``image_vectors`` and ``image_rank`` read it, and their ranks are taken by
+``exactmat.rank``.
 
 Orbit rows.  Every rank and zero test on images reads only the rows of
 ``TensorRep.orbit_rows()``: one word per orbit of the letter group H acting
@@ -47,7 +49,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded
-from .exactmat import _cancel_z, _rank, rank_modp
+from .exactmat import rank
 from .matchings import BrauerDiagram, perm_sign
 
 if TYPE_CHECKING:   # the diagram algebra is only named in annotations here
@@ -120,7 +122,7 @@ class TensorRep:
         occurrence.  So the fixed words are built letter by letter: after k
         classes have been used, a word continues with a letter of those
         classes (or the middle letter) or with the next new one, k.  The
-        words, and their letter table, are kept for ``rep_diagram``."""
+        words, and their letter table, are kept for ``diagram_columns``."""
         if self._orbit_rows is None:
             d = self.dim
             if self.omega is None:
@@ -141,16 +143,6 @@ class TensorRep:
         return self._orbit_rows
 
     # -- representation of diagrams ------------------------------------------
-
-    def rep_diagram(self, diag: BrauerDiagram, rows) -> dict[int, dict[int, int]]:
-        """Image of a diagram on the word indices in ``rows``, as the dict
-        {word index: {column: value}} of its nonzero rows: the dict view of
-        ``diagram_columns``."""
-        if rows is not self._orbit_rows:
-            rows = list(rows)
-        heads, coeffs, lows = self.diagram_columns(diag, rows)
-        return {i: {h + low: c * v for h, v in heads}
-                for i, c, low in zip(rows, coeffs, lows) if c}
 
     def diagram_columns(self, diag: BrauerDiagram, rows) -> tuple[list, list, list]:
         """Image of a diagram on the word indices in the sequence ``rows``,
@@ -229,10 +221,11 @@ def image_vectors(elements, rep: TensorRep):
     rows of ``rep`` only, which keeps ranks and zero tests (module
     docstring), each flattened to the row vector {i * rep.size + j: value}
     of its entries (i, j); an iterator, which images each element when it
-    is read.  Each diagram's image is built once per call and kept as three
-    machine-int arrays: row position, column and value."""
+    is read.  Each diagram's ``diagram_columns`` are read once per call and
+    kept as its heads and two machine-int arrays over its nonzero rows: the
+    base offset i * rep.size + low and the coefficient."""
     rows = rep.orbit_rows()
-    starts = [i * rep.size for i in rows]
+    bases = [i * rep.size for i in rows]
     images: dict[BrauerDiagram, tuple] = {}
     for a in elements:
         rep.check_element(a)
@@ -240,22 +233,28 @@ def image_vectors(elements, rep: TensorRep):
         for d, c in a.terms.items():
             image = images.get(d)
             if image is None:
-                m = rep.rep_diagram(d, rows)
-                entries = [(k, j, x) for k, i in enumerate(rows)
-                           for j, x in m.get(i, {}).items()]
-                image = images[d] = tuple(array("q", column) for column in zip(*entries))
-            for k, j, x in zip(*image):
-                key = starts[k] + j
-                vec[key] = vec.get(key, 0) + c * x
+                heads, coeffs, lows = rep.diagram_columns(d, rows)
+                starts, scales = array("q"), array("q")
+                for base, x, low in zip(bases, coeffs, lows):
+                    if x:
+                        starts.append(base + low)
+                        scales.append(x)
+                image = images[d] = heads, starts, scales
+            heads, starts, scales = image
+            for start, x in zip(starts, scales):
+                x *= c
+                for h, v in heads:
+                    key = start + h
+                    vec[key] = vec.get(key, 0) + x * v
         yield {k: x for k, x in vec.items() if x}
 
 
 def image_lines(vectors) -> list[dict[int, int]]:
     """The transpose of the sparse rows ``vectors`` (an iterable, read once,
     so the rows need not all be held): one line per nonzero column,
-    {row position: value}.  rank A = rank A^T over any field, and the rank
-    kernels stop once their pivots number as many as the distinct columns,
-    which here is the count of nonzero rows."""
+    {row position: value}.  rank A = rank A^T over any field, and
+    ``exactmat.rank`` stops once its pivots number as many as the distinct
+    columns, which here is the count of nonzero rows."""
     lines: dict[int, dict[int, int]] = {}
     for g, vec in enumerate(vectors):
         for key, x in vec.items():
@@ -269,14 +268,12 @@ def image_rank(diagrams, rep: TensorRep, p: int | None = None) -> int:
     ``rep.orbit_rows()`` only, which keeps the rank over Z and mod every p
     (module docstring).
 
-    The rank is taken by columns, as in ``image_lines``: the rank kernel is
+    The rank is taken by columns, as in ``image_lines``: ``exactmat.rank`` is
     given one line per nonzero entry (i, j) of the images, {diagram index:
     value}, and its stop rule ends the elimination once the rank reaches
     the number of diagrams with a nonzero image.  The lines are written in
-    one pass from each diagram's ``diagram_columns``.  They are owned here
-    and hold nonzero ints, so the Q rank hands them to ``exactmat._rank``
-    as they are, without the copy ``sparse_rank_q`` makes, once the entry
-    index is dropped."""
+    one pass from each diagram's ``diagram_columns``, and the Q rank
+    consumes them."""
     rows, size = rep.orbit_rows(), rep.size
     bases = [i * size for i in rows]
     by_entry: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -289,4 +286,4 @@ def image_rank(diagrams, rep: TensorRep, p: int | None = None) -> int:
                     by_entry[base + h][g] = c * v
     lines = list(by_entry.values())
     del by_entry
-    return _rank(lines, _cancel_z) if p is None else rank_modp(lines, p)
+    return rank(lines, p)

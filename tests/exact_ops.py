@@ -1,7 +1,8 @@
 """Exact oracles for the tests: a general solver over Z, the oracle of the
 cell-row functionals and of the cellular expansion, the rank, inverse and
 kernel of a dense matrix by Fraction elimination, the cofactor
-determinant, and the specialization of seminormal data over Q.  The package
+determinant, the specialization of seminormal data over Q, and the Q rank
+of rows that must be kept (``rank_q``, on integer copies).  The package
 itself needs none of them: it reads only columns of block inverses
 (``exactmat.inverse_columns``), takes determinants by elimination, and
 checks the specialized seminormal structure as identities over Z
@@ -9,7 +10,7 @@ checks the specialized seminormal structure as identities over Z
 
 from fractions import Fraction
 
-from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row
+from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row, rank
 from brauercell.rings import Poly
 from brauercell.seminormal import quotient_record, residue_collisions
 
@@ -232,3 +233,9 @@ def specialize_quotient_oracle(sd, delta0, flavor: str, n: int):
                 agree &= in_radical(row)
         record.add("E_tt = specialized F_t modulo the radical", agree)
     return record
+
+
+def rank_q(rows) -> int:
+    """Rank over Q of sparse rows of ints or Fractions, by ``exactmat.rank``
+    on integer copies (``_z_row``), so ``rows`` stay as they are."""
+    return rank([_z_row(row) for row in rows])

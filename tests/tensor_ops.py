@@ -1,10 +1,11 @@
 """Independent routes to tensor-space images and the Pfaffian/minor
 functionals attached to diagrams, for the tests: the pairing of two
-letters, the full image of an algebra element (the reference the orbit-row
-images are compared against), the place-permutation matrix, the
-closed-form image of a diagram (the oracle of ``TensorRep.rep_diagram``),
-and the Pfaffians and walled determinants of acceptance criterion 4.  The
-package itself builds images only through ``rep_diagram``."""
+letters, the dict view of a diagram's image (``rep_diagram``), the full
+image of an algebra element (the reference the orbit-row images are
+compared against), the place-permutation matrix, the closed-form image of
+a diagram (the oracle of ``rep_diagram``), and the Pfaffians and walled
+determinants of acceptance criterion 4.  The package itself builds images
+only through ``TensorRep.diagram_columns``."""
 
 import itertools
 
@@ -19,6 +20,17 @@ def form_pair(rep: TensorRep, x: int, y: int) -> int:
     return rep.pair_sign[x] if x + y == rep.dim - 1 else 0
 
 
+def rep_diagram(rep: TensorRep, diag: BrauerDiagram, rows) -> dict[int, dict[int, int]]:
+    """Image of a diagram on the word indices in ``rows``, as the dict
+    {word index: {column: value}} of its nonzero rows: the dict view of
+    ``TensorRep.diagram_columns``."""
+    if rows is not rep.orbit_rows():
+        rows = list(rows)
+    heads, coeffs, lows = rep.diagram_columns(diag, rows)
+    return {i: {h + low: c * v for h, v in heads}
+            for i, c, low in zip(rows, coeffs, lows) if c}
+
+
 def rep_element(rep: TensorRep, a: AlgebraElement, rows=None) -> SparseMat:
     """Image of an algebra element (``TensorRep.check_element``), built on
     the word indices in ``rows`` only (all rows when ``rows`` is None)."""
@@ -26,7 +38,7 @@ def rep_element(rep: TensorRep, a: AlgebraElement, rows=None) -> SparseMat:
     rows = range(rep.size) if rows is None else rows
     out = SparseMat(rep.size)
     for diag, c in a.terms.items():
-        for i, row in rep.rep_diagram(diag, rows).items():
+        for i, row in rep_diagram(rep, diag, rows).items():
             for j, v in row.items():
                 out.add(i, j, c * v)
     return out

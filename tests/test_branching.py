@@ -127,4 +127,6 @@ def test_path_orders():
 
 def test_vertex_json():
     v = Vertex((2, 1), 1)
-    assert Vertex.from_json(v.to_json()) == v
+    data = v.to_json()
+    assert data == {"lam": [2, 1], "l": 1}
+    assert Vertex(tuple(data["lam"]), data["l"]) == v

@@ -273,6 +273,37 @@ def _run_limited(argv, mem_bytes):
                           capture_output=True, timeout=300, preexec_fn=limit)
 
 
+# Starts the CLI by posix_spawn and prints its exit code and peak RSS (KiB)
+# from os.wait4.  A process's ru_maxrss carries over exec from the memory
+# image that exec replaced, so the job must be spawned by this small
+# interpreter, not by the test process, whose high-water mark it would read.
+_PEAK_HELPER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "brauercell.cli", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
+                                                os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_symplectic_r5_n3_certificate_peaks_below_72_mb():
+    """``certify`` ranks its permissible lines in place, with no copy, and
+    keeps each diagram's image as two arrays over its nonzero rows: this
+    job peaks near 55 MB, where copying the lines before the Q rank took it
+    to 82 MB."""
+    src = str(Path(brauercell.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["certify", "--flavor", "symplectic", "--r", "5", "--N", "3"]
+    helper = subprocess.run([sys.executable, "-c", _PEAK_HELPER, *argv], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert helper.returncode == 0, helper.stderr
+    code, peak_kib = map(int, helper.stdout.split())
+    assert code == 0
+    assert peak_kib < 72 * 1024
+
+
 def test_wide_symmetric_inputs_fit_in_512_mib():
     """9^5 = 59049 words: both runs read 52 orbit rows, where building every
     row ran out of memory under 2 GiB."""
@@ -336,6 +367,26 @@ CERTIFY_STDOUT_SHA256 = {
         "ee87f89c6d85e802d8d3766e2fc78b1c7f231aee39004e11fa5621129bb5afe7",
     "symmetric --r 5 --N 3 --field Fp --p 13":
         "353d383172cdf77ca5dba46315273c6f2167696a1c0b202c579805cd16bb51e6",
+    # the same three argv at the other primes of the perfbench grid,
+    # recorded before the F_p line was decided against the count
+    "symplectic --r 5 --N 1 --field Fp --p 5":
+        "030167d37103fa9dfdac42c315982a2cbac799646d5e0275dd7dae24480b802f",
+    "symplectic --r 5 --N 1 --field Fp --p 7":
+        "6a29ab7b6845ddc86e8ca769a86f496f90bead8b3ee028826d03ef4530b01a4c",
+    "symplectic --r 5 --N 1 --field Fp --p 11":
+        "fd896619b6c8d21aeb3d245a396e08e813db73a6c777b3f7e72a81640ecca7a7",
+    "orthogonal --r 4 --N 2 --field Fp --p 3":
+        "978de78f781fdf10f2fb681365cd54c275237ece04ead8682071a77cfc2e25a1",
+    "orthogonal --r 4 --N 2 --field Fp --p 7":
+        "b23fcac773f594ffeb5a1918fda4e84ba288d40ad20059f54b49e52ef8f55a82",
+    "orthogonal --r 4 --N 2 --field Fp --p 11":
+        "8e22e84a18411581d869aabcf8d2f9562fac389443dbacc043848a81a82726d8",
+    "symmetric --r 5 --N 3 --field Fp --p 3":
+        "93254d5dca40729d1af67ea7b39b8cc998c082e4367f586c0375dfeb47fd8443",
+    "symmetric --r 5 --N 3 --field Fp --p 5":
+        "8c2633b8a5a29c68b7824180b477b9c8ccbafdadbbbf7097f10d4d5f330af444",
+    "symmetric --r 5 --N 3 --field Fp --p 11":
+        "99312708b9831f870abce657e321644ea3ca31a84d3dc667b6a2e6ab033439ca",
 }
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauercell.exactmat import (Echelon, ExactMatrix, _cancel_mod, _cancel_z, _peel,
-                                 _rank, _z_row, inverse_columns, rank_modp,
-                                 sparse_rank_q, spin_rank_q)
+from brauercell.exactmat import (Echelon, ExactMatrix, _cancel_z, _peel, _z_row,
+                                 inverse_columns, rank, spin_rank_q)
 from brauercell.rings import Poly
 from cell_ops import transpose
 from exact_ops import (LinearSolver, det_cofactor, inverse_fraction, kernel_fraction,
@@ -168,13 +167,28 @@ def test_sparse_rank_matches_dense(rng):
         n, m = rng.randint(1, 6), rng.randint(1, 8)
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
-        assert sparse_rank_q(sparse) == rank_gauss_fraction(rows)
+        before = [dict(row) for row in sparse]
+        # over Q ``rank`` consumes its list: rows are left in it only when
+        # the rank reached the column count before they were read
+        left = [dict(row) for row in sparse]
+        got = rank(left)
+        assert got == rank_gauss_fraction(rows)
+        assert not left or got == len(set().union(*sparse))
+        # over F_p it reads the rows and leaves every one unchanged
+        for p in (3, 5):
+            assert rank(sparse, p) == rank_gauss_fraction_modp(
+                [[x % p for x in r] for r in rows], p)
+        assert sparse == before
 
 
-def test_rank_stops_at_the_column_count(rng):
+def test_rank_stops_at_the_column_count(rng, monkeypatch):
     """Short unit rows reach the column count first; the rows left over are
     never read, and the rank is that of a Fraction elimination, over Q and
-    mod p."""
+    mod p: no row reaches the echelon, and over Q the rows left over stay
+    in the consumed list."""
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda self, row: added.append(row) or add(self, row))
     for _ in range(25):
         m = rng.randint(2, 6)
         units = [{j: rng.choice([-1, 1, 2])} for j in range(m)]
@@ -184,22 +198,25 @@ def test_rank_stops_at_the_column_count(rng):
         dense = [[row.get(j, 0) for j in range(m)] for row in rows]
         assert rank_gauss_fraction(dense) == m
         left = [dict(row) for row in rows]
-        assert _rank(left, _cancel_z) == m
+        assert rank(left) == m
         assert len(left) == len(longs)
+        before = [dict(row) for row in rows]
         for p in (3, 5):
-            left = [{c: v % p for c, v in row.items()} for row in rows]
-            assert _rank(left, _cancel_mod(p)) == m
-            assert len(left) == len(longs)
-        assert sparse_rank_q(rows) == rank_modp(rows, 3) == m
+            assert rank(rows, p) == m
+        assert rows == before and not added
+        assert rank([dict(row) for row in rows]) == rank(rows, 3) == m
 
 
 def test_rank_of_empty_and_zero_rows():
-    assert _rank([], _cancel_z) == sparse_rank_q([]) == rank_modp([], 3) == 0
-    assert sparse_rank_q([{}, {0: 0, 4: 0}, {}]) == 0
-    assert rank_modp([{0: 5, 7: -10}, {}], 5) == 0
+    assert rank([]) == rank([], 3) == 0
+    # stored zeros: the rows of a Q rank hold none (``_z_row`` drops them),
+    # and the copy of an F_p rank drops them with the multiples of p
+    assert rank([_z_row(row) for row in ({}, {0: 0, 4: 0}, {})]) == 0
+    assert rank([{}, {0: 0, 4: 0}, {}], 3) == 0
+    assert rank([{0: 5, 7: -10}, {}], 5) == 0
     # zero rows beside one nonzero row: one distinct column, rank one
-    assert sparse_rank_q([{}, {2: 3}, {}, {2: -6}]) == 1
-    assert rank_modp([{2: 7}, {2: 3, 5: 7}], 7) == 1
+    assert rank([{}, {2: 3}, {}, {2: -6}]) == 1
+    assert rank([{2: 7}, {2: 3, 5: 7}], 7) == 1
 
 
 def test_spin_rank_q():
@@ -222,7 +239,10 @@ def test_rank_modp(rng):
             rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
             sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
             modrows = [[x % p for x in r] for r in rows]
-            assert rank_modp(sparse, p) == rank_gauss_fraction_modp(modrows, p)
+            before = [dict(row) for row in sparse]
+            assert rank(sparse, p) == rank_gauss_fraction_modp(modrows, p)
+            assert sparse == before
+            assert rank([dict(row) for row in sparse]) == rank_gauss_fraction(rows)
 
 
 def rank_gauss_fraction_modp(rows, p):
@@ -254,7 +274,7 @@ def test_rank_modp_wide(rng):
     dense = [[r.get(c, 0) for c in used] for r in rows]
     for p in (3, 5):
         modrows = [[x % p for x in r] for r in dense]
-        assert rank_modp(rows, p) == rank_gauss_fraction_modp(modrows, p)
+        assert rank(rows, p) == rank_gauss_fraction_modp(modrows, p)
 
 
 def test_kernel_random_singular(rng):
@@ -334,13 +354,13 @@ def _check_inverse_columns(square):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_integer_elimination_matches_fraction_oracle(dense):
-    """``sparse_rank_q``, ``ExactMatrix.kernel`` and ``inverse_columns``, whose
+    """``rank``, ``ExactMatrix.kernel`` and ``inverse_columns``, whose
     eliminations cancel against negative and non-unit pivots, agree with
     Fraction elimination: the same rank, a kernel basis spanning the
     oracle's kernel, and the integral inverse columns (a raise on the
     others and on a singular square)."""
     ncols = len(dense[0])
-    assert sparse_rank_q([{j: x for j, x in enumerate(row) if x} for row in dense]) == \
+    assert rank([{j: x for j, x in enumerate(row) if x} for row in dense]) == \
         rank_gauss_fraction(dense)
     kernel, oracle = ExactMatrix(dense).kernel(), kernel_fraction(dense)
     assert len(kernel) == len(oracle)
@@ -386,9 +406,9 @@ def test_peel_strikes_a_cascade_in_place():
     left = [dict(row) for row in rows]
     assert _peel(left) == 5
     assert left == [{}, {}]
-    assert _rank([dict(row) for row in rows], _cancel_z) == rank_gauss_fraction(dense) == 5
+    assert rank([dict(row) for row in rows]) == rank_gauss_fraction(dense) == 5
     for p in (3, 5):
-        assert rank_modp(rows, p) == rank_gauss_fraction_modp(
+        assert rank(rows, p) == rank_gauss_fraction_modp(
             [[x % p for x in row] for row in dense], p)
     # nothing to peel: the list is left as it is
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
@@ -403,9 +423,9 @@ def test_peel_matches_fraction_rank(rng):
         m = rng.randint(2, 9)
         rows = _cascade_rows(rng, m)
         dense = [[row.get(j, 0) for j in range(m)] for row in rows]
-        assert sparse_rank_q(rows) == rank_gauss_fraction(dense)
+        assert rank([dict(row) for row in rows]) == rank_gauss_fraction(dense)
         for p in (3, 5):
-            assert rank_modp(rows, p) == rank_gauss_fraction_modp(
+            assert rank(rows, p) == rank_gauss_fraction_modp(
                 [[x % p for x in row] for row in dense], p)
         left = [dict(row) for row in rows]
         struck = _peel(left)

@@ -9,7 +9,7 @@ import brauercell.branching as br
 import brauercell.sft as sft
 from brauercell.branching import Vertex
 from brauercell.diagrams import AlgebraElement, walled_filter
-from brauercell.exactmat import Echelon, _cancel_field, sparse_rank_q
+from brauercell.exactmat import Echelon, _cancel_field
 from brauercell.matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
@@ -22,8 +22,9 @@ from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_ra
                                   image_vectors)
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
                       path_revlex_gt, permissible_dimension, strictly_dominates)
+from exact_ops import rank_q
 from sparse_ops import SparseMat, matmul, scale
-from tensor_ops import rep_element
+from tensor_ops import rep_diagram, rep_element
 
 
 def elt(d, coeff=1, delta=None):
@@ -268,7 +269,7 @@ def _sandwich_rank(gens, r, flavor):
             for d2 in diagrams:
                 prod = left * elt(d2, 1, delta0)
                 rows.append({index[d]: c for d, c in prod.terms.items()})
-    return sparse_rank_q(rows)
+    return rank_q(rows)
 
 
 # every case with nonempty generators (r > N) up to N = 3, r = 3, and a few at r = 4
@@ -398,7 +399,7 @@ def test_rep_element_from_images_matches_fold(flavor, n, r):
     split = SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
-    images = {d: SparseMat(rep.size, rep.rep_diagram(d, rows)) for d in split.basis.diagrams}
+    images = {d: SparseMat(rep.size, rep_diagram(rep, d, rows)) for d in split.basis.diagrams}
     elements = []
     for v in split.basis.vertices:
         gen = split.basis.generators[v].with_delta(split.delta0)
@@ -568,7 +569,7 @@ FP_GRID = [("symplectic", 1, 4), ("orthogonal", 2, 4), ("symmetric", 2, 4)]
 
 @pytest.mark.parametrize("flavor,n,r", FP_GRID)
 def test_fp_line_reads_the_permissible_lines(flavor, n, r, monkeypatch):
-    """When the permissible lines reach the rank over Q mod p, the F_p line
+    """When the permissible lines reach their count mod p, the F_p line
     images no diagram beyond the Q lines, and its value is the rank of the
     whole image, ``image_rank`` on all diagrams."""
     split = SplitBasis(r, n, flavor)
@@ -598,8 +599,9 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
     rep = TensorRep(flavor, n, r)
     diagrams = split.basis.diagrams
     full = image_rank(diagrams, rep, 3)
-    rank_modp = sft.rank_modp
-    monkeypatch.setattr(sft, "rank_modp", lambda lines, p: rank_modp(lines, p) - 1)
+    rank = sft.rank
+    monkeypatch.setattr(sft, "rank",
+                        lambda lines, p=None: rank(lines, p) - (p is not None))
     calls = []
     diagram_columns = TensorRep.diagram_columns
     monkeypatch.setattr(TensorRep, "diagram_columns",
@@ -607,7 +609,7 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
     cert = _certify_fp(split, (3,))
     assert {c.name: c.got for c in cert.checks}["image rank over F_3"] == full
     assert calls[-len(diagrams):] == list(diagrams)
-    monkeypatch.setattr(sft, "rank_modp", rank_modp)
+    monkeypatch.setattr(sft, "rank", rank)
     calls.clear()
     lines = [{0: 1}]
     assert image_rank_modp(3, lines, 1, False, diagrams, rep) == full

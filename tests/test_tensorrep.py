@@ -4,15 +4,15 @@ import pytest
 
 from brauercell.diagrams import AlgebraElement
 from brauercell.errors import CapExceeded
-from brauercell.exactmat import rank_modp, sparse_rank_q
+from brauercell.exactmat import rank
 from brauercell.matchings import (BrauerDiagram, all_diagrams, all_permutation_diagrams,
                                   perm_sign)
 from brauercell.tensorrep import TensorRep, image_lines, image_rank, image_vectors
-from exact_ops import det_cofactor
+from exact_ops import det_cofactor, rank_q
 from sparse_ops import SparseMat, identity, matmul, scale, transpose
 from tensor_ops import (form_pair, pfaffian_diagram_sum, pfaffian_functional,
                         pfaffian_interleaved, pfaffian_recursive, place_matrix,
-                        rep_diagram_closed_form, rep_element, walled_det_matrix,
+                        rep_diagram, rep_diagram_closed_form, rep_element, walled_det_matrix,
                         walled_det_sum)
 
 FLAVOR_GRID = [("symplectic", 1), ("symplectic", 2), ("orthogonal", 1),
@@ -29,7 +29,7 @@ def kernel_membership(a: AlgebraElement, rep: TensorRep) -> bool:
 
 def full_image(rep: TensorRep, d: BrauerDiagram) -> dict[int, dict[int, int]]:
     """``rep_diagram`` on every row."""
-    return rep.rep_diagram(d, range(rep.size))
+    return rep_diagram(rep, d, range(rep.size))
 
 
 def triplets(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, int]]:
@@ -318,14 +318,14 @@ def test_orbit_row_ranks_equal_full_ranks(flavor, n, r, rng):
             assert o == {k: x for k, x in f.items() if k // rep.size in chosen}
             assert (not o) == (not f)
         assert list(image_vectors(elements, rep)) == orbit
-        assert sparse_rank_q(orbit) == sparse_rank_q(full)
+        assert rank_q(orbit) == rank_q(full)
         for p in (3, 5):
-            assert rank_modp(orbit, p) == rank_modp(full, p)
-        assert sparse_rank_q(image_lines(image_vectors(elements, rep))) == sparse_rank_q(full)
+            assert rank(orbit, p) == rank(full, p)
+        assert rank_q(image_lines(image_vectors(elements, rep))) == rank_q(full)
         if elements is diagram_elements:
-            assert image_rank(_diagrams(rep), rep) == sparse_rank_q(full)
+            assert image_rank(_diagrams(rep), rep) == rank_q(full)
             for p in (3, 5, 7):
-                assert image_rank(_diagrams(rep), rep, p=p) == rank_modp(full, p)
+                assert image_rank(_diagrams(rep), rep, p=p) == rank(full, p)
 
 
 COLUMN_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal", "symmetric")
@@ -351,14 +351,14 @@ def test_image_rank_by_columns_equals_row_rank(flavor, n, r, rng):
     for elements, as_diagrams in cases:
         vecs = [rep_element(rep, a, rows=rows).to_vector() for a in elements]
         lines = image_lines(image_vectors(elements, rep))
-        assert sparse_rank_q(lines) == sparse_rank_q(vecs)
+        assert rank_q(lines) == rank_q(vecs)
         for p in (3, 5, 7):
-            assert rank_modp(lines, p) == rank_modp(vecs, p)
+            assert rank(lines, p) == rank(vecs, p)
         if as_diagrams is not None:
-            assert image_rank(as_diagrams, rep) == sparse_rank_q(vecs)
+            assert image_rank(as_diagrams, rep) == rank_q(vecs)
             for p in (3, 5, 7):
-                assert image_rank(as_diagrams, rep, p=p) == rank_modp(vecs, p)
-    assert sparse_rank_q(image_lines(image_vectors(kernel, rep))) == 0
+                assert image_rank(as_diagrams, rep, p=p) == rank(vecs, p)
+    assert rank_q(image_lines(image_vectors(kernel, rep))) == 0
 
 
 # the ranks of the perfbench dims argv (flavor, N, --r): every r up to --r;
@@ -375,31 +375,30 @@ def test_image_rank_lines_are_the_transposed_rows(flavor, n, r, monkeypatch):
     """``image_rank`` writes its lines from ``diagram_columns`` in one pass;
     they are, line for line and in order, the rows of ``rep_diagram``
     transposed, and its ranks over Q and F_3 are those of the old route:
-    ``sparse_rank_q`` and ``rank_modp`` of the transposed rows."""
+    ``exactmat.rank`` of the transposed rows."""
     import brauercell.tensorrep as tensorrep
     rep = TensorRep(flavor, n, r)
     rows = rep.orbit_rows()
     diagrams = _diagrams(rep)
     transposed: dict[int, dict[int, int]] = {}
     for g, d in enumerate(diagrams):
-        for i, row in rep.rep_diagram(d, rows).items():
+        for i, row in rep_diagram(rep, d, rows).items():
             for j, x in row.items():
                 transposed.setdefault(i * rep.size + j, {})[g] = x
     old = list(transposed.values())
     given = []
-    rank = tensorrep._rank
-    monkeypatch.setattr(tensorrep, "_rank",
-                        lambda lines, cancel: given.append([dict(x) for x in lines])
-                        or rank(lines, cancel))
-    assert image_rank(diagrams, rep) == sparse_rank_q(old)
+    monkeypatch.setattr(tensorrep, "rank",
+                        lambda lines, p=None: given.append([dict(x) for x in lines])
+                        or rank(lines, p))
+    assert image_rank(diagrams, rep) == rank_q(old)
     assert given == [old]
-    assert image_rank(diagrams, rep, 3) == rank_modp(old, 3)
+    assert image_rank(diagrams, rep, 3) == rank(old, 3)
 
 
 def test_image_rank_rejects_bad_input():
     """Diagrams of the wrong width and horizontal strands under the
     symmetric flavor raise; so do a call of
-    ``rep_diagram`` without rows and a flavor name the CLI does not take."""
+    ``diagram_columns`` without rows and a flavor name the CLI does not take."""
     rep = TensorRep("symplectic", 1, 2)
     with pytest.raises(ValueError):
         TensorRep("permutation", 2, 2)
@@ -408,7 +407,7 @@ def test_image_rank_rejects_bad_input():
     with pytest.raises(ValueError):
         image_rank(all_diagrams(2), TensorRep("symmetric", 2, 2))
     with pytest.raises(TypeError):
-        rep.rep_diagram(BrauerDiagram.identity(2))
+        rep.diagram_columns(BrauerDiagram.identity(2))
 
 
 @pytest.mark.parametrize("flavor,n", [(f, n) for f in ("symplectic", "orthogonal", "symmetric")
@@ -429,7 +428,7 @@ def test_orbit_word_table(flavor, n, r, rng):
         wanted = set(subset)
         for d in _diagrams(rep):
             full = full_image(rep, d)
-            assert rep.rep_diagram(d, subset) == {
+            assert rep_diagram(rep, d, subset) == {
                 i: row for i, row in full.items() if i in wanted}
 
 
