@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matchings import _INTERNED, BrauerDiagram, perm_sign
+from .matchings import BrauerDiagram, interned, perm_sign
 from .rings import Poly
 
 
@@ -22,8 +22,7 @@ def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int
     """Stack a over b; returns the resulting diagram and the loop count.
 
     Equal products are the same object: the result is looked up by its
-    partner tuple, and only a matching not seen before is built, by the
-    validating constructor."""
+    partner tuple (``matchings.interned``)."""
     if a.r != b.r:
         raise ValueError("strand count mismatch")
     r = a.r
@@ -70,12 +69,7 @@ def diagram_mult(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int
             nxt = pb[mid]
             visited[nxt] = True
             mid = pa[nxt + r] - r
-    key = tuple(out)
-    d = _INTERNED.get(key)
-    if d is None:
-        d = _INTERNED[key] = BrauerDiagram(
-            r, [(i, j) for i, j in enumerate(out) if 0 < i < j])
-    return d, loops
+    return interned(tuple(out)), loops
 
 
 def walled_filter(r1: int, r2: int, d: BrauerDiagram):

@@ -4,7 +4,7 @@ A diagram on r strands is a perfect matching of the 2r vertices
 {1..r} (top, left to right) and {r+1..2r} (bottom, left to right), stored
 canonically as pairs (i, j) with i < j sorted by first coordinate.  The
 enumerations of B_r and of the symmetric group return interned diagrams,
-one object per matching, shared with ``diagrams.diagram_mult``.
+one object per matching (``interned``), shared with ``diagrams.diagram_mult``.
 
 This module imports neither ``rings`` nor ``fractions``: the tensor side
 (``tensorrep`` and the ``dims`` command) reads diagrams only, and loads
@@ -222,34 +222,38 @@ class BrauerDiagram:
         return f"BrauerDiagram({self.r}, {list(self.pairs)})"
 
 
-# partner tuple -> the one diagram with that matching, filled by
-# diagrams.diagram_mult and by the enumerations; it holds at most (2r-1)!! entries per r
-_INTERNED: dict[tuple[int, ...], BrauerDiagram] = {}
+_INTERNED: dict[tuple[int, ...], BrauerDiagram] = {}   # at most (2r-1)!! per r
 
 
-def _interned(d: BrauerDiagram) -> BrauerDiagram:
-    return _INTERNED.setdefault(d._partner, d)
+def interned(partner: tuple[int, ...]) -> BrauerDiagram:
+    """The one diagram with this partner tuple (0, then the vertex matched
+    to each of 1..2r), built by the validating constructor on first sight."""
+    d = _INTERNED.get(partner)
+    if d is None:   # keyed by the diagram's own tuple, so the argument is not kept
+        d = BrauerDiagram(len(partner) // 2, [(i, j) for i, j in enumerate(partner) if 0 < i < j])
+        _INTERNED[d._partner] = d
+    return d
 
 
 def all_diagrams(r: int) -> list[BrauerDiagram]:
     """All (2r-1)!! diagrams of B_r, in lexicographic canonical order.
 
     This order is the global diagram-basis order used by every matrix.
-    Each diagram is the interned object of its matching, the one that
+    Each diagram is the ``interned`` object of its matching, the one that
     ``diagrams.diagram_mult`` returns, so a lookup of a product is by identity."""
     out = []
+    partner = [0] * (2 * r + 1)
 
-    def rec(free: tuple[int, ...], acc: list):
+    def rec(free: tuple[int, ...]):
         if not free:
-            out.append(_interned(BrauerDiagram(r, acc)))
+            out.append(interned(tuple(partner)))
             return
         first, rest = free[0], free[1:]
         for k, second in enumerate(rest):
-            acc.append((first, second))
-            rec(rest[:k] + rest[k + 1:], acc)
-            acc.pop()
+            partner[first], partner[second] = second, first
+            rec(rest[:k] + rest[k + 1:])
 
-    rec(tuple(range(1, 2 * r + 1)), [])
+    rec(tuple(range(1, 2 * r + 1)))
     out.sort(key=lambda d: d.pairs)
     return out
 
@@ -257,7 +261,7 @@ def all_diagrams(r: int) -> list[BrauerDiagram]:
 def all_permutation_diagrams(r: int) -> list[BrauerDiagram]:
     """Permutation diagrams of B_r (the symmetric group), in the same
     lexicographic canonical order used by all_diagrams, interned as there."""
-    out = [_interned(BrauerDiagram.from_perm(p))
+    out = [interned((0, *(r + i for i in p), *perm_inverse(p)))
            for p in itertools.permutations(range(1, r + 1))]
     out.sort(key=lambda d: d.pairs)
     return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from . import branching as br
 from .branching import Partition, Path, Vertex, conjugate
@@ -321,51 +321,40 @@ class MurphyBasis:
 
     def gram_matrix(self, v: Vertex, delta0=None) -> ExactMatrix:
         """Gram matrix of the bilinear form on the cell module of v: entry
-        (s, t) is the coefficient of m_(v,0,0) in m_(v,0,s) m_(v,t,0).  Over
-        the generic ground ring, or with the products formed at delta =
-        delta0.  A Gram at delta0 is computed once and kept, as the
-        functionals are (certify reads it twice per vertex); callers must
-        not change it.  The generic Gram is not kept.
+        (s, t) is the coefficient of m_(v,0,0) in m_(v,0,s) m_(v,t,0), over
+        the generic ground ring or at delta = delta0.  It is kept, as the
+        functionals are; callers must not change it.
 
-        phi_(v,0,0) is linear, so the Gram is L F R^T: L and R hold the
-        diagram coefficients of the m_(v,0,s) and the m_(v,t,0), and F_ab =
-        delta^loops(a,b) phi_(v,0,0)[a b] for a in the union of the supports
-        of the m_(v,0,s) and b in that of the m_(v,t,0).  Each distinct
-        product a b is formed once; generic entries are summed per power of
-        delta."""
+        As m_st = d_s* m_lambda d_t and m_lambda* = m_lambda, m_(v,0,s)
+        m_(v,t,0) = X (d_s d_t*) X* with X = d_0* m_lambda; phi_(v,0,0) is
+        linear, so G(s, t) = sum c psi(D) over the terms c D of d_s d_t*,
+        with psi(D) = phi_(v,0,0)(X D X*) formed once per distinct D.  Only
+        s <= t is formed: m_(v,s,t)* = m_(v,t,s) gives phi_(v,0,0)(z*) =
+        phi_(v,0,0)(z), and * swaps m_(v,0,s) m_(v,t,0) and m_(v,0,t) m_(v,s,0).
+        The m_st are integer diagram sums, so the Gram at delta0 is the
+        generic one, summed per power of delta, evaluated there."""
         if (v, delta0) in self._grams:
             return self._grams[(v, delta0)]
         n = len(self.paths[v])
-        lefts = [self.elements[(v, 0, s)].terms for s in range(n)]
-        phi = self.cell_functional(v, 0)
-        index = self.diag_index
-        cols: dict[BrauerDiagram, list] = {}   # b -> [(t, coefficient in m_(v,t,0))]
-        for t in range(n):
-            for b, c in self.elements[(v, t, 0)].terms.items():
-                cols.setdefault(b, []).append((t, c))
-        fr: dict[BrauerDiagram, dict] = {}     # row a of F R^T: (t, power) -> int
-        for a in dict.fromkeys(a for terms in lefts for a in terms):
-            row = fr[a] = {}
-            for b, col in cols.items():
-                d, loops = diagram_mult(a, b)
-                f = phi.get(index[d])
-                if not f:
-                    continue
-                if delta0 is not None:
-                    f, loops = f * delta0 ** loops, 0
-                for t, c in col:
-                    row[(t, loops)] = row.get((t, loops), 0) + f * c
-        rows = []
-        for terms in lefts:
-            acc = [{} for _ in range(n)]       # t -> power of delta -> int
-            for a, c in terms.items():
-                for (t, e), x in fr[a].items():
-                    acc[t][e] = acc[t].get(e, 0) + c * x
-            rows.append([_poly_or_constant(powers) for powers in acc])
-        gram = ExactMatrix(rows)
-        if delta0 is not None:
-            self._grams[(v, delta0)] = gram
-        return gram
+        ds = [self.d_elements[(v, s)] for s in range(n)]
+        stars = [{(b, 0): c for b, c in d.involution().terms.items()} for d in ds]
+        x = ds[0].involution() * self.generators[v]
+        x_star = {(b, 0): c for b, c in x.involution().terms.items()}
+        phi, index = self.cell_functional(v, 0), self.diag_index
+        psi: dict = {}   # D -> power of delta -> coefficient in phi_(v,0,0)(X D X*)
+        rows = [[0] * n for _ in range(n)]
+        for s, t in combinations_with_replacement(range(n), 2):
+            powers: dict = {}
+            for (d, e), c in _products(ds[s].terms, stars[t]).items():
+                if d not in psi:
+                    psi[d] = {}
+                    for (z, k), cz in _products(x.terms, _products({d: 1}, x_star)).items():
+                        psi[d][k] = psi[d].get(k, 0) + cz * phi.get(index[z], 0)
+                for k, f in psi[d].items():
+                    powers[e + k] = powers.get(e + k, 0) + c * f
+            rows[s][t] = rows[t][s] = (_poly_or_constant(powers) if delta0 is None
+                                       else Poly(powers).evaluate(delta0))
+        return self._grams.setdefault((v, delta0), ExactMatrix(rows))
 
     def jm_action(self, i: int, v: Vertex) -> list[list]:
         """Matrix of right multiplication by L_i on the cell module of v."""
@@ -409,6 +398,17 @@ class CellElements(Mapping):
 
     def __len__(self):
         return len(self._basis.index)
+
+
+def _products(left: dict, right: dict) -> dict:
+    """The terms of left * right: left maps diagrams, right (diagram, power
+    of delta) pairs to integers, and the product is keyed as right is."""
+    out: dict = {}
+    for a, ca in left.items():
+        for (b, e), cb in right.items():
+            d, loops = diagram_mult(a, b)
+            out[d, e + loops] = out.get((d, e + loops), 0) + ca * cb
+    return out
 
 
 def _poly_or_constant(powers: dict):

@@ -387,6 +387,13 @@ CERTIFY_STDOUT_SHA256 = {
         "8c2633b8a5a29c68b7824180b477b9c8ccbafdadbbbf7097f10d4d5f330af444",
     "symmetric --r 5 --N 3 --field Fp --p 11":
         "99312708b9831f870abce657e321644ea3ca31a84d3dc667b6a2e6ab033439ca",
+    # the two r=6 Brauer certificates of the acceptance grid, the only pins
+    # of a Brauer Gram at r=6, recorded before the Gram was formed from the
+    # distinct diagrams of d_s d_t*
+    "symplectic --r 6 --N 1 --max-r 6":
+        "7bc7600a9d2eed97c81d4cde8fcb0d6d3e42be12d9e85a6236addc765a30d30c",
+    "orthogonal --r 6 --N 2 --max-r 6":
+        "6722f23b7ef62fbe68924e0f054654512f14fb8565560b445096c5415e407579",
 }
 
 

@@ -1,7 +1,8 @@
 """Source rules of the package that a grep would otherwise have to enforce:
 no ``assert`` statement carries a check (``python -O`` strips them),
 nothing is imported from outside the standard library and the package
-itself (the package declares no runtime dependency), and the modules of
+itself (the package declares no runtime dependency), no module imports a
+private name (one beginning with ``_``) of another, and the modules of
 the ``dims`` path load no diagram algebra, coefficient ring or cellular
 basis (a fresh ``dims`` process compiles only what it runs)."""
 
@@ -46,6 +47,15 @@ def test_imports_only_stdlib_and_package(path):
             if top != PACKAGE and top not in sys.stdlib_module_names:
                 outside.append((node.lineno, name))
     assert outside == [], f"{path.name}: imports from outside the standard library {outside}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_no_private_name_of_another_module(path):
+    private = [(node.lineno, alias.name) for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.split(".")[0] == PACKAGE)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"{path.name}: imports private names {private}"
 
 
 # the modules a dims run loads, and what none of them may import when it is

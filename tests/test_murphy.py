@@ -569,17 +569,22 @@ def test_gram_at_delta0_matches_per_pair_products(flavor, r):
             assert _typed(mb.gram_matrix(v, d0).rows) == _typed(per_pair_gram(mb, v, d0))
 
 
-@pytest.mark.parametrize("flavor", BRAUER_FLAVORS)
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
 def test_generic_gram_matches_per_pair_products(flavor):
-    mb = murphy_basis(4, flavor)
-    for v in mb.vertices:
-        assert _typed(mb.gram_matrix(v).rows) == _typed(per_pair_gram(mb, v))
+    """Every vertex of every r <= 5, generically: the same entries, of the
+    same types, as one product per pair."""
+    for r in (2, 3, 4, 5):
+        mb = murphy_basis(r, flavor)
+        for v in mb.vertices:
+            assert _typed(mb.gram_matrix(v).rows) == _typed(per_pair_gram(mb, v))
 
 
 @pytest.mark.parametrize("flavor", ALL_FLAVORS)
 def test_gram_forms_each_distinct_product_once(flavor, monkeypatch):
-    """One Gram call forms |A_v| |B_v| diagram products: A_v and B_v are the
-    unions of the supports of the m_(v,0,s) and of the m_(v,t,0)."""
+    """One Gram call forms one diagram product per pair of terms of d_s and
+    d_t* for s <= t, and one X D X* per distinct diagram D of those
+    products: |X*| products for D X*, then one per pair of terms of X and
+    of D X*, where X = d_0* m_lambda."""
     counted = [0]
 
     def counting_mult(a, b):
@@ -589,13 +594,17 @@ def test_gram_forms_each_distinct_product_once(flavor, monkeypatch):
     mb = murphy.MurphyBasis(4, flavor)   # uncached, so no Gram is kept yet
     monkeypatch.setattr(murphy, "diagram_mult", counting_mult)
     for v in mb.vertices:
-        n = len(mb.paths[v])
-        left = {d for s in range(n) for d in mb.elements[(v, 0, s)].terms}
-        right = {d for t in range(n) for d in mb.elements[(v, t, 0)].terms}
+        ds = [mb.d_elements[(v, s)].terms for s in range(len(mb.paths[v]))]
+        pairs = [(a, b.involution()) for s, left in enumerate(ds) for right in ds[s:]
+                 for a in left for b in right]
+        x = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).terms
+        distinct = {diagram_mult(a, b)[0] for a, b in pairs}
+        x_star = [b.involution() for b in x]
+        psi = sum(len(x) + len(x) * len({diagram_mult(d, b) for b in x_star}) for d in distinct)
         for delta0 in (-2, None):
             counted[0] = 0
             mb.gram_matrix(v, delta0)
-            assert counted[0] == len(left) * len(right)
+            assert counted[0] == len(pairs) + psi
 
 
 def test_cell_coefficient_types():
