@@ -239,11 +239,10 @@ class MurphyBasis:
         cell = {}
         for s in range(n):
             for t in range(n):
-                elt = lefts[s] * self.d_elements[(v, t)]
-                if not elt.has_integer_coeffs():
+                elt = cell[(v, s, t)] = lefts[s] * self.d_elements[(v, t)]
+                if not all(type(c) is int for c in elt.terms.values()):
                     raise ArithmeticError(
                         f"Murphy element at {v} is not an integer diagram sum")
-                cell[(v, s, t)] = elt.as_integer()
         return cell
 
     # -- cell-row functionals -----------------------------------------------

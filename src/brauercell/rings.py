@@ -55,10 +55,6 @@ class Poly:
         """Degree, with the convention deg 0 = -1."""
         return max(self.coeffs) if self.coeffs else -1
 
-    @property
-    def lead(self) -> Scalar:
-        return self.coeffs[self.degree]
-
     def is_constant(self) -> bool:
         return self.degree <= 0
 
@@ -149,31 +145,6 @@ class Poly:
             else:
                 parts.append(f"{c}*d^{e}" if c != 1 else f"d^{e}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Polynomial long division; exact over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("Poly division by zero")
-        rem = dict(self.coeffs)
-        quo: dict = {}
-        dlead = other.degree
-        clead = other.lead
-        while rem:
-            e = max(rem)
-            if e < dlead:
-                break
-            q = Fraction(rem[e]) / Fraction(clead)
-            if q.denominator == 1:
-                q = int(q)
-            quo[e - dlead] = q
-            for e2, c2 in other.coeffs.items():
-                tgt = e - dlead + e2
-                v = rem.get(tgt, 0) - q * c2
-                if v == 0:
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = v
-        return Poly(quo), Poly(rem)
 
     def to_json(self) -> dict:
         """Serialize as exponent -> decimal string."""

@@ -291,7 +291,8 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
         m[t], q[t] = cleared
     record.add("permissible idempotents evaluable", True)
 
-    g0 = sd.basis.gram_matrix(sd.vertex, delta0).rows
+    gram = sd.basis.gram_matrix(sd.vertex, delta0)
+    g0 = gram.rows
     # f_t is row t of F_t, so it is evaluable with F_t
     record.add("permissible seminormal vectors evaluable", True)
     h = {t: [[_dot(row, g) for g in g0] for row in m[t]] for t in perm}
@@ -303,16 +304,14 @@ def specialize_quotient(sd: SeminormalData, delta0, flavor: str,
                      for s in perm for t in perm if s != t)
     record.add("specialized <f_s, f_t> zero for s != t", orthogonal)
 
-    from .exactmat import ExactMatrix
-    rank = ExactMatrix(g0).rank()
     record.add("specialized Gram rank = permissible path count",
-               rank == len(perm))
+               gram.rank() == len(perm))
 
     # matrix units on the quotient by the Gram radical, as honest operators
     # on the specialized module: E_st(w) = <w, f_s> / <f_s, f_s> * f_t.
     if all(diag.values()):
         # the specialized idempotents preserve the radical ...
-        rad_basis = ExactMatrix(g0).kernel()
+        rad_basis = gram.kernel()
         record.add("specialized idempotents preserve the Gram radical",
                    not any(any(_row_times(w, h[t])) for t in perm for w in rad_basis))
 

@@ -39,7 +39,7 @@ from . import branching as br
 from .branching import (Vertex, algebra_dimension, conjugate,
                         expected_image_dimension)
 from .diagrams import AlgebraElement, diagram_mult, walled_filter
-from .exactmat import ExactMatrix, rank, spin_rank_q
+from .exactmat import rank, spin_rank_q
 from .matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
 from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
@@ -344,57 +344,35 @@ def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
     return spin_rank_q([{index[d]: c for d, c in g.terms.items()} for g in gens], maps)
 
 
-def split_image_lines(split: SplitBasis, rep: TensorRep) -> tuple[list[dict[int, int]], bool]:
-    """The images of the permissible n_st, in ``iter_pairs`` order, on the
-    orbit rows of ``rep`` (which keeps ranks and zero tests, see
-    ``tensorrep``), transposed by ``image_lines`` for the rank; and whether
-    Phi(m a_u) = 0 for every path u that is not permissible, m being the
-    cell generator at the end of u.
+def image_checks(image, count: int, kernel, diagrams, rep: TensorRep,
+                 fields: tuple) -> tuple[bool, list[tuple[int, int]], int]:
+    """The tensor-side lines of both certificates, from one pass of
+    ``image_vectors`` over the ``count`` elements of ``image`` and then the
+    ``kernel`` stream, on the orbit rows of ``rep`` (which keep ranks and
+    zero tests, see ``tensorrep``): whether every kernel element maps to
+    zero, the rank over F_p of the whole image for each p in ``fields``, and
+    the rank over Q of the ``image`` elements, each taken by columns on
+    their ``image_lines``.  The F_p ranks only read the lines; the Q rank,
+    taken last, consumes them.
 
-    Neither forms n_st = a_s* m a_t.  When s and t are permissible, a_s =
-    d_s and a_t = d_t, so n_st = m_st, the Murphy element read at delta0.
-    Otherwise some u in {s, t} is not permissible and n_st has the factor
-    m a_u: n_st = a_s* (m a_t) when t is not, and n_st = (a_s* m) a_t =
-    (m a_s)* a_t when s is not, since m* = m.  As Phi(x*) = Phi(x)^T,
-    Phi(n_st) is then Phi(a_s)^T Phi(m a_t) or Phi(m a_s)^T Phi(a_t), so
-    every kernel-flagged n_st maps to zero when the test holds.  Each a_u
-    is first scaled to integer coefficients, which scales Phi(m a_u) by a
-    positive integer."""
-    basis, delta0 = split.basis, split.delta0
-    permissible = [(v, s, t) for v, s, t in split.iter_pairs()
-                   if split.pair_permissible(v, s, t)]
-
-    def m_a(v, u):
-        a = split.a_elements[(v, u)]
-        a = a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
-        return basis.generators[v].with_delta(delta0) * a
-
-    vectors = image_vectors(chain(
-        (basis.elements[key].with_delta(delta0) for key in permissible),
-        (m_a(v, u) for v in basis.vertices for u in range(len(basis.paths[v]))
-         if not split.path_permissible[(v, u)])), rep)
-    return image_lines(islice(vectors, len(permissible))), not any(vectors)
+    The ``image`` elements and the kernel elements that the stream stands
+    for make a Z-basis, and the kernel line holds only when those all map
+    to zero; then the ``image`` elements span the image over Q, and
+    rank_p(image) <= rank_p(Phi) <= rank_Q(Phi) = rank_Q(image) <=
+    ``count``: a rank on the lines that reaches ``count`` is that of the
+    whole image, never a mere lower bound.  One that falls short, or a
+    failed kernel line, decides nothing, and the F_p rank is then
+    ``image_rank`` of all the ``diagrams``."""
+    vectors = image_vectors(chain(image, kernel), rep)
+    lines = image_lines(islice(vectors, count))
+    kernel_zero = not any(vectors)
+    got_p = [(p, count if kernel_zero and rank(lines, p) == count
+              else image_rank(diagrams, rep, p)) for p in fields]
+    return kernel_zero, got_p, rank(lines)
 
 
-def image_rank_modp(p: int, perm_lines: list[dict[int, int]], count: int,
-                    kernel_zero: bool, diagrams, rep: TensorRep) -> int:
-    """The rank over F_p of the whole image Phi(B_r) (or of Z S_r), from
-    ``perm_lines``, the lines of the ``count`` permissible basis elements,
-    when they decide it, else from all the ``diagrams``.  It only reads
-    ``perm_lines``, so the Q rank may consume them after.  The split basis
-    is a Z-basis, so once the kernel elements map to zero (``kernel_zero``)
-    the permissible ones span the image over Q, and rank_p(perm) <=
-    rank_p(Phi(B_r)) <= rank_Q(Phi(B_r)) = rank_Q(perm) <= count: a rank
-    on the lines that reaches ``count`` is that of the whole image, and is
-    never a mere lower bound.  One that falls short decides nothing."""
-    if kernel_zero and rank(perm_lines, p) == count:
-        return count
-    return image_rank(diagrams, rep, p)
-
-
-def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
-                max_tensor_dim: int = MAX_TENSOR_DIM, check_ideal: bool | None = None,
-                fields: tuple = ()) -> Certificate:
+def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
+                check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
     """The split-basis kernel/image certificate, which ``certify_sections``
     reads for the symplectic and orthogonal flavors:
 
@@ -406,33 +384,50 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
        rank = dim ker;
     5. (optional) image rank over F_p agrees with the rank over Q.
 
-    Lines 1 and 2 read ``split_image_lines``, which forms no n_st; the
-    rank of line 1 is taken by columns, and stops once it reaches the
-    number of nonzero images; so does line 5 (``image_rank_modp``), which
-    is taken first, as the rank of line 1 consumes the lines.
+    Lines 1, 2 and 5 are ``image_checks`` of the permissible n_st, in
+    ``iter_pairs`` order, and of m a_u for every path u that is not
+    permissible, m being the cell generator at the end of u.
+
+    Neither forms n_st = a_s* m a_t.  When s and t are permissible, a_s =
+    d_s and a_t = d_t, so n_st = m_st, the Murphy element read at delta0.
+    Otherwise some u in {s, t} is not permissible and n_st has the factor
+    m a_u: n_st = a_s* (m a_t) when t is not, and n_st = (a_s* m) a_t =
+    (m a_s)* a_t when s is not, since m* = m.  As Phi(x*) = Phi(x)^T,
+    Phi(n_st) is then Phi(a_s)^T Phi(m a_t) or Phi(m a_s)^T Phi(a_t), so
+    every kernel-flagged n_st maps to zero when every Phi(m a_u) does.  Each
+    a_u is first scaled to integer coefficients, which scales Phi(m a_u) by
+    a positive integer.
     """
+    r, n, flavor, basis, delta0 = split.r, split.n, split.flavor, split.basis, split.delta0
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
-    split = split if split is not None else SplitBasis(r, n, flavor)
     rep = TensorRep(flavor, n, r, max_tensor_dim=max_tensor_dim)
     dim_alg = algebra_dimension(r, flavor)
     dim_im = expected_image_dimension(r, n, flavor)
 
-    perm_lines, kernel_zero = split_image_lines(split, rep)
-    count = sum(split.pair_permissible(*key) for key in split.iter_pairs())
-    got_p = [(p, image_rank_modp(p, perm_lines, count, kernel_zero,
-                                 split.basis.diagrams, rep))
-             for p in fields if not (flavor == "orthogonal" and p == 2)]
+    permissible = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
+
+    def m_a(v, u):
+        a = split.a_elements[(v, u)]
+        a = a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
+        return basis.generators[v].with_delta(delta0) * a
+
+    kernel_zero, got_p, got_q = image_checks(
+        (basis.elements[key].with_delta(delta0) for key in permissible), len(permissible),
+        (m_a(v, u) for v in basis.vertices for u in range(len(basis.paths[v]))
+         if not split.path_permissible[(v, u)]),
+        basis.diagrams, rep,
+        tuple(p for p in fields if not (flavor == "orthogonal" and p == 2)))
     cert.add("kernel elements map to zero", True, kernel_zero)
-    cert.add("permissible pair count", dim_im, count)
+    cert.add("permissible pair count", dim_im, len(permissible))
     cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, rank(perm_lines))
+             dim_im, got_q)
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 
     if check_ideal is None:
         check_ideal = r <= 4
     if check_ideal:
-        gens = ideal_generators(r, n, flavor, split.delta0)
+        gens = ideal_generators(r, n, flavor, delta0)
         got = ideal_span_rank(gens, r, flavor) if gens else 0
         cert.add("ideal generated by marginal generators has rank dim ker",
                  dim_alg - dim_im, got)
@@ -442,20 +437,20 @@ def certify_sft(r: int, n: int, flavor: str, split: SplitBasis | None = None,
     return cert
 
 
-def quotient_cell_modules(r: int, n: int, flavor: str,
-                          split: SplitBasis | None = None) -> Certificate:
+def quotient_cell_modules(split: SplitBasis) -> Certificate:
     """Per permissible vertex: the Gram matrix specialized at the flavor's
     loop value has rank = #permissible paths, and the non-permissible split
     vectors span its radical."""
-    split = split if split is not None else SplitBasis(r, n, flavor)
-    cert = Certificate({"flavor": flavor, "r": r, "N": n, "delta0": split.delta0})
+    cert = Certificate({"flavor": split.flavor, "r": split.r, "N": split.n,
+                        "delta0": split.delta0})
     for v in split.basis.vertices:
         if not split.perm_pred(v):
             continue
         paths = split.basis.paths[v]
-        g0 = split.basis.gram_matrix(v, split.delta0).rows
+        gram = split.basis.gram_matrix(v, split.delta0)
+        g0 = gram.rows
         n_perm = sum(1 for ti in range(len(paths)) if split.path_permissible[(v, ti)])
-        got = ExactMatrix(g0).rank()
+        got = gram.rank()
         cert.add(f"Gram rank at {v.lam},{v.l}", n_perm, got)
         radical_ok = True
         for ti in range(len(paths)):
@@ -479,15 +474,14 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     in Young's lattice the row count never falls, so a path is permissible
     exactly when its end vertex is, and a cell is all kernel or all image.
 
-    The image cells are imaged whole, for the rank (taken by columns, mod p
-    first, as in ``certify_sft``).  A kernel cell is imaged through its
-    generator y_lam alone, and never expanded.  That is exact:
-    ``MurphyBasis`` builds every element of the cell of lam as m_st =
-    (d_s* y_lam) d_t, and Phi is a homomorphism (``tensorrep``: rep(ab) =
-    rep(a) rep(b)), so Phi(m_st) = Phi(d_s*) Phi(y_lam) Phi(d_t), which is
-    zero once Phi(y_lam) is.  So
-    when every kernel generator maps to zero, every element of every kernel
-    cell does, and the line "kernel cells map to zero" is true."""
+    The image cells are imaged whole, for the ranks (``image_checks``).  A
+    kernel cell is imaged through its generator y_lam alone, and never
+    expanded.  That is exact: ``MurphyBasis`` builds every element of the
+    cell of lam as m_st = (d_s* y_lam) d_t, and Phi is a homomorphism
+    (``tensorrep``: rep(ab) = rep(a) rep(b)), so Phi(m_st) = Phi(d_s*)
+    Phi(y_lam) Phi(d_t), which is zero once Phi(y_lam) is.  So when every
+    kernel generator maps to zero, every element of every kernel cell does,
+    and the line "kernel cells map to zero" is true."""
     r, n, basis = split.r, split.n, split.basis
     cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
     rep = TensorRep("symmetric", n, r, max_tensor_dim=max_tensor_dim)
@@ -495,15 +489,12 @@ def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     dim_alg = algebra_dimension(r, "symmetric")
 
     image = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
-    kernel = [v for v in basis.vertices if not split.perm_pred(v)]
-    vectors = image_vectors(chain((basis.elements[key] for key in image),
-                                  (basis.generators[v] for v in kernel)), rep)
-    perm_lines = image_lines(islice(vectors, len(image)))
-    kernel_zero = not any(vectors)
-    got_p = [(p, image_rank_modp(p, perm_lines, len(image), kernel_zero,
-                                 basis.diagrams, rep)) for p in fields]
+    kernel_zero, got_p, got_q = image_checks(
+        (basis.elements[key] for key in image), len(image),
+        (basis.generators[v] for v in basis.vertices if not split.perm_pred(v)),
+        basis.diagrams, rep, fields)
     cert.add("kernel cells map to zero", True, kernel_zero)
-    cert.add("image rank over Q", dim_im, rank(perm_lines))
+    cert.add("image rank over Q", dim_im, got_q)
     cert.add("kernel count + image dimension", dim_alg, split.kernel_count() + dim_im)
     if check_ideal is None:
         check_ideal = r <= 4
@@ -528,9 +519,8 @@ def certify_sections(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     if split.flavor == "symmetric":
         cert = harterich_check(split, max_tensor_dim=max_tensor_dim, fields=fields)
         return {"harterich": cert.to_json()}, cert.passed
-    cert = certify_sft(split.r, split.n, split.flavor, split=split,
-                       max_tensor_dim=max_tensor_dim, fields=fields)
-    quo = quotient_cell_modules(split.r, split.n, split.flavor, split=split)
+    cert = certify_sft(split, max_tensor_dim=max_tensor_dim, fields=fields)
+    quo = quotient_cell_modules(split)
     sections = {"split_basis": cert.to_json(), "quotient_cell_modules": quo.to_json()}
     passed = cert.passed and quo.passed
     if split.r <= seminormal_cap:

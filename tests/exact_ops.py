@@ -1,12 +1,12 @@
 """Exact oracles for the tests: a general solver over Z, the oracle of the
 cell-row functionals and of the cellular expansion, the rank, inverse and
 kernel of a dense matrix by Fraction elimination, the cofactor
-determinant, the specialization of seminormal data over Q, and the Q rank
-of rows that must be kept (``rank_q``, on integer copies).  The package
-itself needs none of them: it reads only columns of block inverses
-(``exactmat.inverse_columns``), takes determinants by elimination, and
-checks the specialized seminormal structure as identities over Z
-(``seminormal.specialize_quotient``)."""
+determinant, polynomial long division, the specialization of seminormal
+data over Q, and the Q rank of rows that must be kept (``rank_q``, on
+integer copies).  The package itself needs none of them: it reads only
+columns of block inverses (``exactmat.inverse_columns``), takes
+determinants by elimination, and checks the specialized seminormal
+structure as identities over Z (``seminormal.specialize_quotient``)."""
 
 from fractions import Fraction
 
@@ -113,6 +113,33 @@ def det_cofactor(b: list[list]):
     return total
 
 
+def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Polynomial long division, quotient and remainder; exact over the
+    rationals."""
+    if den.is_zero:
+        raise ZeroDivisionError("Poly division by zero")
+    rem = dict(num.coeffs)
+    quo: dict = {}
+    dlead = den.degree
+    clead = den.coeffs[dlead]
+    while rem:
+        e = max(rem)
+        if e < dlead:
+            break
+        q = Fraction(rem[e]) / Fraction(clead)
+        if q.denominator == 1:
+            q = int(q)
+        quo[e - dlead] = q
+        for e2, c2 in den.coeffs.items():
+            tgt = e - dlead + e2
+            v = rem.get(tgt, 0) - q * c2
+            if v == 0:
+                rem.pop(tgt, None)
+            else:
+                rem[tgt] = v
+    return Poly(quo), Poly(rem)
+
+
 def quotient_at(num, den: Poly, x0):
     """num / den at delta = x0, after cancelling each factor (delta - x0) of
     den from num by exact synthetic division.  None when num has fewer such
@@ -122,10 +149,10 @@ def quotient_at(num, den: Poly, x0):
     num = num if isinstance(num, Poly) else Poly.const(num)
     root = Poly({0: -x0, 1: 1})
     while den.evaluate(x0) == 0:
-        num, rem = num.divmod(root)
+        num, rem = poly_divmod(num, root)
         if rem:
             return None
-        den = den.divmod(root)[0]
+        den = poly_divmod(den, root)[0]
     return Fraction(num.evaluate(x0), den.evaluate(x0))
 
 

@@ -122,10 +122,13 @@ def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
 
 
 def test_murphy_exactness_failure_exit_code(capsys, monkeypatch):
-    from brauercell import murphy
-    from brauercell.diagrams import AlgebraElement
+    from fractions import Fraction
 
-    monkeypatch.setattr(AlgebraElement, "has_integer_coeffs", lambda self: False)
+    from brauercell import murphy
+
+    generator = murphy.brauer_cell_generator
+    monkeypatch.setattr(murphy, "brauer_cell_generator",
+                        lambda *args: generator(*args).scale(Fraction(1, 2)))
     murphy._cached_basis.cache_clear()
     code = main(["basis", "--flavor", "symplectic", "--r", "2"])
     murphy._cached_basis.cache_clear()
@@ -554,10 +557,10 @@ def test_image_rank_callers_build_no_algebra_elements(capsys, monkeypatch):
                                  "--r", "4")) == 0
     for flavor, n in (("symplectic", 1), ("orthogonal", 2)):
         split = SplitBasis(4, n, flavor)
-        certify_sft(4, n, flavor, split=split)   # expands the cells it reads
-        plain = count(lambda: certify_sft(4, n, flavor, split=split))
+        certify_sft(split)   # expands the cells it reads
+        plain = count(lambda: certify_sft(split))
         assert plain > 0
-        assert count(lambda: certify_sft(4, n, flavor, split=split, fields=(3, 5))) == plain
+        assert count(lambda: certify_sft(split, fields=(3, 5))) == plain
     split = SplitBasis(4, 2, "symmetric")
     harterich_check(split)
     plain = count(lambda: harterich_check(split))

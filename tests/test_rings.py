@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauercell.rings import Poly, _as_poly
+from exact_ops import poly_divmod
 
 d = Poly.delta()
 
@@ -24,7 +25,7 @@ def exact_div(a, b):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
     pa, pb = _as_poly(a), _as_poly(b)
-    q, r = pa.divmod(pb)
+    q, r = poly_divmod(pa, pb)
     if not r.is_zero:
         raise ArithmeticError(f"non-exact polynomial division {a} / {b}")
     return q
@@ -45,7 +46,7 @@ def test_poly_basics():
     assert (2 * d ** 3).degree == 3
     assert d ** 0 == 1
     assert (d + 1) * (d - 1) == d * d - 1
-    q, r = (d * d - 1).divmod(d - 1)
+    q, r = poly_divmod(d * d - 1, d - 1)
     assert q == d + 1 and r.is_zero
 
 

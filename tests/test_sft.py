@@ -15,9 +15,9 @@ from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
-                            ideal_generators, ideal_span_rank, image_rank_modp,
-                            quotient_cell_modules, split_image_lines,
-                            sum_all_diagrams, walled_signed_sum)
+                            ideal_generators, ideal_span_rank, image_checks,
+                            quotient_cell_modules, sum_all_diagrams,
+                            walled_signed_sum)
 from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_rank,
                                   image_vectors)
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
@@ -176,11 +176,11 @@ def test_split_equals_murphy_on_permissible():
 
 
 def test_certify_symplectic_n1():
-    cert = certify_sft(2, 1, "symplectic", fields=(2, 3, 5))
+    cert = certify_sft(SplitBasis(2, 1, "symplectic"), fields=(2, 3, 5))
     assert cert.passed
     got = {c.name: c.got for c in cert.checks}
     assert got["image rank over Q = sum of squared permissible path counts"] == 2
-    cert3 = certify_sft(3, 1, "symplectic")
+    cert3 = certify_sft(SplitBasis(3, 1, "symplectic"))
     assert cert3.passed
     got3 = {c.name: c.got for c in cert3.checks}
     assert got3["image rank over Q = sum of squared permissible path counts"] == 5
@@ -189,7 +189,7 @@ def test_certify_symplectic_n1():
 
 def test_certify_orthogonal_n1_r2():
     # V is one-dimensional: the image is the scalars, the kernel has rank 2
-    cert = certify_sft(2, 1, "orthogonal")
+    cert = certify_sft(SplitBasis(2, 1, "orthogonal"))
     assert cert.passed
     got = {c.name: (c.expected, c.got) for c in cert.checks}
     assert got["image rank over Q = sum of squared permissible path counts"] == (1, 1)
@@ -200,11 +200,11 @@ def test_faithful_below_n():
     assert expected_image_dimension(3, 3, "symplectic") == algebra_dimension(3, "symplectic")
     assert expected_image_dimension(4, 4, "orthogonal") == algebra_dimension(4, "orthogonal")
     assert ideal_generators(3, 3, "symplectic", -6) == []
-    cert = certify_sft(2, 2, "symplectic")
+    cert = certify_sft(SplitBasis(2, 2, "symplectic"))
     assert cert.passed
     # full-rank certificates at the faithfulness boundary
-    assert certify_sft(3, 3, "symplectic", check_ideal=False).passed
-    assert certify_sft(4, 4, "orthogonal", check_ideal=False).passed
+    assert certify_sft(SplitBasis(3, 3, "symplectic"), check_ideal=False).passed
+    assert certify_sft(SplitBasis(4, 4, "orthogonal"), check_ideal=False).passed
     assert harterich_check(SplitBasis(3, 3, "symmetric")).passed
 
 
@@ -229,11 +229,11 @@ def test_harterich_kernel_generator_is_antisymmetrizer():
 
 
 def test_quotient_cell_modules_examples():
-    q = quotient_cell_modules(2, 1, "symplectic")
+    q = quotient_cell_modules(SplitBasis(2, 1, "symplectic"))
     assert q.passed
     byname = {c.name: (c.expected, c.got) for c in q.checks}
     assert byname["Gram rank at (),1"] == (1, 1)
-    q3 = quotient_cell_modules(3, 1, "symplectic")
+    q3 = quotient_cell_modules(SplitBasis(3, 1, "symplectic"))
     assert q3.passed
     byname3 = {c.name: (c.expected, c.got) for c in q3.checks}
     assert byname3["Gram rank at (1,),1"] == (2, 2)
@@ -440,15 +440,26 @@ SPLIT_GRID = ([(f, n, r) for f in ("symplectic", "orthogonal") for n in (1, 2, 3
 
 
 @pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
-def test_split_image_vectors_match_factored_route(flavor, n, r):
+def test_split_image_vectors_match_factored_route(flavor, n, r, monkeypatch):
+    """The lines ``certify_sft`` hands to the rank are those of the
+    factored route, and both find every kernel-flagged n_st zero."""
     split = SplitBasis(r, n, flavor)
-    rep = TensorRep(flavor, n, r)
-    vectors, kernel_zero = _factored_route(split, rep)
-    lines, got_zero = split_image_lines(split, rep)
+    vectors, kernel_zero = _factored_route(split, TensorRep(flavor, n, r))
+    handed = []
+
+    def capture(vecs):
+        lines = image_lines(vecs)
+        handed.append([dict(line) for line in lines])   # the rank consumes them
+        return lines
+
+    monkeypatch.setattr(sft, "image_lines", capture)
+    cert = certify_sft(split, check_ideal=False)
+    [lines] = handed
     # the same columns {pair index: value}, in the order each route meets them
     assert sorted(map(sorted, map(dict.items, lines))) == sorted(
         map(sorted, map(dict.items, image_lines(vectors))))
-    assert got_zero is kernel_zero is True
+    got = {c.name: c.got for c in cert.checks}
+    assert got["kernel elements map to zero"] is kernel_zero is True
 
 
 @pytest.mark.parametrize("flavor,n,r", SPLIT_GRID)
@@ -468,7 +479,7 @@ def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
                                     "brauer-dual-murphy"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_cell_generators_are_self_adjoint(flavor, r):
-    """m* = m, which ``split_image_lines`` uses for a non-permissible s."""
+    """m* = m, which ``certify_sft`` uses for a non-permissible s."""
     basis = murphy_basis(r, flavor)
     for v in basis.vertices:
         assert basis.generators[v].involution() == basis.generators[v]
@@ -484,10 +495,8 @@ def test_kernel_line_fails_without_the_correction(flavor, n, r):
                 for t in range(len(split.basis.paths[v]))
                 if not split.path_permissible[(v, t)])
     split.a_elements[(v, t)] = split.basis.d_elements[(v, t)].with_delta(split.delta0)
-    rep = TensorRep(flavor, n, r)
-    assert split_image_lines(split, rep)[1] is False
-    assert _factored_route(split, rep)[1] is False
-    cert = certify_sft(r, n, flavor, split=split, check_ideal=False)
+    assert _factored_route(split, TensorRep(flavor, n, r))[1] is False
+    cert = certify_sft(split, check_ideal=False)
     line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
     assert not line.passed and not cert.passed
 
@@ -560,8 +569,7 @@ def test_corrections_equal_the_product_formula(flavor, n, r):
 def _certify_fp(split, fields):
     if split.flavor == "symmetric":
         return harterich_check(split, check_ideal=False, fields=fields)
-    return certify_sft(split.r, split.n, split.flavor, split=split, check_ideal=False,
-                       fields=fields)
+    return certify_sft(split, check_ideal=False, fields=fields)
 
 
 FP_GRID = [("symplectic", 1, 4), ("orthogonal", 2, 4), ("symmetric", 2, 4)]
@@ -610,9 +618,14 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
     assert {c.name: c.got for c in cert.checks}["image rank over F_3"] == full
     assert calls[-len(diagrams):] == list(diagrams)
     monkeypatch.setattr(sft, "rank", rank)
-    calls.clear()
-    lines = [{0: 1}]
-    assert image_rank_modp(3, lines, 1, False, diagrams, rep) == full
-    assert calls == list(diagrams)
-    calls.clear()
-    assert image_rank_modp(3, lines, 1, True, diagrams, rep) == 1 and not calls
+    # ``image_checks`` on the identity, whose image has rank 1
+    one = AlgebraElement.one(r, rep.delta0)
+    identity = next(iter(one.terms))
+    cases = [([one], [one], False, True),   # a kernel element off the kernel
+             ([one], [], True, False),      # the lines reach the count
+             ([one, one], [], True, True)]  # the lines fall short of the count
+    for image, kernel, kernel_zero, falls_back in cases:
+        calls.clear()
+        got = image_checks(image, len(image), kernel, diagrams, rep, (3,))
+        assert got == (kernel_zero, [(3, full if falls_back else 1)], 1)
+        assert calls == [identity] + (list(diagrams) if falls_back else [])
