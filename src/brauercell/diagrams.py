@@ -250,25 +250,6 @@ class AlgebraElement:
         """Retag a generic element with integer coefficients at delta = d0."""
         return self.specialize(d0) if self.delta is None else self
 
-    def map_coeffs(self, f) -> "AlgebraElement":
-        return AlgebraElement(self.r, {d: f(c) for d, c in self.terms.items()}, self.delta)
-
-    def coeff(self, d: BrauerDiagram):
-        return self.terms.get(d, 0)
-
-    def has_integer_coeffs(self) -> bool:
-        for c in self.terms.values():
-            if isinstance(c, Fraction) and c.denominator != 1:
-                return False
-            if isinstance(c, Poly):
-                return False
-        return True
-
-    def as_integer(self) -> "AlgebraElement":
-        if not self.has_integer_coeffs():
-            raise ValueError("element does not have integer coefficients")
-        return self.map_coeffs(lambda c: int(c))
-
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return (self.r == other.r and self.delta == other.delta

@@ -5,29 +5,30 @@ computed by ``Echelon``.  Rows are dicts column -> value with no stored
 zeros; each pivot row is kept under its pivot, its least column, and a row
 is reduced against the pivot rows in increasing pivot order.  The echelon is
 parameterised only by how one row is cancelled against a pivot row, in one
-of three domains:
+of two domains:
 
 * Z (``_cancel_z``): fraction-free; the row is scaled by a positive
   factor only, so a row cancelled against a pivot of -1, like one against
   +1, is updated in place, not copied.  ``Echelon.reduce`` divides out the
   content at its end, so every row it returns or keeps is primitive;
-* F_p (``_cancel_mod``);
-* Q (``_cancel_field``, on Fraction values), for determinants.
+* F_p (``_cancel_mod``).
 
 Every sparse rank, over Q or F_p, is ``rank``; it first peels the
 singleton rows (``_peel``, the first phase of structured Gaussian
 elimination, LaMacchia-Odlyzko).
 
-Each public entry point fixes its own domain, ``rank`` by its ``p``.
-Values are int or Fraction; a matrix over Z[delta] is never eliminated (a
-Poly value raises TypeError).  Columns are non-negative ints.  The tag
-column ``~i`` (that is, -1 - i) of a row holds the multiple of input row i
-that the row contains, so the same echelon gives kernels and, with tags on
-the rows whose inverse columns are wanted and a back substitution, the
-columns of an inverse (``inverse_columns``).  There is no general solver.
+Each public entry point fixes its own domain, ``rank`` by its ``p``.  Rank
+and kernel take int or Fraction values and scale each row to integers
+(``_z_row``); a determinant takes ints only.  A matrix over Z[delta] is
+never eliminated (a Poly value raises TypeError).  Columns are
+non-negative ints.  The tag column ``~i`` (that is, -1 - i) of a row holds
+the multiple of input row i that the row contains, so the same echelon
+gives kernels, determinants and, with tags on the rows whose inverse
+columns are wanted and a back substitution, the columns of an inverse
+(``inverse_columns``).  There is no general solver.
 
-No floating point is used anywhere: every value is an int, a Fraction or a
-residue mod p.
+No floating point is used anywhere: every value eliminated is an int or
+a residue mod p.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ def _cancel_mod(p: int):
     return cancel
 
 
-def _cancel_field(row: dict, prow: dict, c: int) -> dict:
-    """row - (row[c] / prow[c]) * prow, in place; row[c] must be a
-    Fraction, never an int."""
-    f = row[c] / prow[c]
-    for k, x in prow.items():
-        w = row.get(k, 0) - f * x
-        if w:
-            row[k] = w
-        else:
-            del row[k]
-    return row
-
-
 class Echelon:
     """Sparse row echelon form over the domain of ``cancel``.  A row given
     to ``reduce`` or ``add`` may be changed in place."""
@@ -133,8 +121,8 @@ def _z_row(row: dict) -> dict[int, int]:
     """A row of int/Fraction values scaled to integers, zeros dropped: a row
     of ints is copied as it is, any other is scaled by the lcm of its
     values' denominators (an int's is 1), which needs no ``fractions``
-    import.  A value with no denominator, such as a Poly, raises
-    TypeError."""
+    import and forms no Fraction.  A value with no denominator, such as a
+    Poly, raises TypeError."""
     try:
         return {c: index(v) for c, v in row.items() if v}
     except TypeError:   # a Fraction, or a value that is not a number
@@ -142,7 +130,7 @@ def _z_row(row: dict) -> dict[int, int]:
             den = lcm(*(v.denominator for v in row.values()))
         except AttributeError:
             raise TypeError("row values must be int or Fraction") from None
-        return {c: int(v * den) for c, v in row.items() if v}
+        return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
 def _peel(rows: list[dict]) -> int:
@@ -205,8 +193,8 @@ def rank(rows: list[dict[int, int]], p: int | None = None) -> int:
 
 class ExactMatrix:
     """Dense matrix of exact values.  It may hold Poly entries (a Gram matrix
-    over Z[delta]); ``rank``, ``det`` and ``kernel`` need int or Fraction
-    entries."""
+    over Z[delta]); ``rank`` and ``kernel`` need int or Fraction entries,
+    ``det`` int entries."""
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
@@ -234,24 +222,34 @@ class ExactMatrix:
         """Rank over Q."""
         return rank([_z_row(dict(enumerate(row))) for row in self.rows])
 
-    def det(self):
-        """Exact determinant, by elimination over Q: the product of the
-        pivots times the sign of the row -> pivot column permutation."""
-        from fractions import Fraction   # only det eliminates over Q
+    def det(self) -> int:
+        """Exact determinant of an integer matrix, by elimination over Z; a
+        Fraction or Poly entry raises TypeError.  Row i carries the tag
+        ``~i: 1``, and the rows are added shortest first.  Pivot row i is
+        c_i (row i) plus a combination of rows added before it, where c_i >
+        0 is its own tag, as ``_cancel_z`` scales a row by a positive factor
+        only and divides out a positive content.  So the tag matrix is
+        triangular in the order of addition, of determinant prod c_i, and
+        det = sign(row -> pivot column) * prod pivots / prod c_i: one exact
+        integer division, which raises ArithmeticError on a remainder."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in self.rows]
-        echelon = Echelon(_cancel_field)
+        rows = [{**{j: index(x) for j, x in enumerate(row) if x}, ~i: 1}
+                for i, row in enumerate(self.rows)]
+        echelon = Echelon(_cancel_z)
         pivots = [0] * self.nrows
+        num = den = 1
         for i in sorted(range(self.nrows), key=lambda i: len(rows[i])):
-            piv = echelon.add(rows[i])[0]
+            piv, row = echelon.add(rows[i])
             if piv is None:
                 return 0
             pivots[i] = piv
-        det = perm_sign([c + 1 for c in pivots])
-        for c in pivots:
-            det = echelon.rows[c][c] * det
-        return det.numerator if det.denominator == 1 else det
+            num *= row[piv]
+            den *= row[~i]
+        det, rem = divmod(perm_sign([c + 1 for c in pivots]) * num, den)
+        if rem:
+            raise ArithmeticError("determinant is not an integer")
+        return det
 
     def kernel(self) -> list[list]:
         """A basis of {v : self @ v = 0}, read off the tag columns of the

@@ -151,38 +151,6 @@ class BrauerDiagram:
         vert = sum(1 for i, j in self.pairs if i <= self.r < j)
         return vert, (self.r - vert) // 2
 
-    def length(self) -> int:
-        """Minimal number of crossings: the number of interleaved strand
-        pairs of a planar representative."""
-        top, bot, vert = self.strand_types()
-        count = 0
-        for (a, b), (c, d) in itertools.combinations(vert, 2):
-            if (a - c) * (b - d) < 0:
-                count += 1
-        for arcs in (top, bot):
-            for (a, b), (c, d) in itertools.combinations(arcs, 2):
-                if a < c < b < d or c < a < d < b:
-                    count += 1
-            for (a, b) in arcs:
-                for (i, j) in vert:
-                    pos = i if arcs is top else j
-                    if a < pos < b:
-                        count += 1
-        return count
-
-    def sigma(self) -> tuple[int, ...]:
-        """The permutation sigma_D of {1..2r} with i -> h_i, i+r -> k_i,
-        where the strands are (h_i, k_i), h_i < k_i, h_1 < ... < h_r."""
-        r = self.r
-        out = [0] * (2 * r)
-        for idx, (h, k) in enumerate(self.pairs, start=1):
-            out[idx - 1] = h
-            out[idx + r - 1] = k
-        return tuple(out)
-
-    def sign(self) -> int:
-        return perm_sign(self.sigma())
-
     def tensor(self, other: "BrauerDiagram") -> "BrauerDiagram":
         """Side-by-side juxtaposition, self on the left."""
         ra, rb, r = self.r, other.r, self.r + other.r

@@ -16,21 +16,23 @@ B_{lam_1}, the signed (lam'_1, lam'_2)-walled sum, or the antisymmetrizer
 of S_{lam'_1}), times a Young-subgroup tail on the remaining rows or
 columns, times the e-suffix of the vertex.  The correction beta' averages
 the corank >= 1 part of the head over the orbits of the head's permutation
-group (S_{lam_1}, S_{lam'_1} x S_{lam'_2}, or S_{lam'_1}).  The
-antisymmetrizer has no such part: beta' = 0 and beta = 1, so b = y_lam
-and every a_t is d_t, and the dual-Murphy basis of the symmetric group
-already splits, its kernel cells those of more than N rows.
+group (S_{lam_1}, S_{lam'_1} x S_{lam'_2}, or S_{lam'_1}); it is kept
+as the integral den beta', for one integer den.  The antisymmetrizer has
+no such part: beta' = 0 and beta = den = 1, so b = y_lam and every a_t is
+d_t, and the dual-Murphy basis of the symmetric group already splits, its
+kernel cells those of more than N rows.
 
 The split basis replaces m_st by n_st = a_s* m a_t, where a_t corrects the
-path at its first non-permissible vertex by the factorization b = m * beta;
-n_st = m_st when both paths are permissible and maps to zero otherwise.
+path at its first non-permissible vertex by the factorization den b =
+m beta.  a_t is kept as A_t = den a_t over den, and the integral n_st is
+A_s* m A_t divided exactly by den_s den_t; n_st = m_st when both paths
+are permissible and maps to zero otherwise.
 ``certify_sections`` picks a flavor's certificate sections from its split
 basis; the symmetric group's is ``harterich_check``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 from typing import NamedTuple
@@ -68,16 +70,18 @@ def walled_signed_sum(a: int, b: int, delta0) -> AlgebraElement:
     return AlgebraElement(a + b, terms, delta0)
 
 
-def _orbit_correction(head: AlgebraElement, group: list) -> AlgebraElement:
-    """beta': the sum of c_x/|stabilizer| over representatives x of the
-    orbits of the permutation diagrams ``group`` acting from the left on the
-    terms of ``head`` (the corank >= 1 part of a head sum), so that the group
-    sum times beta' equals ``head``.  The action is usually free, but not
-    always: (12)(34) stabilizes the corank-2 (2,2)-walled diagrams, whence
-    the stabilizer weights.  In the signed walled case stabilizers are
-    necessarily even, so the signed orbit sums cannot cancel."""
+def _orbit_correction(head: AlgebraElement, group: list) -> tuple[AlgebraElement, int]:
+    """(den * beta', den), den the lcm of the stabilizer orders (1 when
+    ``head`` is 0).  beta' is the sum of c_x/|stabilizer| over
+    representatives x of the orbits of the permutation diagrams ``group``
+    acting from the left on the terms of ``head`` (the corank >= 1 part of
+    a head sum), so that the group sum times beta' equals ``head``.  The
+    action is usually free, but not always: (12)(34) stabilizes the
+    corank-2 (2,2)-walled diagrams, whence the stabilizer weights.  In the
+    signed walled case stabilizers are necessarily even, so the signed
+    orbit sums cannot cancel."""
     todo = dict(head.terms)
-    terms = {}
+    reps = []   # (representative, coefficient, stabilizer order)
     while todo:
         rep = min(todo)
         orbit = set()
@@ -86,23 +90,24 @@ def _orbit_correction(head: AlgebraElement, group: list) -> AlgebraElement:
             if loops:
                 raise ArithmeticError("a permutation times a diagram closed a loop")
             orbit.add(q)
-        stab = len(group) // len(orbit)
-        coeff = todo[rep]
+        reps.append((rep, todo[rep], len(group) // len(orbit)))
         for q in orbit:
             del todo[q]
-        terms[rep] = coeff if stab == 1 else Fraction(coeff, stab)
-    return AlgebraElement(head.r, terms, head.delta)
+    den = lcm(*(stab for _, _, stab in reps))
+    terms = {rep: coeff * (den // stab) for rep, coeff, stab in reps}
+    return AlgebraElement(head.r, terms, head.delta), den
 
 
 class KernelGenerator(NamedTuple):
-    """Marginal-vertex data: m = b - b', b in the kernel, b' = m * beta'."""
+    """Marginal-vertex data: m = b - b', b in the kernel, den b' = m beta'_int."""
 
     flavor: str
     vertex: Vertex
     b: AlgebraElement
     b_prime: AlgebraElement
-    beta_prime: AlgebraElement  # width-r correction with b' = m * beta'
-    beta: AlgebraElement        # 1 + beta_prime, so b = m * beta
+    beta_prime: AlgebraElement  # beta'_int = den beta', integral, of width r
+    beta: AlgebraElement        # den + beta_prime, so den b = m beta
+    den: int
 
 
 def _is_marginal(v: Vertex, n: int, flavor: str) -> bool:
@@ -140,15 +145,26 @@ def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
     b = head.tensor(tail).embed(r) * suffix
     b_prime = head_prime.tensor(tail).embed(r) * suffix
     group = list(young_sum(group_shape, width, False).terms)
-    beta_prime = _orbit_correction(head_prime, group).embed(r)
-    beta = AlgebraElement.one(r, delta0) + beta_prime
-    return KernelGenerator(flavor, v, b, b_prime, beta_prime, beta)
+    beta_prime, den = _orbit_correction(head_prime, group)
+    beta_prime = beta_prime.embed(r)
+    beta = AlgebraElement.one(r, delta0).scale(den) + beta_prime
+    return KernelGenerator(flavor, v, b, b_prime, beta_prime, beta, den)
+
+
+def _exact_quotient(c: int, den: int, what: str) -> int:
+    """c / den, which must be an integer; raises ArithmeticError naming
+    ``what`` on a remainder."""
+    q, rem = divmod(c, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not integral: {c}/{den}")
+    return q
 
 
 class SplitBasis:
     """The modified cellular basis n_st of B_r(Z; delta0), or of Z S_r for
     the symmetric flavor, attached to a permissibility bound N, with
-    per-path correction elements a_t."""
+    per-path correction elements a_t, each kept as an integral A_t =
+    den_t * a_t over its denominator den_t (1 on a permissible path)."""
 
     def __init__(self, r: int, n: int, flavor: str, basis: MurphyBasis | None = None,
                  max_r: int | None = None):
@@ -161,8 +177,8 @@ class SplitBasis:
         self.perm_pred = lambda v: br.PERMISSIBLE[flavor](v, n)
 
         self._gen_cache: dict[Vertex, KernelGenerator] = {}
-        # a_t per (vertex, path index); d_t for permissible paths
-        self.a_elements: dict[tuple[Vertex, int], AlgebraElement] = {}
+        # (A_t, den_t) per (vertex, path index); (d_t, 1) for permissible paths
+        self.a_elements: dict[tuple[Vertex, int], tuple[AlgebraElement, int]] = {}
         self.path_permissible: dict[tuple[Vertex, int], bool] = {}
         # d_{s0}* m_lambda per vertex, built on first read (``module_vector``)
         self._module_lefts: dict[Vertex, AlgebraElement] = {}
@@ -173,11 +189,9 @@ class SplitBasis:
             for ti, t in enumerate(paths):
                 perm = br.path_permissible(t, flavor, n)
                 self.path_permissible[(v, ti)] = perm
-                if perm:
-                    a_t = self.basis.d_elements[(v, ti)].with_delta(self.delta0)
-                else:
-                    a_t = self._correction(v, ti)
-                self.a_elements[(v, ti)] = a_t
+                self.a_elements[(v, ti)] = (
+                    (self.basis.d_elements[(v, ti)].with_delta(self.delta0), 1) if perm
+                    else self._correction(v, ti))
 
     def _generator(self, v: Vertex) -> KernelGenerator:
         if v not in self._gen_cache:
@@ -185,40 +199,36 @@ class SplitBasis:
                 v, self.n, self.r, self.flavor, self.delta0)
         return self._gen_cache[v]
 
-    def _correction(self, v: Vertex, ti: int) -> AlgebraElement:
-        """a_t = d_{t2} beta_mu d_{t1} for the first non-permissible mu =
-        t(k), with t1 = t(0..k) and t2 = t(k..); every product at delta0.
-        When beta_mu = 1 (the symmetric group) it is d_t, read off the basis."""
+    def _correction(self, v: Vertex, ti: int) -> tuple[AlgebraElement, int]:
+        """(A_t, den) with A_t = d_{t2} beta_mu d_{t1} = den * a_t, for the
+        first non-permissible mu = t(k), with t1 = t(0..k) and t2 = t(k..),
+        and den that of beta_mu; every product at delta0.  When beta_mu = 1
+        (the symmetric group) it is (d_t, 1), read off the basis."""
         t = self.basis.paths[v][ti]
         k = next(i for i, w in enumerate(t) if not self.perm_pred(w))
         gen = self._generator(t[k])
         if not gen.beta_prime.terms:
-            return self.basis.d_elements[(v, ti)].with_delta(self.delta0)
+            return self.basis.d_elements[(v, ti)].with_delta(self.delta0), 1
         d1 = self.basis.path_d(t[:k + 1], self.delta0)
         d2 = self.basis.path_d(t[k:], self.delta0)
-        return d2 * gen.beta * d1
+        return d2 * gen.beta * d1, gen.den
 
     def module_vector(self, v: Vertex, ti: int) -> list[int]:
         """Module coordinates of n_t = m_lambda a_t in the Murphy basis of
         the cell module of v: the coefficients of m_(v,0,u) in
-        d_{s0}* m_lambda a_t; raises unless they are integers.  Each call
-        builds the vector; d_{s0}* m_lambda is kept per vertex."""
+        d_{s0}* m_lambda a_t, those of d_{s0}* m_lambda A_t divided exactly
+        by den_t; raises ArithmeticError on a remainder.  Each call builds
+        the vector; d_{s0}* m_lambda is kept per vertex."""
         left = self._module_lefts.get(v)
         if left is None:
             gen = self.basis.generators[v].with_delta(self.delta0)
             left = self._module_lefts[v] = (
                 self.basis.d_elements[(v, 0)].involution().with_delta(self.delta0) * gen)
-        elt = left * self.a_elements[(v, ti)]
-        vec = []
-        for tj in range(len(self.basis.paths[v])):
-            c = self.basis.cell_coefficient(v, tj, elt)
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ArithmeticError(
-                        f"split basis vector at {v} is not integral: {c}")
-                c = int(c)
-            vec.append(c)
-        return vec
+        a_t, den = self.a_elements[(v, ti)]
+        elt = left * a_t
+        return [_exact_quotient(self.basis.cell_coefficient(v, tj, elt), den,
+                                f"split basis vector at {v}")
+                for tj in range(len(self.basis.paths[v]))]
 
     # -- pair-level data -------------------------------------------------------
 
@@ -228,17 +238,23 @@ class SplitBasis:
     def element(self, v: Vertex, s: int, t: int) -> AlgebraElement:
         """The full algebra element n_st = a_s* m_lambda a_t; when s and t
         are permissible, a_s = d_s and a_t = d_t, and it is the Murphy
-        element m_st read at delta0.  Each a_s* m_lambda formed is kept."""
+        element m_st read at delta0.  Otherwise A_s* m_lambda A_t is divided
+        exactly by den_s den_t, and a remainder raises ArithmeticError.  Each
+        A_s* m_lambda formed is kept."""
         if self.pair_permissible(v, s, t):
             return self.basis.elements[(v, s, t)].with_delta(self.delta0)
+        a_s, den_s = self.a_elements[(v, s)]
+        a_t, den_t = self.a_elements[(v, t)]
         left = self._lefts.get((v, s))
         if left is None:
             gen = self.basis.generators[v].with_delta(self.delta0)
-            left = self._lefts[(v, s)] = self.a_elements[(v, s)].involution() * gen
-        out = left * self.a_elements[(v, t)]
-        if not out.has_integer_coeffs():
-            raise ArithmeticError(f"n_st at {v} is not integral")
-        return out.as_integer()
+            left = self._lefts[(v, s)] = a_s.involution() * gen
+        out = left * a_t
+        den = den_s * den_t
+        if den != 1:
+            out.terms = {d: _exact_quotient(c, den, f"n_st at {v}")
+                         for d, c in out.terms.items()}
+        return out
 
     def iter_pairs(self):
         for v in self.basis.vertices:
@@ -394,9 +410,9 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     m a_u: n_st = a_s* (m a_t) when t is not, and n_st = (a_s* m) a_t =
     (m a_s)* a_t when s is not, since m* = m.  As Phi(x*) = Phi(x)^T,
     Phi(n_st) is then Phi(a_s)^T Phi(m a_t) or Phi(m a_s)^T Phi(a_t), so
-    every kernel-flagged n_st maps to zero when every Phi(m a_u) does.  Each
-    a_u is first scaled to integer coefficients, which scales Phi(m a_u) by
-    a positive integer.
+    every kernel-flagged n_st maps to zero when every Phi(m a_u) does.  The
+    stream holds m A_u, and Phi(m A_u) = den_u Phi(m a_u), so the zero test
+    is unchanged.
     """
     r, n, flavor, basis, delta0 = split.r, split.n, split.flavor, split.basis, split.delta0
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
@@ -406,14 +422,10 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
 
     permissible = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
 
-    def m_a(v, u):
-        a = split.a_elements[(v, u)]
-        a = a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
-        return basis.generators[v].with_delta(delta0) * a
-
     kernel_zero, got_p, got_q = image_checks(
         (basis.elements[key].with_delta(delta0) for key in permissible), len(permissible),
-        (m_a(v, u) for v in basis.vertices for u in range(len(basis.paths[v]))
+        (basis.generators[v].with_delta(delta0) * split.a_elements[(v, u)][0]
+         for v in basis.vertices for u in range(len(basis.paths[v]))
          if not split.path_permissible[(v, u)]),
         basis.diagrams, rep,
         tuple(p for p in fields if not (flavor == "orthogonal" and p == 2)))

@@ -16,6 +16,7 @@ from brauercell.rings import Poly
 from brauercell.seminormal import edge_content
 from brauercell.sft import _is_marginal
 from brauercell.tensorrep import TensorRep
+from diagram_ops import as_integer
 from tensor_ops import rep_element
 
 
@@ -154,7 +155,7 @@ def eager_elements(basis: MurphyBasis) -> dict:
         for s in range(n):
             left = basis.d_elements[(v, s)].involution() * gen
             for t in range(n):
-                out[(v, s, t)] = (left * basis.d_elements[(v, t)]).as_integer()
+                out[(v, s, t)] = as_integer(left * basis.d_elements[(v, t)])
     return out
 
 

@@ -1,16 +1,19 @@
 """Exact oracles for the tests: a general solver over Z, the oracle of the
 cell-row functionals and of the cellular expansion, the rank, inverse and
-kernel of a dense matrix by Fraction elimination, the cofactor
-determinant, polynomial long division, the specialization of seminormal
-data over Q, and the Q rank of rows that must be kept (``rank_q``, on
-integer copies).  The package itself needs none of them: it reads only
-columns of block inverses (``exactmat.inverse_columns``), takes
-determinants by elimination, and checks the specialized seminormal
-structure as identities over Z (``seminormal.specialize_quotient``)."""
+kernel of a dense matrix by Fraction elimination, the echelon's
+cancellation over Q (``cancel_field``) and the determinant it gives, the
+cofactor determinant, polynomial long division, the specialization of
+seminormal data over Q, and the Q rank of rows that must be kept
+(``rank_q``, on integer copies).  The package itself needs none of them:
+it reads only columns of block inverses (``exactmat.inverse_columns``),
+takes determinants by elimination over Z, and checks the specialized
+seminormal structure as identities over Z
+(``seminormal.specialize_quotient``)."""
 
 from fractions import Fraction
 
 from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row, rank
+from brauercell.matchings import perm_sign
 from brauercell.rings import Poly
 from brauercell.seminormal import quotient_record, residue_collisions
 
@@ -96,6 +99,38 @@ def inverse_fraction(rows):
     reduced, _ = rref_fraction([list(row) + [int(i == j) for j in range(n)]
                                 for i, row in enumerate(rows)])
     return [row[n:] for row in reduced]
+
+
+def cancel_field(row: dict, prow: dict, c: int) -> dict:
+    """The echelon's cancellation over Q: row - (row[c] / prow[c]) * prow,
+    in place; row[c] must be a Fraction, never an int."""
+    f = row[c] / prow[c]
+    for k, x in prow.items():
+        w = row.get(k, 0) - f * x
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
+def det_fraction(rows: list[list]):
+    """The determinant by elimination over Q on ``Echelon(cancel_field)``:
+    the product of the pivots times the sign of the row -> pivot column
+    permutation."""
+    n = len(rows)
+    frows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    echelon = Echelon(cancel_field)
+    pivots = [0] * n
+    for i in sorted(range(n), key=lambda i: len(frows[i])):
+        piv = echelon.add(frows[i])[0]
+        if piv is None:
+            return 0
+        pivots[i] = piv
+    det = Fraction(perm_sign([c + 1 for c in pivots]))
+    for c in pivots:
+        det *= echelon.rows[c][c]
+    return det
 
 
 def det_cofactor(b: list[list]):

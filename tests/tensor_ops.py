@@ -12,6 +12,7 @@ import itertools
 from brauercell.diagrams import AlgebraElement, walled_filter
 from brauercell.matchings import BrauerDiagram, all_diagrams
 from brauercell.tensorrep import TensorRep
+from diagram_ops import length, sign
 from sparse_ops import SparseMat
 
 
@@ -65,7 +66,7 @@ def rep_diagram_closed_form(rep: TensorRep, diag: BrauerDiagram) -> SparseMat:
         return place_matrix(rep, diag.to_perm())
     top, bot, vert = diag.strand_types()
     d = rep.dim
-    sign = (-1) ** diag.length() if rep.flavor == "symplectic" else 1
+    sign = (-1) ** length(diag) if rep.flavor == "symplectic" else 1
     omega = rep.omega
     m = SparseMat(rep.size)
     for tchoice in itertools.product(range(d), repeat=len(top)):
@@ -144,7 +145,7 @@ def pfaffian_diagram_sum(a: list[list]) -> int:
     r = n // 2
     total = 0
     for diag in all_diagrams(r):
-        term = diag.sign()
+        term = sign(diag)
         for i, j in diag.pairs:
             term *= a[i - 1][j - 1]
             if term == 0:

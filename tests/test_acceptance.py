@@ -19,6 +19,7 @@ from brauercell.sft import (algebra_dimension, expected_image_dimension,
                             walled_signed_sum)
 from brauercell.tensorrep import TensorRep, image_rank
 from cell_ops import jm_seminormal_check, path_strictly_dominates
+from diagram_ops import length, sign
 from exact_ops import det_cofactor
 from tensor_ops import (pfaffian_diagram_sum, pfaffian_recursive, rep_element,
                         walled_det_matrix, walled_det_sum)
@@ -70,7 +71,7 @@ def test_criterion_2_sign_lemma():
     for r in range(1, 6):
         for d in all_diagrams(r):
             corank = d.rank_corank()[1]
-            ok &= (-1) ** (corank + d.length()) == d.sign()
+            ok &= (-1) ** (corank + length(d)) == sign(d)
             total += 1
     report(2, f"sign lemma on all {total} diagrams of B_1..B_5", ok)
 

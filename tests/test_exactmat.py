@@ -9,8 +9,8 @@ from brauercell.exactmat import (Echelon, ExactMatrix, _cancel_z, _peel, _z_row,
                                  inverse_columns, rank, spin_rank_q)
 from brauercell.rings import Poly
 from cell_ops import transpose
-from exact_ops import (LinearSolver, det_cofactor, inverse_fraction, kernel_fraction,
-                       rank_gauss_fraction)
+from exact_ops import (LinearSolver, det_cofactor, det_fraction, inverse_fraction,
+                       kernel_fraction, rank_gauss_fraction)
 
 d = Poly.delta()
 
@@ -22,8 +22,32 @@ def test_rank_examples():
 
 def test_det_examples():
     assert ExactMatrix([[1, 0], [0, 1]]).det() == 1
+    assert ExactMatrix([]).det() == 1
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2]]).det()
+
+
+def test_det_rejects_fraction_entries():
+    # det eliminates over Z only; a rational matrix is not scaled for it
+    for rows in ([[Fraction(1, 2)]], [[1, 0], [0, Fraction(2)]]):
+        with pytest.raises(TypeError):
+            ExactMatrix(rows).det()
+
+
+def test_det_matches_fraction_elimination(rng):
+    """The tagged integer elimination gives the determinant of elimination
+    over Q, as an int, on random matrices up to 6 x 6, singular ones with
+    a repeated or combined row included."""
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            rows[a] = [rng.choice((1, -2)) * x for x in rows[b]]
+        det = ExactMatrix(rows).det()
+        assert type(det) is int
+        assert det == det_fraction(rows)
 
 
 def test_det_matches_cofactor_random(rng):

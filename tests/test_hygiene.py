@@ -58,6 +58,26 @@ def test_imports_no_private_name_of_another_module(path):
     assert private == [], f"{path.name}: imports private names {private}"
 
 
+# the generic scalar layer, which still takes a rational from a caller: the
+# coefficient ring and the diagram algebra over it
+RATIONAL_LAYER = ("rings", "diagrams")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_scalar_layer_imports_fractions(path):
+    """Every other module computes over Z or F_p: an integer over an
+    explicit integer denominator, never a Fraction.  Imports inside a
+    function count too."""
+    if path.stem in RATIONAL_LAYER:
+        return
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and node.module.split(".")[0] == "fractions"]
+    assert lines == [], f"{path.name}: imports fractions at lines {lines}"
+
+
 # the modules a dims run loads, and what none of them may import when it is
 # loaded: the diagram algebra, the ring Z[delta], the cellular side and the
 # rationals (``fractions`` also loads ``decimal``)

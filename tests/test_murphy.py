@@ -19,6 +19,7 @@ from brauercell.rings import Poly
 from brauercell.sft import SplitBasis
 from cell_ops import (eager_elements, path_strictly_dominates, strictly_dominates,
                       sn_contents, sym_cell_generators, transpose, vertex_dominates)
+from diagram_ops import has_integer_coeffs, map_coeffs
 from exact_ops import LinearSolver
 
 BRAUER_FLAVORS = ["brauer-murphy", "brauer-dual-murphy"]
@@ -220,7 +221,7 @@ def test_transition_unimodular_and_corank_pure(flavor, r):
     assert set(mb.transition_dets().values()) <= {1, -1}
     for (v, s, t), e in mb.elements.items():
         assert all(d.rank_corank()[1] == v.l for d in e.terms)
-        assert e.has_integer_coeffs()
+        assert has_integer_coeffs(e)
 
 
 def test_expand_examples():
@@ -428,8 +429,8 @@ def test_expand_roundtrip_random(rng):
             back = AlgebraElement.zero(4)
             for c, key in zip(coeffs, mb.index):
                 if c != 0:
-                    back = back + mb.elements[key].map_coeffs(lambda x, c=c: x * c)
-            assert back.map_coeffs(_normalize_frac) == a.map_coeffs(_normalize_frac)
+                    back = back + map_coeffs(mb.elements[key], lambda x, c=c: x * c)
+            assert map_coeffs(back, _normalize_frac) == map_coeffs(a, _normalize_frac)
 
 
 def _normalize_frac(x):
@@ -526,7 +527,8 @@ def _oracle_gram_generic(r: int, flavor: str, v: Vertex) -> list[list]:
 def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r):
     """At every permissible vertex: the Gram matrix formed at delta0 is the
     generic oracle Gram evaluated there, and the split module vectors are
-    the oracle coefficients of m_(v,0,u) in d_{s0}* m a_t."""
+    the oracle coefficients of m_(v,0,u) in d_{s0}* m a_t, those in
+    d_{s0}* m A_t divided by den_t."""
     split = SplitBasis(r, n, flavor)
     mb, d0 = split.basis, split.delta0
     for v in mb.vertices:
@@ -538,8 +540,9 @@ def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r
         npaths = len(mb.paths[v])
         left = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).with_delta(d0)
         for t in range(npaths):
-            coeffs = expand_map(mb, left * split.a_elements[(v, t)])
-            assert split.module_vector(v, t) == [coeffs.get((v, 0, u), 0)
+            a_t, den = split.a_elements[(v, t)]
+            coeffs = expand_map(mb, left * a_t)
+            assert split.module_vector(v, t) == [Fraction(coeffs.get((v, 0, u), 0), den)
                                                  for u in range(npaths)]
 
 

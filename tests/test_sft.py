@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +8,10 @@ import brauercell.branching as br
 import brauercell.sft as sft
 from brauercell.branching import Vertex
 from brauercell.diagrams import AlgebraElement, walled_filter
-from brauercell.exactmat import Echelon, _cancel_field
+from brauercell.exactmat import Echelon
 from brauercell.matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from brauercell.murphy import MurphyBasis, murphy_basis
-from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension,
+from brauercell.sft import (FLAVOR_DATA, SplitBasis, _is_marginal, algebra_dimension,
                             build_kernel_generator, certify_sft,
                             expected_image_dimension, harterich_check,
                             ideal_generators, ideal_span_rank, image_checks,
@@ -22,7 +21,7 @@ from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_ra
                                   image_vectors)
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
                       path_revlex_gt, permissible_dimension, strictly_dominates)
-from exact_ops import rank_q
+from exact_ops import cancel_field, rank_q
 from sparse_ops import SparseMat, matmul, scale
 from tensor_ops import rep_diagram, rep_element
 
@@ -34,7 +33,7 @@ def elt(d, coeff=1, delta=None):
 def sparse_solve_q(rows: list[dict[int, int]], target: dict) -> list[Fraction] | None:
     """Express ``target`` as a rational combination of ``rows``; None if outside
     the span.  Rows dependent on earlier ones get coefficient 0."""
-    echelon = Echelon(_cancel_field)
+    echelon = Echelon(cancel_field)
     for i, row in enumerate(rows):
         echelon.add({**{c: Fraction(v) for c, v in row.items() if v}, ~i: Fraction(1)})
     t = echelon.reduce({c: Fraction(v) for c, v in target.items() if v})
@@ -56,9 +55,11 @@ def test_b_generator_b2():
     g = build_kernel_generator(Vertex((2,), 0), 1, 2, "symplectic")
     assert g.b == sum_all_diagrams(2, -2)
     assert g.b_prime == elt(BrauerDiagram.e(1, 2), 1, -2)
-    assert g.beta_prime == elt(BrauerDiagram.e(1, 2), Fraction(1, 2), -2)
+    # beta' = e_1 / 2, kept as the integral e_1 over den = 2
+    assert g.beta_prime == elt(BrauerDiagram.e(1, 2), 1, -2)
+    assert g.den == 2
     x = murphy_basis(2, "brauer-murphy").generators[Vertex((2,), 0)].with_delta(-2)
-    assert x * g.beta_prime == g.b_prime
+    assert x * g.beta_prime == g.b_prime.scale(g.den)
     assert x == g.b - g.b_prime
     with pytest.raises(ValueError):
         build_kernel_generator(Vertex((1,), 0), 1, 2, "symplectic")
@@ -90,19 +91,23 @@ def test_d_generator_examples():
 
 def test_orbit_correction_with_stabilizers():
     # the (12)(34) double swap stabilizes corank-2 (2,2)-walled diagrams,
-    # so beta' picks up 1/2 weights there; the factorization still holds
+    # so beta' picks up 1/2 weights there: they show as den = 2 and as odd
+    # coefficients of the integral beta'_int = 2 beta' (a free orbit's are
+    # even); the factorization still holds
     g = build_kernel_generator(Vertex((2, 2), 0), 3, 4, "orthogonal")
     y = murphy_basis(4, "brauer-dual-murphy").generators[Vertex((2, 2), 0)]
-    assert y.with_delta(3) * g.beta_prime == g.b_prime
-    assert y.with_delta(3) * g.beta == g.b
-    assert any(isinstance(c, Fraction) and c.denominator == 2
-               for c in g.beta_prime.terms.values())
+    assert y.with_delta(3) * g.beta_prime == g.b_prime.scale(g.den)
+    assert y.with_delta(3) * g.beta == g.b.scale(g.den)
+    assert g.den == 2
+    assert all(type(c) is int for c in g.beta_prime.terms.values())
+    assert any(c % 2 for c in g.beta_prime.terms.values())
 
 
 @pytest.mark.parametrize("flavor,ns,max_level", [("symplectic", (1, 2), 5),
                                                  ("orthogonal", (1, 2, 3), 5)])
 def test_marginal_identity_and_factorization(flavor, ns, max_level):
-    """m = b - b'; b' = m beta' with support of corank >= m+1 (axiom Q2)."""
+    """m = b - b'; den b' = m beta'_int with support of corank >= m+1
+    (axiom Q2), and den b = m beta."""
     basis_flavor = FLAVOR_DATA[flavor]
     for n in ns:
         delta0 = -2 * n if flavor == "symplectic" else n
@@ -114,8 +119,8 @@ def test_marginal_identity_and_factorization(flavor, ns, max_level):
                 g = build_kernel_generator(v, n, level, flavor)
                 gen = mb.generators[v].with_delta(delta0)
                 assert gen == g.b - g.b_prime
-                assert gen * g.beta_prime == g.b_prime
-                assert gen * g.beta == g.b
+                assert gen * g.beta_prime == g.b_prime.scale(g.den)
+                assert gen * g.beta == g.b.scale(g.den)
                 assert all(d.rank_corank()[1] >= v.l + 1 for d in g.b_prime.terms)
 
 
@@ -344,8 +349,9 @@ def test_quotient_cellularity_shadow(rng):
 @pytest.mark.parametrize("r,n", [(3, 1), (4, 2), (5, 2), (5, 3)])
 def test_split_basis_of_the_symmetric_group(r, n):
     """The symmetric group is the third split-basis case: at each vertex of
-    N+1 rows the kernel generator is b = y_lam with beta = 1, every a_t is
-    d_t, and the kernel cells are those of more than N rows."""
+    N+1 rows the kernel generator is b = y_lam with beta = 1 over den = 1,
+    every a_t is d_t over 1, and the kernel cells are those of more than N
+    rows."""
     split = SplitBasis(r, n, "symmetric")
     basis = split.basis
     for v in basis.vertices:
@@ -353,8 +359,10 @@ def test_split_basis_of_the_symmetric_group(r, n):
             g = build_kernel_generator(v, n, r, "symmetric")
             assert g.b == basis.generators[v]
             assert g.beta == AlgebraElement.one(r)
-    for key, a_t in split.a_elements.items():
+            assert g.den == 1
+    for key, (a_t, den) in split.a_elements.items():
         assert a_t == basis.d_elements[key]
+        assert den == 1
     for v, s, t in split.iter_pairs():
         assert split.pair_permissible(v, s, t) == (len(v.lam) <= n)
 
@@ -393,7 +401,8 @@ def _fold_scale_add(rep: TensorRep, images: dict, a: AlgebraElement) -> SparseMa
                                       ("orthogonal", 2), ("orthogonal", 3)])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_rep_element_from_images_matches_fold(flavor, n, r):
-    """On a_t and m a_t, with their Fraction coefficients: ``image_vectors``,
+    """On a_t = A_t / den_t and m a_t, with their Fraction coefficients:
+    ``image_vectors``,
     which keeps each diagram's image across elements, sums the images as a
     fold of scaled copies of the diagram images on the orbit rows does."""
     split = SplitBasis(r, n, flavor)
@@ -404,7 +413,8 @@ def test_rep_element_from_images_matches_fold(flavor, n, r):
     for v in split.basis.vertices:
         gen = split.basis.generators[v].with_delta(split.delta0)
         for t in range(len(split.basis.paths[v])):
-            a_t = split.a_elements[(v, t)]
+            a_t, den = split.a_elements[(v, t)]
+            a_t = a_t.scale(Fraction(1, den))
             elements += [a_t, gen * a_t]
     assert list(image_vectors(elements, rep)) == [
         _fold_scale_add(rep, images, a).to_vector() for a in elements]
@@ -421,10 +431,9 @@ def _factored_route(split: SplitBasis, rep: TensorRep):
     for v in split.basis.vertices:
         npaths = len(split.basis.paths[v])
         gen = split.basis.generators[v].with_delta(split.delta0)
-        scaled = [a.scale(lcm(*(c.denominator for c in a.terms.values()))).as_integer()
-                  for a in (split.a_elements[(v, t)] for t in range(npaths))]
-        lefts = [rep_element(rep, (gen * a).involution(), rows) for a in scaled]
-        rights = [rep_element(rep, a) for a in scaled]
+        corrections = [split.a_elements[(v, t)][0] for t in range(npaths)]
+        lefts = [rep_element(rep, (gen * a).involution(), rows) for a in corrections]
+        rights = [rep_element(rep, a) for a in corrections]
         for s in range(npaths):
             for t in range(npaths):
                 mat = matmul(lefts[s], rights[t])
@@ -470,7 +479,9 @@ def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
     for v, s, t in split.iter_pairs():
         if split.pair_permissible(v, s, t):
             gen = split.basis.generators[v].with_delta(split.delta0)
-            prod = (split.a_elements[(v, s)].involution() * gen) * split.a_elements[(v, t)]
+            (a_s, den_s), (a_t, den_t) = split.a_elements[(v, s)], split.a_elements[(v, t)]
+            assert den_s == den_t == 1
+            prod = (a_s.involution() * gen) * a_t
             assert prod == split.basis.elements[(v, s, t)].with_delta(split.delta0)
             assert split.element(v, s, t) == prod
 
@@ -494,7 +505,7 @@ def test_kernel_line_fails_without_the_correction(flavor, n, r):
     v, t = next((v, t) for v in split.basis.vertices if split.perm_pred(v)
                 for t in range(len(split.basis.paths[v]))
                 if not split.path_permissible[(v, t)])
-    split.a_elements[(v, t)] = split.basis.d_elements[(v, t)].with_delta(split.delta0)
+    split.a_elements[(v, t)] = (split.basis.d_elements[(v, t)].with_delta(split.delta0), 1)
     assert _factored_route(split, TensorRep(flavor, n, r))[1] is False
     cert = certify_sft(split, check_ideal=False)
     line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
@@ -551,18 +562,21 @@ def test_harterich_expands_no_kernel_cell(monkeypatch):
                                         ("orthogonal", 1, 4), ("orthogonal", 2, 4),
                                         ("symmetric", 2, 4), ("symmetric", 3, 5)])
 def test_corrections_equal_the_product_formula(flavor, n, r):
-    """Every a_t is d_{t2} beta d_{t1}, formed as products, also where beta
-    = 1 and ``SplitBasis`` reads d_t from the basis instead."""
+    """Every A_t = den a_t is d_{t2} beta d_{t1} over the den of beta,
+    formed as products, also where beta = 1 and ``SplitBasis`` reads d_t
+    from the basis instead."""
     split = SplitBasis(r, n, flavor)
     basis = split.basis
-    for (v, ti), a_t in split.a_elements.items():
+    for (v, ti), (a_t, den) in split.a_elements.items():
         t = basis.paths[v][ti]
         if split.path_permissible[(v, ti)]:
             assert a_t == basis.d_elements[(v, ti)].with_delta(split.delta0)
+            assert den == 1
             continue
         k = next(i for i, w in enumerate(t) if not split.perm_pred(w))
-        beta = build_kernel_generator(t[k], n, r, flavor, split.delta0).beta
-        assert a_t == (basis.path_d(t[k:], split.delta0) * beta
+        gen = build_kernel_generator(t[k], n, r, flavor, split.delta0)
+        assert den == gen.den
+        assert a_t == (basis.path_d(t[k:], split.delta0) * gen.beta
                        * basis.path_d(t[:k + 1], split.delta0))
 
 
@@ -629,3 +643,47 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
         got = image_checks(image, len(image), kernel, diagrams, rep, (3,))
         assert got == (kernel_zero, [(3, full if falls_back else 1)], 1)
         assert calls == [identity] + (list(diagrams) if falls_back else [])
+
+
+def _int_coeffs(x: AlgebraElement) -> bool:
+    return all(type(c) is int for c in x.terms.values())
+
+
+@pytest.mark.parametrize("flavor", ["symplectic", "orthogonal", "symmetric"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_corrections_and_split_elements_are_integral(flavor, n):
+    """No rational is formed on the way to the split basis: every
+    coefficient of beta', beta, b', each A_t, each n_st = ``element`` and
+    each m A_u of the kernel stream is an int, for r <= 5, and so is each
+    entry of a split module vector."""
+    for r in range(1, 6):
+        split = SplitBasis(r, n, flavor)
+        basis = split.basis
+        for v in basis.vertices:
+            if _is_marginal(v, n, flavor):
+                g = build_kernel_generator(v, n, r, flavor, split.delta0)
+                assert all(map(_int_coeffs, (g.beta_prime, g.beta, g.b_prime)))
+                assert type(g.den) is int
+        for (v, u), (a_u, den) in split.a_elements.items():
+            assert _int_coeffs(a_u) and type(den) is int
+            if not split.path_permissible[(v, u)]:
+                assert _int_coeffs(basis.generators[v].with_delta(split.delta0) * a_u)
+                if split.perm_pred(v):
+                    assert all(type(c) is int for c in split.module_vector(v, u))
+        assert all(_int_coeffs(split.element(*key)) for key in split.iter_pairs())
+
+
+def test_split_division_raises_on_a_remainder():
+    """``element`` and ``module_vector`` divide by den_s den_t and den_t
+    exactly: a denominator that does not divide the products raises."""
+    split = SplitBasis(3, 1, "symplectic")
+    v, t = next((v, t) for v in split.basis.vertices if split.perm_pred(v)
+                for t in range(len(split.basis.paths[v]))
+                if not split.path_permissible[(v, t)])
+    a_t, den = split.a_elements[(v, t)]
+    assert den == 2
+    split.a_elements[(v, t)] = (a_t, 7919)
+    with pytest.raises(ArithmeticError):
+        split.element(v, t, t)
+    with pytest.raises(ArithmeticError):
+        split.module_vector(v, t)
