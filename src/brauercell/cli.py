@@ -7,9 +7,9 @@ exactness check inside the computation that does not hold) exits 3, with
 one "internal error:" line on stderr and nothing on stdout.  An --out
 whose directory does not exist is a usage error, found before any
 computation; a write to --out that fails exits 1 with one "error:" line.
-All numeric output is exact (integers and fraction strings); JSON output is
-byte-identical across runs for the same configuration, with wall-clock
-timing reported on stderr only.
+All numeric output is exact (integers, and integer strings for the
+coefficients); JSON output is byte-identical across runs for the same
+configuration, with wall-clock timing reported on stderr only.
 
 No command forks on the flavor.  ``basis --split`` and ``certify`` build
 one ``sft.SplitBasis`` for every flavor, under the --max-r cap, and
@@ -225,6 +225,15 @@ def main(argv=None) -> int:
             payload, code = cmd_certify(args)
         else:
             payload, code = cmd_dims(args)
+        text = render(payload, getattr(args, "format", "json"))
+        if args.out:
+            try:
+                _write_atomic(args.out, text)
+            except OSError as exc:
+                sys.stderr.write(f"error: {_out_error(args.out, exc.strerror or exc)}\n")
+                return USAGE_ERROR
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
@@ -237,15 +246,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return CERT_FAILURE
-    text = render(payload, getattr(args, "format", "json"))
-    if args.out:
-        try:
-            _write_atomic(args.out, text)
-        except OSError as exc:
-            sys.stderr.write(f"error: {_out_error(args.out, exc.strerror or exc)}\n")
-            return USAGE_ERROR
-    else:
-        sys.stdout.write(text)
     sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")
     return code
 

@@ -5,14 +5,14 @@ over b (a's bottom row glued to b's top row), removes closed loops, and
 multiplies the coefficient by the loop parameter once per loop.
 
 AlgebraElement is a sparse formal sum of diagrams.  Its ``delta`` attribute
-selects the ring: None means the generic ground ring (loops contribute the
-polynomial delta), an int/Fraction value means the specialization at that
-loop parameter.
+selects the ring: None means the generic ground ring Z[delta] (loops
+contribute the polynomial delta, coefficients are ``Poly`` or int), an int
+means the specialization at that loop parameter (coefficients are ints).
+A coefficient, int or ``Poly``, is falsy exactly when it is zero, and no
+zero is stored.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .matchings import BrauerDiagram, interned, perm_sign
 from .rings import Poly
@@ -109,24 +109,15 @@ class AlgebraElement:
     """Sparse element of B_r over an exact ring.
 
     ``delta`` is None for the generic ground ring (a loop multiplies the
-    coefficient by the polynomial delta) or an exact scalar for the
-    specialized algebra."""
+    coefficient by the polynomial delta) or an int for the specialized
+    algebra.  ``terms`` is a dict diagram -> coefficient."""
 
     __slots__ = ("r", "delta", "terms")
 
     def __init__(self, r: int, terms=None, delta=None):
         self.r = r
         self.delta = delta
-        self.terms = {}
-        if terms:
-            for d, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not _zero(c):
-                    if d in self.terms:
-                        c = self.terms[d] + c
-                        if _zero(c):
-                            del self.terms[d]
-                            continue
-                    self.terms[d] = c
+        self.terms = {d: c for d, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, r: int, delta=None) -> "AlgebraElement":
@@ -163,10 +154,10 @@ class AlgebraElement:
             out = dict(self.terms)
             for d, c in other.terms.items():
                 v = out.get(d, 0) + c
-                if _zero(v):
-                    out.pop(d, None)
-                else:
+                if v:
                     out[d] = v
+                else:
+                    out.pop(d, None)
             return AlgebraElement(self.r, out, self.delta)
         return NotImplemented
 
@@ -177,7 +168,7 @@ class AlgebraElement:
         return AlgebraElement(self.r, {d: -c for d, c in self.terms.items()}, self.delta)
 
     def scale(self, c) -> "AlgebraElement":
-        if _zero(c):
+        if not c:
             return AlgebraElement.zero(self.r, self.delta)
         return AlgebraElement(self.r, {d: c * v for d, v in self.terms.items()}, self.delta)
 
@@ -193,17 +184,17 @@ class AlgebraElement:
                     if loops:
                         c = c * loop ** loops
                     v = out.get(d, 0) + c
-                    if _zero(v):
-                        out.pop(d, None)
-                    else:
+                    if v:
                         out[d] = v
+                    else:
+                        out.pop(d, None)
             return AlgebraElement(self.r, out, self.delta)
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly)):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly)):
             return self.scale(other)
         return NotImplemented
 
@@ -242,7 +233,7 @@ class AlgebraElement:
         out = {}
         for d, c in self.terms.items():
             v = c.evaluate(d0) if isinstance(c, Poly) else c
-            if v != 0:
+            if v:
                 out[d] = v
         return AlgebraElement(self.r, out, d0)
 
@@ -265,16 +256,6 @@ class AlgebraElement:
 
     def to_json(self) -> list:
         items = sorted(self.terms.items(), key=lambda t: t[0].pairs)
-        return [{"diagram": d.to_json(), "coeff": _coeff_json(c)} for d, c in items]
-
-
-def _coeff_json(c):
-    if isinstance(c, (int, Fraction)):
-        return str(c)
-    return c.to_json()
-
-
-def _zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return c == 0
+        return [{"diagram": d.to_json(),
+                 "coeff": c.to_json() if isinstance(c, Poly) else str(c)}
+                for d, c in items]

@@ -17,15 +17,14 @@ Every sparse rank, over Q or F_p, is ``rank``; it first peels the
 singleton rows (``_peel``, the first phase of structured Gaussian
 elimination, LaMacchia-Odlyzko).
 
-Each public entry point fixes its own domain, ``rank`` by its ``p``.  Rank
-and kernel take int or Fraction values and scale each row to integers
-(``_z_row``); a determinant takes ints only.  A matrix over Z[delta] is
-never eliminated (a Poly value raises TypeError).  Columns are
-non-negative ints.  The tag column ``~i`` (that is, -1 - i) of a row holds
-the multiple of input row i that the row contains, so the same echelon
-gives kernels, determinants and, with tags on the rows whose inverse
-columns are wanted and a back substitution, the columns of an inverse
-(``inverse_columns``).  There is no general solver.
+Each public entry point fixes its own domain, ``rank`` by its ``p``.
+Every entry point takes int values only: a rational or a Poly value
+raises TypeError, so a matrix over Q or Z[delta] is never eliminated.
+Columns are non-negative ints.  The tag column ``~i`` (that is, -1 - i) of
+a row holds the multiple of input row i that the row contains, so the
+same echelon gives kernels, determinants and, with tags on the rows whose
+inverse columns are wanted and a back substitution, the columns of an
+inverse (``inverse_columns``).  There is no general solver.
 
 No floating point is used anywhere: every value eliminated is an int or
 a residue mod p.
@@ -37,8 +36,8 @@ from array import array
 from bisect import insort
 from collections import defaultdict, deque
 from heapq import heappop, heappush
-from itertools import count
-from math import gcd, lcm
+from itertools import chain, count
+from math import gcd
 from operator import index
 
 from .matchings import perm_sign
@@ -118,19 +117,9 @@ class Echelon:
 
 
 def _z_row(row: dict) -> dict[int, int]:
-    """A row of int/Fraction values scaled to integers, zeros dropped: a row
-    of ints is copied as it is, any other is scaled by the lcm of its
-    values' denominators (an int's is 1), which needs no ``fractions``
-    import and forms no Fraction.  A value with no denominator, such as a
-    Poly, raises TypeError."""
-    try:
-        return {c: index(v) for c, v in row.items() if v}
-    except TypeError:   # a Fraction, or a value that is not a number
-        try:
-            den = lcm(*(v.denominator for v in row.values()))
-        except AttributeError:
-            raise TypeError("row values must be int or Fraction") from None
-        return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    """A copy of a row of ints, zeros dropped.  A value that is not an int,
+    such as a rational or a Poly, raises TypeError."""
+    return {c: index(v) for c, v in row.items() if v}
 
 
 def _peel(rows: list[dict]) -> int:
@@ -171,13 +160,16 @@ def rank(rows: list[dict[int, int]], p: int | None = None) -> int:
     over F_p when the prime ``p`` is given.  Over Q it consumes ``rows``:
     it works on them in place and leaves in the list only rows it never
     read.  Over F_p it only reads them and eliminates a copy reduced mod p,
-    so the same rows can be ranked mod p first and over Q after.
+    so the same rows can be ranked mod p first and over Q after.  A value
+    that is not an int raises TypeError, peeled or not.
 
     The singletons are peeled (``_peel``), then a row is popped off the
     list, shortest first (of equal lengths, the last first) to limit
     fill-in, and reduced in place.  A rank never exceeds the number of
     distinct columns, so the elimination stops, leaving the rest of the
     list, once the pivots number as many."""
+    if not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
+        raise TypeError("rank takes rows of ints")
     cancel = _cancel_z
     if p is not None:
         rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
@@ -193,8 +185,7 @@ def rank(rows: list[dict[int, int]], p: int | None = None) -> int:
 
 class ExactMatrix:
     """Dense matrix of exact values.  It may hold Poly entries (a Gram matrix
-    over Z[delta]); ``rank`` and ``kernel`` need int or Fraction entries,
-    ``det`` int entries."""
+    over Z[delta]); ``rank``, ``kernel`` and ``det`` need int entries."""
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
@@ -220,11 +211,11 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rank over Q."""
-        return rank([_z_row(dict(enumerate(row))) for row in self.rows])
+        return rank([{j: x for j, x in enumerate(row) if x} for row in self.rows])
 
     def det(self) -> int:
         """Exact determinant of an integer matrix, by elimination over Z; a
-        Fraction or Poly entry raises TypeError.  Row i carries the tag
+        rational or Poly entry raises TypeError.  Row i carries the tag
         ``~i: 1``, and the rows are added shortest first.  Pivot row i is
         c_i (row i) plus a combination of rows added before it, where c_i >
         0 is its own tag, as ``_cancel_z`` scales a row by a positive factor

@@ -6,9 +6,9 @@ canonically as pairs (i, j) with i < j sorted by first coordinate.  The
 enumerations of B_r and of the symmetric group return interned diagrams,
 one object per matching (``interned``), shared with ``diagrams.diagram_mult``.
 
-This module imports neither ``rings`` nor ``fractions``: the tensor side
-(``tensorrep`` and the ``dims`` command) reads diagrams only, and loads
-them without the diagram algebra over those rings, which is ``diagrams``.
+This module does not import ``rings``: the tensor side (``tensorrep`` and
+the ``dims`` command) reads diagrams only, and loads them without the
+diagram algebra over Z[delta], which is ``diagrams``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic for the loop parameter.
 
-Scalars throughout the package are plain Python ``int`` (arbitrary precision),
-``fractions.Fraction``, or ``Poly``, a univariate polynomial in the loop
-parameter delta.  Every generic coefficient the package computes lies in
-Z[delta]; a quotient is only ever formed after specializing delta.
+Coefficients throughout the package are plain Python ``int`` (arbitrary
+precision), a residue mod p held as an ``int``, or ``Poly``, a univariate
+polynomial over Z in the loop parameter delta.  Every generic coefficient
+the package computes lies in Z[delta]; a quotient is only ever formed
+after specializing delta, as an integer over an explicit integer
+denominator.
 
 A polynomial is a dict mapping exponent -> coefficient with no stored zero
 coefficients, so the zero polynomial is the empty dict and equality is
@@ -12,21 +14,17 @@ structural.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction]
-
 
 class Poly:
-    """Univariate polynomial in the loop parameter delta."""
+    """Univariate polynomial over Z in the loop parameter delta, built from
+    None (zero), an int or a dict exponent -> int."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
-        elif isinstance(coeffs, (int, Fraction)):
+        elif isinstance(coeffs, int):
             coeffs = {0: coeffs} if coeffs != 0 else {}
         self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
 
@@ -39,7 +37,7 @@ class Poly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, c: Scalar) -> "Poly":
+    def const(cls, c: int) -> "Poly":
         return cls({0: c})
 
     @classmethod
@@ -58,14 +56,14 @@ class Poly:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def constant_value(self) -> Scalar:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.coeffs.get(0, 0)
 
-    def evaluate(self, x: Scalar) -> Scalar:
+    def evaluate(self, x: int) -> int:
         """Value at delta = x, computed exactly by Horner's rule."""
-        acc: Scalar = 0
+        acc = 0
         for e in range(self.degree, -1, -1):
             acc = acc * x + self.coeffs.get(e, 0)
         return acc
@@ -118,7 +116,7 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.is_constant() and self.coeffs.get(0, 0) == other
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
@@ -154,6 +152,6 @@ class Poly:
 def _as_poly(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Poly.const(x)
     return NotImplemented

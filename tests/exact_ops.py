@@ -11,6 +11,7 @@ seminormal structure as identities over Z
 (``seminormal.specialize_quotient``)."""
 
 from fractions import Fraction
+from math import lcm
 
 from brauercell.exactmat import Echelon, ExactMatrix, _cancel_z, _z_row, rank
 from brauercell.matchings import perm_sign
@@ -18,10 +19,20 @@ from brauercell.rings import Poly
 from brauercell.seminormal import quotient_record, residue_collisions
 
 
+def z_row(row: dict) -> dict[int, int]:
+    """A row of int or Fraction values scaled to integers by the lcm of their
+    denominators, zeros dropped, for the package's integer echelon; a value
+    that is not rational, such as a Poly, raises TypeError."""
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
 class LinearSolver:
     """Reusable exact solver: given independent basis vectors v_0..v_{n-1}
     (sparse dict rows over non-negative int columns), expand further
-    vectors in terms of them.
+    vectors in terms of them; their values and those of a query may be
+    Fractions, which ``z_row`` scales to integers with their tag.
 
     The rows are echelonized once over Z, each carrying its tag column.
     ``solve`` tags the query with ~n and reduces it: what is left is a
@@ -31,7 +42,7 @@ class LinearSolver:
 
     def __init__(self, rows: list[dict]):
         self.n = len(rows)
-        tagged = [_z_row({**row, ~i: 1}) for i, row in enumerate(rows)]
+        tagged = [z_row({**row, ~i: 1}) for i, row in enumerate(rows)]
         self.echelon = Echelon(_cancel_z)
         for row in sorted(tagged, key=len):
             if self.echelon.add(row)[0] is None:
@@ -41,7 +52,7 @@ class LinearSolver:
         """Coefficients x with sum_i x_i v_i = vec; raises if inconsistent.
         A coefficient is an int where it is integral and a Fraction
         otherwise."""
-        row = self.echelon.reduce(_z_row({**vec, ~self.n: 1}))
+        row = self.echelon.reduce(z_row({**vec, ~self.n: 1}))
         q = row.pop(~self.n)
         if any(c >= 0 for c in row):
             raise ValueError("vector outside the span of the basis")

@@ -121,6 +121,22 @@ def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
         assert captured.err.splitlines() == [line]
 
 
+def test_out_of_memory_while_rendering_exit_code(capsys, monkeypatch):
+    # the payload is formatted inside the handled block too: exit 2, one
+    # line on stderr and nothing on stdout, as for the computation
+    from brauercell import cli
+
+    def broken_render(payload, fmt):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "render", broken_render)
+    got = main(["dims", "--flavor", "symmetric", "--N", "2", "--r", "2"])
+    captured = capsys.readouterr()
+    assert got == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["cap exceeded: out of memory"]
+
+
 def test_murphy_exactness_failure_exit_code(capsys, monkeypatch):
     from fractions import Fraction
 

@@ -10,7 +10,7 @@ from brauercell.exactmat import (Echelon, ExactMatrix, _cancel_z, _peel, _z_row,
 from brauercell.rings import Poly
 from cell_ops import transpose
 from exact_ops import (LinearSolver, det_cofactor, det_fraction, inverse_fraction,
-                       kernel_fraction, rank_gauss_fraction)
+                       kernel_fraction, rank_gauss_fraction, z_row)
 
 d = Poly.delta()
 
@@ -27,11 +27,18 @@ def test_det_examples():
         ExactMatrix([[1, 2]]).det()
 
 
-def test_det_rejects_fraction_entries():
-    # det eliminates over Z only; a rational matrix is not scaled for it
-    for rows in ([[Fraction(1, 2)]], [[1, 0], [0, Fraction(2)]]):
-        with pytest.raises(TypeError):
-            ExactMatrix(rows).det()
+def test_elimination_rejects_fraction_entries():
+    """Every elimination entry point works over Z only: a rational value,
+    even an integral one, is not scaled for it, and neither is a Poly."""
+    for bad in (Fraction(1, 2), Fraction(2), d):
+        rows = [[1, 0], [0, bad]]
+        for run in (lambda: ExactMatrix(rows).det(), lambda: ExactMatrix(rows).rank(),
+                    lambda: ExactMatrix(rows).kernel(),
+                    lambda: rank([{0: 1}, {1: bad}]), lambda: rank([{0: bad}], 3),
+                    lambda: inverse_columns([{0: 1}, {1: bad}], [0]),
+                    lambda: spin_rank_q([{0: 1, 1: bad}], [[(0, 1), (1, 1)]])):
+            with pytest.raises(TypeError):
+                run()
 
 
 def test_det_matches_fraction_elimination(rng):
@@ -250,9 +257,9 @@ def test_spin_rank_q():
     # differences of adjacent columns span the sum-zero hyperplane
     assert spin_rank_q([{0: 1, 1: -1}], [shift]) == 4
     # factor 0 on column 0: the projection that kills e_0 sends the start
-    # vector (scaled to 2 e_0 + e_1) to e_1, which it fixes
+    # vector 2 e_0 + e_1 to e_1, which it fixes
     kill0 = [(0, 0)] + [(i, 1) for i in range(1, 5)]
-    assert spin_rank_q([{0: 1, 1: Fraction(1, 2)}], [kill0]) == 2
+    assert spin_rank_q([{0: 2, 1: 1}], [kill0]) == 2
     assert spin_rank_q([], [shift]) == 0
 
 
@@ -304,11 +311,11 @@ def test_rank_modp_wide(rng):
 def test_kernel_random_singular(rng):
     for _ in range(25):
         n, rank = rng.randint(2, 6), rng.randint(0, 5)
-        basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        basis = [[rng.randint(-4, 4) for _ in range(n)]
                  for _ in range(min(rank, n - 1))]
         coeffs = [[rng.randint(-2, 2) for _ in basis] for _ in range(n)]
-        rows = [[sum((c * b[j] for c, b in zip(cs, basis)), Fraction(0))
-                 for j in range(n)] for cs in coeffs]
+        rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n)]
+                for cs in coeffs]
         mat = ExactMatrix(rows)
         kernel = mat.kernel()
         assert len(kernel) == n - rank_gauss_fraction(rows) > 0
@@ -483,12 +490,19 @@ def test_reduce_returns_primitive_rows(rng):
         assert all(gcd(*row.values()) == 1 for row in echelon.rows.values())
 
 
-def test_z_row_copies_int_rows_and_scales_fractions():
+def test_z_row_copies_int_rows_and_rejects_others():
     row = {0: 2, 1: 0, 3: -3}
     out = _z_row(row)
     assert out == {0: 2, 3: -3} and out is not row
     assert all(type(x) is int for x in out.values())
-    assert _z_row({0: Fraction(1, 2), 1: Fraction(-1, 3), 2: 1}) == {0: 3, 1: -2, 2: 6}
-    assert _z_row({0: Fraction(4, 2), 1: 3}) == {0: 2, 1: 3}
+    for bad in (Fraction(1, 2), Fraction(4, 2), d, 1.0):
+        with pytest.raises(TypeError):
+            _z_row({0: 1, 1: bad})
+
+
+def test_oracle_z_row_scales_fractions():
+    # the rational oracles scale their rows themselves (exact_ops.z_row)
+    assert z_row({0: Fraction(1, 2), 1: Fraction(-1, 3), 2: 1}) == {0: 3, 1: -2, 2: 6}
+    assert z_row({0: Fraction(4, 2), 1: 3, 2: 0}) == {0: 2, 1: 3}
     with pytest.raises(TypeError):
-        _z_row({0: 1, 1: d})
+        z_row({0: 1, 1: d})

@@ -2,9 +2,11 @@
 no ``assert`` statement carries a check (``python -O`` strips them),
 nothing is imported from outside the standard library and the package
 itself (the package declares no runtime dependency), no module imports a
-private name (one beginning with ``_``) of another, and the modules of
-the ``dims`` path load no diagram algebra, coefficient ring or cellular
-basis (a fresh ``dims`` process compiles only what it runs)."""
+private name (one beginning with ``_``) of another, no module imports
+``fractions``, and the modules of the ``dims`` path load no diagram
+algebra, coefficient ring or cellular basis (a fresh ``dims`` process
+compiles only what it runs, and a fresh ``certify`` process loads neither
+``fractions`` nor ``decimal``)."""
 
 import ast
 import os
@@ -58,18 +60,12 @@ def test_imports_no_private_name_of_another_module(path):
     assert private == [], f"{path.name}: imports private names {private}"
 
 
-# the generic scalar layer, which still takes a rational from a caller: the
-# coefficient ring and the diagram algebra over it
-RATIONAL_LAYER = ("rings", "diagrams")
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_scalar_layer_imports_fractions(path):
-    """Every other module computes over Z or F_p: an integer over an
-    explicit integer denominator, never a Fraction.  Imports inside a
-    function count too."""
-    if path.stem in RATIONAL_LAYER:
-        return
+    """No module imports ``fractions``: every value is an int, a residue
+    mod p or a Poly over Z, and a quotient is an integer over an explicit
+    integer denominator, never a Fraction.  Imports inside a function count
+    too."""
     lines = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Import)
              and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
@@ -113,9 +109,9 @@ def test_dims_path_modules_import_no_algebra(name):
     assert not loaded & NOT_ON_DIMS_PATH, f"{name}.py imports {loaded & NOT_ON_DIMS_PATH}"
 
 
-def test_dims_run_loads_only_the_tensor_side():
-    """A fresh interpreter that runs ``dims`` loads none of those modules,
-    nor ``decimal``, beyond what a bare interpreter already holds."""
+def _fresh_run_loads(argv: list[str]) -> set[str]:
+    """The modules a fresh interpreter loads to run ``main(argv)``, beyond
+    what a bare interpreter already holds."""
     src = str(SOURCES[0].parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -123,14 +119,29 @@ def test_dims_run_loads_only_the_tensor_side():
     bare = subprocess.run([sys.executable, "-c", "import sys\n" + show], env=env,
                           capture_output=True, text=True, timeout=60)
     baseline = set(bare.stderr.rsplit("modules: ", 1)[1].split())
-    banned = {f"{PACKAGE}.{m}" for m in NOT_ON_DIMS_PATH} | {"fractions", "decimal"}
     code = ("import sys\n"
             "from brauercell.cli import main\n"
-            "main(['dims', '--flavor', sys.argv[1], '--N', '2', '--r', '3'])\n" + show)
+            "code = main(sys.argv[1:])\n" + show + "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.rsplit("modules: ", 1)[1].split()) - baseline
+
+
+def test_dims_run_loads_only_the_tensor_side():
+    """A fresh interpreter that runs ``dims`` loads none of those modules,
+    nor ``decimal``."""
+    banned = {f"{PACKAGE}.{m}" for m in NOT_ON_DIMS_PATH} | {"fractions", "decimal"}
     for flavor in ("symplectic", "orthogonal", "symmetric"):
-        proc = subprocess.run([sys.executable, "-c", code, flavor], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stderr.rsplit("modules: ", 1)[1].split()) - baseline
+        loaded = _fresh_run_loads(["dims", "--flavor", flavor, "--N", "2", "--r", "3"])
         assert f"{PACKAGE}.tensorrep" in loaded
         assert not loaded & banned, f"{flavor}: dims loaded {sorted(loaded & banned)}"
+
+
+def test_certify_run_loads_no_rationals():
+    """A fresh interpreter that runs ``certify``, through the diagram
+    algebra, Z[delta], the cellular bases and the seminormal forms, loads
+    neither ``fractions`` nor ``decimal``."""
+    loaded = _fresh_run_loads(["certify", "--flavor", "orthogonal", "--r", "4", "--N", "2"])
+    assert {f"{PACKAGE}.rings", f"{PACKAGE}.seminormal"} <= loaded
+    assert not loaded & {"fractions", "decimal"}, sorted(loaded & {"fractions", "decimal"})

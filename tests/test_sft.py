@@ -310,8 +310,8 @@ def test_ideal_span_rank_beyond_the_kernel(delta0):
 def test_ideal_span_rank_random_elements(flavor_delta, terms):
     flavor, delta0 = flavor_delta
     ds = all_permutation_diagrams(3) if flavor == "symmetric" else all_diagrams(3)
-    gens = [AlgebraElement(3, [(ds[i % len(ds)], c) for i, c in g], delta0)
-            for g in terms]
+    gens = [sum((AlgebraElement.from_diagram(ds[i % len(ds)], c, delta0) for i, c in g),
+                AlgebraElement.zero(3, delta0)) for g in terms]
     assert ideal_span_rank(gens, 3, flavor) == _sandwich_rank(gens, 3, flavor)
 
 
