@@ -103,6 +103,8 @@ def _validate(args) -> None:
         raise CapExceeded(f"r={args.r} exceeds the cap {args.max_r}")
     if args.command == "basis" and args.N is not None and not args.split:
         raise UsageError("--N is only used with --split")
+    if getattr(args, "split", False) and args.dual:
+        raise UsageError("--dual is not used with --split")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError(_out_error(args.out, "No such file or directory"))
 

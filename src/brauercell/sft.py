@@ -27,8 +27,8 @@ path at its first non-permissible vertex by the factorization den b =
 m beta.  a_t is kept as A_t = den a_t over den, and the integral n_st is
 A_s* m A_t divided exactly by den_s den_t; n_st = m_st when both paths
 are permissible and maps to zero otherwise.
-``certify_sections`` picks a flavor's certificate sections from its split
-basis; the symmetric group's is ``harterich_check``.
+``certify_sft`` is the one kernel/image certificate for all three
+flavors, and ``certify_sections`` picks the sections around it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ FLAVOR_DATA = {
     "symplectic": "brauer-murphy",
     "orthogonal": "brauer-dual-murphy",
     "symmetric": "symmetric-dual",
+}
+# the ideal line is spun for r up to this
+IDEAL_MAX_R = 4
+_BRAUER_LINES = ("kernel elements map to zero",
+                 "image rank over Q = sum of squared permissible path counts",
+                 "ideal generated by marginal generators has rank dim ker")
+LINE_NAMES = {
+    # flavor -> the names of the kernel, image and ideal lines of certify_sft
+    "symplectic": _BRAUER_LINES,
+    "orthogonal": _BRAUER_LINES,
+    "symmetric": ("kernel cells map to zero", "image rank over Q",
+                  "ideal generated by the antisymmetrizer has rank dim ker"),
 }
 
 
@@ -257,11 +269,7 @@ class SplitBasis:
         return out
 
     def iter_pairs(self):
-        for v in self.basis.vertices:
-            npaths = len(self.basis.paths[v])
-            for s in range(npaths):
-                for t in range(npaths):
-                    yield v, s, t
+        return iter(self.basis.index)
 
     def kernel_count(self) -> int:
         return sum(1 for v, s, t in self.iter_pairs()
@@ -362,7 +370,7 @@ def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
 
 def image_checks(image, count: int, kernel, diagrams, rep: TensorRep,
                  fields: tuple) -> tuple[bool, list[tuple[int, int]], int]:
-    """The tensor-side lines of both certificates, from one pass of
+    """The tensor-side lines of ``certify_sft``, from one pass of
     ``image_vectors`` over the ``count`` elements of ``image`` and then the
     ``kernel`` stream, on the orbit rows of ``rep`` (which keep ranks and
     zero tests, see ``tensorrep``): whether every kernel element maps to
@@ -388,17 +396,17 @@ def image_checks(image, count: int, kernel, diagrams, rep: TensorRep,
 
 
 def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
-                check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
-    """The split-basis kernel/image certificate, which ``certify_sections``
-    reads for the symplectic and orthogonal flavors:
+                fields: tuple = ()) -> Certificate:
+    """The kernel/image certificate of every flavor on its split basis:
 
     1. the images of permissible n_st are linearly independent of rank
        sum (#permissible paths)^2;
     2. every kernel-flagged n_st maps to zero;
     3. kernel count + permissible count = dim B_r;
-    4. (optional) the span of D1 g D2 over the small generating set has
-       rank = dim ker;
-    5. (optional) image rank over F_p agrees with the rank over Q.
+    4. when r <= ``IDEAL_MAX_R``, the span of D1 g D2 over the small
+       generating set has rank = dim ker;
+    5. the image rank over F_p agrees with the rank over Q, for each p in
+       ``fields``.
 
     Lines 1, 2 and 5 are ``image_checks`` of the permissible n_st, in
     ``iter_pairs`` order, and of m a_u for every path u that is not
@@ -413,8 +421,16 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     every kernel-flagged n_st maps to zero when every Phi(m a_u) does.  The
     stream holds m A_u, and Phi(m A_u) = den_u Phi(m a_u), so the zero test
     is unchanged.
+
+    For the symmetric group beta = 1 and a path is permissible exactly
+    when its end vertex is, so the stream is y_lam d_u over the paths u of
+    the cells of more than N rows, which are never expanded; its lines keep
+    Harterich's names (``LINE_NAMES``), without the pair count line and,
+    for r <= N, the ideal line.
     """
     r, n, flavor, basis, delta0 = split.r, split.n, split.flavor, split.basis, split.delta0
+    kernel_line, image_line, ideal_line = LINE_NAMES[flavor]
+    symmetric = flavor == "symmetric"
     cert = Certificate({"flavor": flavor, "r": r, "N": n})
     rep = TensorRep(flavor, n, r, max_tensor_dim=max_tensor_dim)
     dim_alg = algebra_dimension(r, flavor)
@@ -427,22 +443,19 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
         (basis.generators[v].with_delta(delta0) * split.a_elements[(v, u)][0]
          for v in basis.vertices for u in range(len(basis.paths[v]))
          if not split.path_permissible[(v, u)]),
-        basis.diagrams, rep,
-        tuple(p for p in fields if not (flavor == "orthogonal" and p == 2)))
-    cert.add("kernel elements map to zero", True, kernel_zero)
-    cert.add("permissible pair count", dim_im, len(permissible))
-    cert.add("image rank over Q = sum of squared permissible path counts",
-             dim_im, got_q)
+        basis.diagrams, rep, fields)
+    cert.add(kernel_line, True, kernel_zero)
+    if not symmetric:
+        cert.add("permissible pair count", dim_im, len(permissible))
+    cert.add(image_line, dim_im, got_q)
     cert.add("kernel count + image dimension", dim_alg,
              split.kernel_count() + dim_im)
 
-    if check_ideal is None:
-        check_ideal = r <= 4
-    if check_ideal:
+    if r <= IDEAL_MAX_R:
         gens = ideal_generators(r, n, flavor, delta0)
-        got = ideal_span_rank(gens, r, flavor) if gens else 0
-        cert.add("ideal generated by marginal generators has rank dim ker",
-                 dim_alg - dim_im, got)
+        if gens or not symmetric:
+            got = ideal_span_rank(gens, r, flavor) if gens else 0
+            cert.add(ideal_line, dim_alg - dim_im, got)
 
     for p, got in got_p:
         cert.add(f"image rank over F_{p}", dim_im, got)
@@ -477,61 +490,18 @@ def quotient_cell_modules(split: SplitBasis) -> Certificate:
     return cert
 
 
-def harterich_check(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
-                    check_ideal: bool | None = None, fields: tuple = ()) -> Certificate:
-    """Kernel/image certificate for the symmetric group acting by unsigned
-    place permutations on (Z^N)^{tensor r}, read from its split basis, the
-    dual-Murphy basis: cells with more than N rows span the kernel; the
-    antisymmetrizer on N+1 letters generates it as an ideal.  Along a path
-    in Young's lattice the row count never falls, so a path is permissible
-    exactly when its end vertex is, and a cell is all kernel or all image.
-
-    The image cells are imaged whole, for the ranks (``image_checks``).  A
-    kernel cell is imaged through its generator y_lam alone, and never
-    expanded.  That is exact: ``MurphyBasis`` builds every element of the
-    cell of lam as m_st = (d_s* y_lam) d_t, and Phi is a homomorphism
-    (``tensorrep``: rep(ab) = rep(a) rep(b)), so Phi(m_st) = Phi(d_s*)
-    Phi(y_lam) Phi(d_t), which is zero once Phi(y_lam) is.  So when every
-    kernel generator maps to zero, every element of every kernel cell does,
-    and the line "kernel cells map to zero" is true."""
-    r, n, basis = split.r, split.n, split.basis
-    cert = Certificate({"flavor": "symmetric", "r": r, "N": n})
-    rep = TensorRep("symmetric", n, r, max_tensor_dim=max_tensor_dim)
-    dim_im = expected_image_dimension(r, n, "symmetric")
-    dim_alg = algebra_dimension(r, "symmetric")
-
-    image = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
-    kernel_zero, got_p, got_q = image_checks(
-        (basis.elements[key] for key in image), len(image),
-        (basis.generators[v] for v in basis.vertices if not split.perm_pred(v)),
-        basis.diagrams, rep, fields)
-    cert.add("kernel cells map to zero", True, kernel_zero)
-    cert.add("image rank over Q", dim_im, got_q)
-    cert.add("kernel count + image dimension", dim_alg, split.kernel_count() + dim_im)
-    if check_ideal is None:
-        check_ideal = r <= 4
-    if check_ideal and r > n:
-        gens = ideal_generators(r, n, "symmetric", None)
-        got = ideal_span_rank(gens, r, "symmetric")
-        cert.add("ideal generated by the antisymmetrizer has rank dim ker",
-                 dim_alg - dim_im, got)
-    for p, got in got_p:
-        cert.add(f"image rank over F_{p}", dim_im, got)
-    return cert
-
-
 def certify_sections(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
                      fields: tuple = (), seminormal_cap: int = 4) -> tuple[dict, bool]:
     """The sections of ``certify`` on ``split``, each as JSON, and whether
-    they all pass; the one place that picks a flavor's sections.  The
-    symmetric group: ``harterich``.  The Brauer flavors: ``split_basis``,
+    they all pass; the one place that picks a flavor's sections.  Every
+    flavor has ``certify_sft``, for the symmetric group as its one section
+    ``harterich``.  The Brauer flavors: ``split_basis`` (``certify_sft``),
     ``quotient_cell_modules`` and, when r <= ``seminormal_cap``,
     ``seminormal``, one record per vertex, in which a vertex that is not
     permissible is skipped and does not count towards the pass."""
-    if split.flavor == "symmetric":
-        cert = harterich_check(split, max_tensor_dim=max_tensor_dim, fields=fields)
-        return {"harterich": cert.to_json()}, cert.passed
     cert = certify_sft(split, max_tensor_dim=max_tensor_dim, fields=fields)
+    if split.flavor == "symmetric":
+        return {"harterich": cert.to_json()}, cert.passed
     quo = quotient_cell_modules(split)
     sections = {"split_basis": cert.to_json(), "quotient_cell_modules": quo.to_json()}
     passed = cert.passed and quo.passed

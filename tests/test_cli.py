@@ -63,6 +63,16 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().err == "error: --N is only used with --split\n"
 
 
+def test_basis_split_rejects_dual(capsys):
+    """The split basis has one cellular structure per flavor, so --dual
+    beside --split is a usage error rather than ignored."""
+    argv = ["basis", "--flavor", "symplectic", "--r", "3", "--N", "1", "--split", "--dual"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dual is not used with --split\n"
+
+
 def test_certify_exit_codes(capsys):
     code, out = run(capsys, "certify", "--flavor", "symplectic", "--r", "3", "--N", "1")
     assert code == 0
@@ -94,12 +104,12 @@ def test_certify_failure_exit_code(capsys, monkeypatch):
     import brauercell.cli as cli
     from brauercell.sft import Certificate
 
-    def fake_harterich(split, max_tensor_dim=65536, fields=()):
+    def fake_certify(split, max_tensor_dim=65536, fields=()):
         cert = Certificate({"flavor": "symmetric", "r": split.r, "N": split.n})
         cert.add("forced failure", 1, 2)
         return cert
 
-    monkeypatch.setattr("brauercell.sft.harterich_check", fake_harterich)
+    monkeypatch.setattr("brauercell.sft.certify_sft", fake_certify)
     code, out = run(capsys, "certify", "--flavor", "symmetric", "--r", "2", "--N", "2")
     assert code == 3
     assert json.loads(out)["pass"] is False
@@ -110,10 +120,10 @@ def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
     for exc, code, line in [(ArithmeticError("forced exactness failure"), 3,
                              "internal error: forced exactness failure"),
                             (MemoryError(), 2, "cap exceeded: out of memory")]:
-        def broken_harterich(split, max_tensor_dim=65536, fields=(), exc=exc):
+        def broken_certify(split, max_tensor_dim=65536, fields=(), exc=exc):
             raise exc
 
-        monkeypatch.setattr("brauercell.sft.harterich_check", broken_harterich)
+        monkeypatch.setattr("brauercell.sft.certify_sft", broken_certify)
         got = main(["certify", "--flavor", "symmetric", "--r", "2", "--N", "2"])
         captured = capsys.readouterr()
         assert got == code
@@ -413,6 +423,9 @@ CERTIFY_STDOUT_SHA256 = {
         "7bc7600a9d2eed97c81d4cde8fcb0d6d3e42be12d9e85a6236addc765a30d30c",
     "orthogonal --r 6 --N 2 --max-r 6":
         "6722f23b7ef62fbe68924e0f054654512f14fb8565560b445096c5415e407579",
+    # the one pin of the symmetric line set at r <= N (no pair count line
+    # and no ideal line), recorded while S_r had its own certificate body
+    "symmetric --r 4 --N 4": "6038d59f3d1774835ef857b1fa27a94ffcd34dfce223bf8ce7ba521e26307472",
 }
 
 
@@ -553,7 +566,7 @@ def test_image_rank_callers_build_no_algebra_elements(capsys, monkeypatch):
     diagrams they hold: ``dims`` builds no ``AlgebraElement`` at all, and an
     F_p line adds none to what the certificate builds without it."""
     from brauercell.diagrams import AlgebraElement
-    from brauercell.sft import SplitBasis, certify_sft, harterich_check
+    from brauercell.sft import SplitBasis, certify_sft
 
     built = [0]
     init = AlgebraElement.__init__
@@ -578,6 +591,6 @@ def test_image_rank_callers_build_no_algebra_elements(capsys, monkeypatch):
         assert plain > 0
         assert count(lambda: certify_sft(split, fields=(3, 5))) == plain
     split = SplitBasis(4, 2, "symmetric")
-    harterich_check(split)
-    plain = count(lambda: harterich_check(split))
-    assert count(lambda: harterich_check(split, fields=(3, 5))) == plain
+    certify_sft(split)
+    plain = count(lambda: certify_sft(split))
+    assert count(lambda: certify_sft(split, fields=(3, 5))) == plain

@@ -13,10 +13,9 @@ from brauercell.matchings import BrauerDiagram, all_diagrams, all_permutation_di
 from brauercell.murphy import MurphyBasis, murphy_basis
 from brauercell.sft import (FLAVOR_DATA, SplitBasis, _is_marginal, algebra_dimension,
                             build_kernel_generator, certify_sft,
-                            expected_image_dimension, harterich_check,
-                            ideal_generators, ideal_span_rank, image_checks,
-                            quotient_cell_modules, sum_all_diagrams,
-                            walled_signed_sum)
+                            expected_image_dimension, ideal_generators,
+                            ideal_span_rank, image_checks, quotient_cell_modules,
+                            sum_all_diagrams, walled_signed_sum)
 from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_rank,
                                   image_vectors)
 from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
@@ -208,21 +207,21 @@ def test_faithful_below_n():
     cert = certify_sft(SplitBasis(2, 2, "symplectic"))
     assert cert.passed
     # full-rank certificates at the faithfulness boundary
-    assert certify_sft(SplitBasis(3, 3, "symplectic"), check_ideal=False).passed
-    assert certify_sft(SplitBasis(4, 4, "orthogonal"), check_ideal=False).passed
-    assert harterich_check(SplitBasis(3, 3, "symmetric")).passed
+    assert certify_sft(SplitBasis(3, 3, "symplectic")).passed
+    assert certify_sft(SplitBasis(4, 4, "orthogonal")).passed
+    assert certify_sft(SplitBasis(3, 3, "symmetric")).passed
 
 
 def test_harterich_examples():
-    cert = harterich_check(SplitBasis(3, 2, "symmetric"))
+    cert = certify_sft(SplitBasis(3, 2, "symmetric"))
     assert cert.passed
     got = {c.name: c.got for c in cert.checks}
     assert got["image rank over Q"] == 5  # dim ker = 1
-    cert4 = harterich_check(SplitBasis(4, 2, "symmetric"))
+    cert4 = certify_sft(SplitBasis(4, 2, "symmetric"))
     assert cert4.passed
     got4 = {c.name: c.got for c in cert4.checks}
     assert got4["image rank over Q"] == 14  # dim ker = 10
-    assert harterich_check(SplitBasis(2, 3, "symmetric")).passed  # faithful for r <= N
+    assert certify_sft(SplitBasis(2, 3, "symmetric")).passed  # faithful for r <= N
 
 
 def test_harterich_kernel_generator_is_antisymmetrizer():
@@ -370,7 +369,7 @@ def test_split_basis_of_the_symmetric_group(r, n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_place_vectors_match_rep_element(r, n):
-    """The place-permutation images read by ``harterich_check`` are the full
+    """The place-permutation images read by ``certify_sft`` are the full
     images of the basis elements restricted to the orbit rows."""
     basis = murphy_basis(r, "symmetric-dual")
     rep = TensorRep("symmetric", n, r)
@@ -462,7 +461,7 @@ def test_split_image_vectors_match_factored_route(flavor, n, r, monkeypatch):
         return lines
 
     monkeypatch.setattr(sft, "image_lines", capture)
-    cert = certify_sft(split, check_ideal=False)
+    cert = certify_sft(split)
     [lines] = handed
     # the same columns {pair index: value}, in the order each route meets them
     assert sorted(map(sorted, map(dict.items, lines))) == sorted(
@@ -507,7 +506,7 @@ def test_kernel_line_fails_without_the_correction(flavor, n, r):
                 if not split.path_permissible[(v, t)])
     split.a_elements[(v, t)] = (split.basis.d_elements[(v, t)].with_delta(split.delta0), 1)
     assert _factored_route(split, TensorRep(flavor, n, r))[1] is False
-    cert = certify_sft(split, check_ideal=False)
+    cert = certify_sft(split)
     line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
     assert not line.passed and not cert.passed
 
@@ -517,9 +516,9 @@ HARTERICH_GRID = [(r, n) for n in (1, 2, 3, 4) for r in range(1, 6)] + [(6, 2)]
 
 @pytest.mark.parametrize("r,n", HARTERICH_GRID)
 def test_kernel_generator_line_agrees_with_every_kernel_element(r, n):
-    """The kernel line images one generator y_lam per kernel cell; the
-    oracle images every element of every kernel cell, on all rows."""
-    cert = harterich_check(SplitBasis(r, n, "symmetric"), check_ideal=False)
+    """The kernel line images y_lam d_u for each path u of each kernel cell;
+    the oracle images every element of every kernel cell, on all rows."""
+    cert = certify_sft(SplitBasis(r, n, "symmetric"))
     got = {c.name: c.got for c in cert.checks}
     assert kernel_elements_map_to_zero(r, n)
     assert got["kernel cells map to zero"] is True
@@ -539,7 +538,7 @@ def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(r, n):
     kernel = next(v for v in basis.vertices if len(v.lam) > n)
     image = next(v for v in basis.vertices if len(v.lam) <= n)
     basis.generators[kernel] = basis.generators[image]
-    cert = harterich_check(split, check_ideal=False)
+    cert = certify_sft(split)
     line = next(c for c in cert.checks if c.name == "kernel cells map to zero")
     assert not line.passed and not cert.passed
 
@@ -552,7 +551,7 @@ def test_harterich_expands_no_kernel_cell(monkeypatch):
     expand_cell = MurphyBasis.expand_cell
     monkeypatch.setattr(MurphyBasis, "expand_cell",
                         lambda self, v: expanded.append(v) or expand_cell(self, v))
-    assert harterich_check(split).passed
+    assert certify_sft(split).passed
     assert expanded
     assert sorted(expanded, key=basis.vertices.index) == [
         v for v in basis.vertices if len(v.lam) <= 2]
@@ -580,12 +579,6 @@ def test_corrections_equal_the_product_formula(flavor, n, r):
                        * basis.path_d(t[:k + 1], split.delta0))
 
 
-def _certify_fp(split, fields):
-    if split.flavor == "symmetric":
-        return harterich_check(split, check_ideal=False, fields=fields)
-    return certify_sft(split, check_ideal=False, fields=fields)
-
-
 FP_GRID = [("symplectic", 1, 4), ("orthogonal", 2, 4), ("symmetric", 2, 4)]
 
 
@@ -601,10 +594,10 @@ def test_fp_line_reads_the_permissible_lines(flavor, n, r, monkeypatch):
     diagram_columns = TensorRep.diagram_columns
     monkeypatch.setattr(TensorRep, "diagram_columns",
                         lambda self, d, rows: calls.append(d) or diagram_columns(self, d, rows))
-    _certify_fp(split, ())
+    certify_sft(split)
     q_calls = len(calls)
     calls.clear()
-    cert = _certify_fp(split, (3, 5))
+    cert = certify_sft(split, fields=(3, 5))
     assert len(calls) == q_calls
     got = {c.name: c.got for c in cert.checks}
     assert got["image rank over F_3"] == expected[3] == expected_image_dimension(r, n, flavor)
@@ -628,7 +621,7 @@ def test_fp_line_falls_back_to_all_diagrams(flavor, n, r, monkeypatch):
     diagram_columns = TensorRep.diagram_columns
     monkeypatch.setattr(TensorRep, "diagram_columns",
                         lambda self, d, rows: calls.append(d) or diagram_columns(self, d, rows))
-    cert = _certify_fp(split, (3,))
+    cert = certify_sft(split, fields=(3,))
     assert {c.name: c.got for c in cert.checks}["image rank over F_3"] == full
     assert calls[-len(diagrams):] == list(diagrams)
     monkeypatch.setattr(sft, "rank", rank)
