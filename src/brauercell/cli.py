@@ -5,8 +5,10 @@ Running out of memory also exits 2, with one "cap exceeded: out of memory"
 line on stderr and nothing on stdout.  An internal arithmetic failure (an
 exactness check inside the computation that does not hold) exits 3, with
 one "internal error:" line on stderr and nothing on stdout.  An --out
-whose directory does not exist is a usage error, found before any
-computation; a write to --out that fails exits 1 with one "error:" line.
+that names a directory (an existing one, or any path ending with a
+separator) or whose directory does not exist is a usage error, found
+before any computation; a write to --out that fails exits 1 with one
+"error:" line.
 All numeric output is exact (integers, and integer strings for the
 coefficients); JSON output is byte-identical across runs for the same
 configuration, with wall-clock timing reported on stderr only.
@@ -105,8 +107,11 @@ def _validate(args) -> None:
         raise UsageError("--N is only used with --split")
     if getattr(args, "split", False) and args.dual:
         raise UsageError("--dual is not used with --split")
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise UsageError(_out_error(args.out, "No such file or directory"))
+    if args.out:
+        if args.out.endswith(os.sep) or os.path.isdir(args.out):
+            raise UsageError(_out_error(args.out, "Is a directory"))
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UsageError(_out_error(args.out, "No such file or directory"))
 
 
 def _out_error(path: str, reason: str) -> str:

@@ -211,15 +211,6 @@ class AlgebraElement:
             out[d] = c * perm_sign(d.to_perm())
         return AlgebraElement(self.r, out, self.delta)
 
-    def tensor(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.delta != other.delta:
-            raise ValueError("ring mismatch in tensor")
-        out = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                out[da.tensor(db)] = ca * cb
-        return AlgebraElement(self.r + other.r, out, self.delta)
-
     def embed(self, r: int) -> "AlgebraElement":
         if r == self.r:
             return self
@@ -236,10 +227,6 @@ class AlgebraElement:
             if v:
                 out[d] = v
         return AlgebraElement(self.r, out, d0)
-
-    def with_delta(self, d0) -> "AlgebraElement":
-        """Retag a generic element with integer coefficients at delta = d0."""
-        return self.specialize(d0) if self.delta is None else self
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):

@@ -226,7 +226,7 @@ class MurphyBasis:
         out = AlgebraElement.one(self.r, delta)
         for a, b in reversed(list(zip(t, t[1:]))):
             factor = self.edge_factors(a, b)[0]
-            out = out * (factor if delta is None else factor.with_delta(delta))
+            out = out * (factor if delta is None else factor.specialize(delta))
         return out
 
     def expand_cell(self, v: Vertex) -> dict[tuple[Vertex, int, int], AlgebraElement]:

@@ -11,16 +11,20 @@ kernel/image certificates for diagram algebras acting on tensor space.
   on (Z^N)^{tensor r} with the dual-Murphy basis; marginal vertices have
   lam'_1 = N+1 and carry the antisymmetrizer on N+1 letters.
 
-All three build their kernel generators the same way: a head sum (all of
-B_{lam_1}, the signed (lam'_1, lam'_2)-walled sum, or the antisymmetrizer
-of S_{lam'_1}), times a Young-subgroup tail on the remaining rows or
-columns, times the e-suffix of the vertex.  The correction beta' averages
-the corank >= 1 part of the head over the orbits of the head's permutation
-group (S_{lam_1}, S_{lam'_1} x S_{lam'_2}, or S_{lam'_1}); it is kept
-as the integral den beta', for one integer den.  The antisymmetrizer has
-no such part: beta' = 0 and beta = den = 1, so b = y_lam and every a_t is
-d_t, and the dual-Murphy basis of the symmetric group already splits, its
-kernel cells those of more than N rows.
+A marginal vertex's kernel generator is b = a head sum (``kernel_head``:
+all of B_{lam_1}, the signed (lam'_1, lam'_2)-walled sum, or the
+antisymmetrizer of S_{lam'_1}), times a Young-subgroup tail on the
+remaining rows or columns, times the e-suffix of the vertex, and the
+cell generator is m = b - b', b' from the corank >= 1 part of the head.
+The correction beta' (``head_correction``) averages that part over the
+orbits of the head's permutation group (S_{lam_1}, S_{lam'_1} x
+S_{lam'_2}, or S_{lam'_1}); it is kept as the integral den beta', for one
+integer den.  The tail and the e-suffix act on other strands and never
+enter beta', so it depends on the head shape alone: ``SplitBasis`` forms
+one correction per head shape and never b itself.  The antisymmetrizer
+has no corank >= 1 part: beta' = 0 and beta = den = 1, so b = y_lam and
+every a_t is d_t, and the dual-Murphy basis of the symmetric group
+already splits, its kernel cells those of more than N rows.
 
 The split basis replaces m_st by n_st = a_s* m a_t, where a_t corrects the
 path at its first non-permissible vertex by the factorization den b =
@@ -43,7 +47,7 @@ from .branching import (Vertex, algebra_dimension, conjugate,
 from .diagrams import AlgebraElement, diagram_mult, walled_filter
 from .exactmat import rank, spin_rank_q
 from .matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
-from .murphy import MurphyBasis, e_suffix, murphy_basis, young_sum
+from .murphy import murphy_basis, young_sum
 from .tensorrep import (FLAVOR_SPACE, MAX_TENSOR_DIM, TensorRep, image_lines,
                         image_rank, image_vectors)
 
@@ -110,57 +114,35 @@ def _orbit_correction(head: AlgebraElement, group: list) -> tuple[AlgebraElement
     return AlgebraElement(head.r, terms, head.delta), den
 
 
-class KernelGenerator(NamedTuple):
-    """Marginal-vertex data: m = b - b', b in the kernel, den b' = m beta'_int."""
-
-    flavor: str
-    vertex: Vertex
-    b: AlgebraElement
-    b_prime: AlgebraElement
-    beta_prime: AlgebraElement  # beta'_int = den beta', integral, of width r
-    beta: AlgebraElement        # den + beta_prime, so den b = m beta
-    den: int
-
-
-def _is_marginal(v: Vertex, n: int, flavor: str) -> bool:
-    pred = br.PERMISSIBLE[flavor]
-    return pred(v, n + 1) and not pred(v, n)
-
-
-def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
-                           delta0=None) -> KernelGenerator:
-    """The kernel generator at a marginal vertex: lam_1 = N+1 (symplectic,
-    b = all of B_{lam_1} (x) x_{(lam_2, ...)}), lam'_1 + lam'_2 = N+1
-    (orthogonal, d = the signed walled sum (x) y_{(lam'_3, ...)}) or
-    lam'_1 = N+1 (symmetric, the antisymmetrizer (x) y_{(lam'_2, ...)},
-    which is y_lam), followed by the e-suffix of v."""
-    if not _is_marginal(v, n, flavor):
-        raise ValueError(f"{v} is not marginal for the {flavor} case at N={n}")
-    if delta0 is None:
-        delta0 = FLAVOR_SPACE[flavor][1](n)
-    conj = conjugate(v.lam)
+def head_shape(flavor: str, lam) -> tuple[int, ...]:
+    """The head shape of a marginal vertex of shape ``lam``: (lam_1,), the
+    padded (lam'_1, lam'_2), or (lam'_1,)."""
     if flavor == "symplectic":
-        group_shape, tail_shape = v.lam[:1], v.lam[1:]
-        head = sum_all_diagrams(v.lam[0], delta0)
-    elif flavor == "orthogonal":
-        c1, c2 = (conj + (0,))[:2]
-        group_shape, tail_shape = (c1, c2), conj[2:]
-        head = walled_signed_sum(c1, c2, delta0)
-    else:
-        group_shape, tail_shape = conj[:1], conj[1:]
-        head = young_sum(group_shape, conj[0], True, delta0)
-    width = head.r
-    tail = young_sum(tail_shape, r - width, flavor != "symplectic", delta0)
-    suffix = e_suffix(v.level - 1, v.l, r).with_delta(delta0)
-    head_prime = AlgebraElement(width, {d: c for d, c in head.terms.items()
-                                        if d.rank_corank()[1] >= 1}, delta0)
-    b = head.tensor(tail).embed(r) * suffix
-    b_prime = head_prime.tensor(tail).embed(r) * suffix
-    group = list(young_sum(group_shape, width, False).terms)
-    beta_prime, den = _orbit_correction(head_prime, group)
-    beta_prime = beta_prime.embed(r)
-    beta = AlgebraElement.one(r, delta0).scale(den) + beta_prime
-    return KernelGenerator(flavor, v, b, b_prime, beta_prime, beta, den)
+        return lam[:1]
+    conj = conjugate(lam) + (0,)
+    return conj[:2] if flavor == "orthogonal" else conj[:1]
+
+
+def kernel_head(flavor: str, shape: tuple[int, ...], delta0) -> AlgebraElement:
+    """The head sum of ``shape``: all of B_{c} for (c,) (symplectic), the
+    signed (c1, c2)-walled sum (orthogonal), or the antisymmetrizer of S_c
+    for (c,) (symmetric)."""
+    if flavor == "symplectic":
+        return sum_all_diagrams(shape[0], delta0)
+    if flavor == "orthogonal":
+        return walled_signed_sum(*shape, delta0)
+    return young_sum(shape, shape[0], True, delta0)
+
+
+def head_correction(flavor: str, shape: tuple[int, ...], delta0) -> tuple[AlgebraElement, int]:
+    """(beta'_int, den) of the head of ``shape``, at the head's width:
+    ``_orbit_correction`` of the corank >= 1 part of ``kernel_head`` under
+    the permutation group S_shape, so that the group sum times beta'_int is
+    den times that part.  It is (0, 1) for the symmetric group."""
+    head = kernel_head(flavor, shape, delta0)
+    head_prime = AlgebraElement(head.r, {d: c for d, c in head.terms.items()
+                                         if d.rank_corank()[1] >= 1}, delta0)
+    return _orbit_correction(head_prime, list(young_sum(shape, head.r, False).terms))
 
 
 def _exact_quotient(c: int, den: int, what: str) -> int:
@@ -178,17 +160,16 @@ class SplitBasis:
     per-path correction elements a_t, each kept as an integral A_t =
     den_t * a_t over its denominator den_t (1 on a permissible path)."""
 
-    def __init__(self, r: int, n: int, flavor: str, basis: MurphyBasis | None = None,
-                 max_r: int | None = None):
+    def __init__(self, r: int, n: int, flavor: str, max_r: int | None = None):
         self.flavor = flavor
         self.n = n
         self.r = r
         self.delta0 = FLAVOR_SPACE[flavor][1](n)
-        self.basis = (basis if basis is not None
-                      else murphy_basis(r, FLAVOR_DATA[flavor], max_r))
+        self.basis = murphy_basis(r, FLAVOR_DATA[flavor], max_r)
         self.perm_pred = lambda v: br.PERMISSIBLE[flavor](v, n)
 
-        self._gen_cache: dict[Vertex, KernelGenerator] = {}
+        # (beta_mu, den) per head shape, beta_mu None when beta'_int = 0
+        self._betas: dict[tuple[int, ...], tuple[AlgebraElement | None, int]] = {}
         # (A_t, den_t) per (vertex, path index); (d_t, 1) for permissible paths
         self.a_elements: dict[tuple[Vertex, int], tuple[AlgebraElement, int]] = {}
         self.path_permissible: dict[tuple[Vertex, int], bool] = {}
@@ -202,28 +183,29 @@ class SplitBasis:
                 perm = br.path_permissible(t, flavor, n)
                 self.path_permissible[(v, ti)] = perm
                 self.a_elements[(v, ti)] = (
-                    (self.basis.d_elements[(v, ti)].with_delta(self.delta0), 1) if perm
+                    (self.basis.d_elements[(v, ti)].specialize(self.delta0), 1) if perm
                     else self._correction(v, ti))
-
-    def _generator(self, v: Vertex) -> KernelGenerator:
-        if v not in self._gen_cache:
-            self._gen_cache[v] = build_kernel_generator(
-                v, self.n, self.r, self.flavor, self.delta0)
-        return self._gen_cache[v]
 
     def _correction(self, v: Vertex, ti: int) -> tuple[AlgebraElement, int]:
         """(A_t, den) with A_t = d_{t2} beta_mu d_{t1} = den * a_t, for the
         first non-permissible mu = t(k), with t1 = t(0..k) and t2 = t(k..),
-        and den that of beta_mu; every product at delta0.  When beta_mu = 1
-        (the symmetric group) it is (d_t, 1), read off the basis."""
+        and beta_mu = den + beta'_int of the head shape of mu, formed once
+        per shape; every product at delta0.  When beta_mu = 1 (the
+        symmetric group) it is (d_t, 1), read off the basis."""
         t = self.basis.paths[v][ti]
         k = next(i for i, w in enumerate(t) if not self.perm_pred(w))
-        gen = self._generator(t[k])
-        if not gen.beta_prime.terms:
-            return self.basis.d_elements[(v, ti)].with_delta(self.delta0), 1
+        shape = head_shape(self.flavor, t[k].lam)
+        if shape not in self._betas:
+            beta_prime, den = head_correction(self.flavor, shape, self.delta0)
+            self._betas[shape] = (
+                AlgebraElement.one(self.r, self.delta0).scale(den) + beta_prime.embed(self.r)
+                if beta_prime.terms else None, den)
+        beta, den = self._betas[shape]
+        if beta is None:
+            return self.basis.d_elements[(v, ti)].specialize(self.delta0), 1
         d1 = self.basis.path_d(t[:k + 1], self.delta0)
         d2 = self.basis.path_d(t[k:], self.delta0)
-        return d2 * gen.beta * d1, gen.den
+        return d2 * beta * d1, den
 
     def module_vector(self, v: Vertex, ti: int) -> list[int]:
         """Module coordinates of n_t = m_lambda a_t in the Murphy basis of
@@ -233,9 +215,9 @@ class SplitBasis:
         the vector; d_{s0}* m_lambda is kept per vertex."""
         left = self._module_lefts.get(v)
         if left is None:
-            gen = self.basis.generators[v].with_delta(self.delta0)
+            gen = self.basis.generators[v].specialize(self.delta0)
             left = self._module_lefts[v] = (
-                self.basis.d_elements[(v, 0)].involution().with_delta(self.delta0) * gen)
+                self.basis.d_elements[(v, 0)].involution().specialize(self.delta0) * gen)
         a_t, den = self.a_elements[(v, ti)]
         elt = left * a_t
         return [_exact_quotient(self.basis.cell_coefficient(v, tj, elt), den,
@@ -254,12 +236,12 @@ class SplitBasis:
         exactly by den_s den_t, and a remainder raises ArithmeticError.  Each
         A_s* m_lambda formed is kept."""
         if self.pair_permissible(v, s, t):
-            return self.basis.elements[(v, s, t)].with_delta(self.delta0)
+            return self.basis.elements[(v, s, t)].specialize(self.delta0)
         a_s, den_s = self.a_elements[(v, s)]
         a_t, den_t = self.a_elements[(v, t)]
         left = self._lefts.get((v, s))
         if left is None:
-            gen = self.basis.generators[v].with_delta(self.delta0)
+            gen = self.basis.generators[v].specialize(self.delta0)
             left = self._lefts[(v, s)] = a_s.involution() * gen
         out = left * a_t
         den = den_s * den_t
@@ -327,12 +309,9 @@ def ideal_generators(r: int, n: int, flavor: str, delta0) -> list[AlgebraElement
         raise ValueError(flavor)
     if r < n + 1:
         return []
-    if flavor == "symplectic":
-        return [sum_all_diagrams(n + 1, delta0).embed(r)]
-    if flavor == "orthogonal":
-        return [walled_signed_sum(a, n + 1 - a, delta0).embed(r)
-                for a in range(n + 2)]
-    return [young_sum((n + 1,), r, signed=True)]
+    shapes = ([(a, n + 1 - a) for a in range(n + 2)] if flavor == "orthogonal"
+              else [(n + 1,)])
+    return [kernel_head(flavor, shape, delta0).embed(r) for shape in shapes]
 
 
 def ideal_span_rank(gens: list[AlgebraElement], r: int, flavor: str) -> int:
@@ -439,8 +418,8 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
     permissible = [key for key in split.iter_pairs() if split.pair_permissible(*key)]
 
     kernel_zero, got_p, got_q = image_checks(
-        (basis.elements[key].with_delta(delta0) for key in permissible), len(permissible),
-        (basis.generators[v].with_delta(delta0) * split.a_elements[(v, u)][0]
+        (basis.elements[key].specialize(delta0) for key in permissible), len(permissible),
+        (basis.generators[v].specialize(delta0) * split.a_elements[(v, u)][0]
          for v in basis.vertices for u in range(len(basis.paths[v]))
          if not split.path_permissible[(v, u)]),
         basis.diagrams, rep, fields)
@@ -464,8 +443,9 @@ def certify_sft(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
 
 def quotient_cell_modules(split: SplitBasis) -> Certificate:
     """Per permissible vertex: the Gram matrix specialized at the flavor's
-    loop value has rank = #permissible paths, and the non-permissible split
-    vectors span its radical."""
+    loop value has rank = #permissible paths, and every non-permissible
+    split vector lies in its radical (G vec = 0).  That the vectors are
+    linearly independent, and so span the radical, is not checked."""
     cert = Certificate({"flavor": split.flavor, "r": split.r, "N": split.n,
                         "delta0": split.delta0})
     for v in split.basis.vertices:
@@ -490,8 +470,8 @@ def quotient_cell_modules(split: SplitBasis) -> Certificate:
     return cert
 
 
-def certify_sections(split: SplitBasis, max_tensor_dim: int = MAX_TENSOR_DIM,
-                     fields: tuple = (), seminormal_cap: int = 4) -> tuple[dict, bool]:
+def certify_sections(split: SplitBasis, max_tensor_dim: int, fields: tuple,
+                     seminormal_cap: int) -> tuple[dict, bool]:
     """The sections of ``certify`` on ``split``, each as JSON, and whether
     they all pass; the one place that picks a flavor's sections.  Every
     flavor has ``certify_sft``, for the symmetric group as its one section

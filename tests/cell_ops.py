@@ -2,21 +2,25 @@
 partitions (by rows and by columns) and of vertices, strict dominance of
 vertices and of paths, the reverse-lexicographic path order, the content
 sequence of a path and the separation of paths by it, the Jucys-Murphy
-eigenvector check on seminormal data, the marginal vertices, the
+eigenvector check on seminormal data, the marginal vertices and the
+kernel generator b = head (x) tail * e-suffix at each of them, the
 permissible dimension of a split basis, the transpose of an exact matrix,
 the eager expansion of a cellular basis, the image of every kernel element
 of the symmetric certificate and both Young-sum cell generators x_lam and
 y_lam of a partition.  The package needs none of them."""
 
+from typing import NamedTuple
+
 import brauercell.branching as br
+from brauercell import sft
 from brauercell.branching import Partition, Path, Vertex, conjugate
+from brauercell.diagrams import AlgebraElement
 from brauercell.exactmat import ExactMatrix
-from brauercell.murphy import MurphyBasis, young_sum
+from brauercell.murphy import MurphyBasis, e_suffix, young_sum
 from brauercell.rings import Poly
 from brauercell.seminormal import edge_content
-from brauercell.sft import _is_marginal
-from brauercell.tensorrep import TensorRep
-from diagram_ops import as_integer
+from brauercell.tensorrep import FLAVOR_SPACE, TensorRep
+from diagram_ops import as_integer, tensor
 from tensor_ops import rep_element
 
 
@@ -126,7 +130,50 @@ def marginal_vertices(r: int, n: int, flavor: str) -> list:
     add_only = flavor == "symmetric"
     return [v for level in range(1, r + 1)
             for v in br.vertices_at_level(level, add_only)
-            if _is_marginal(v, n, flavor)]
+            if is_marginal(v, n, flavor)]
+
+
+def is_marginal(v: Vertex, n: int, flavor: str) -> bool:
+    """v is permissible at N+1 but not at N."""
+    pred = br.PERMISSIBLE[flavor]
+    return pred(v, n + 1) and not pred(v, n)
+
+
+class KernelGenerator(NamedTuple):
+    """Marginal-vertex data: m = b - b', b in the kernel, den b' = m beta'_int."""
+
+    b: AlgebraElement
+    b_prime: AlgebraElement
+    beta_prime: AlgebraElement  # beta'_int = den beta', integral, of width r
+    beta: AlgebraElement        # den + beta_prime, so den b = m beta
+    den: int
+
+
+def build_kernel_generator(v: Vertex, n: int, r: int, flavor: str,
+                           delta0=None) -> KernelGenerator:
+    """The kernel generator at a marginal vertex: lam_1 = N+1 (symplectic,
+    b = all of B_{lam_1} (x) x_{(lam_2, ...)}), lam'_1 + lam'_2 = N+1
+    (orthogonal, d = the signed walled sum (x) y_{(lam'_3, ...)}) or
+    lam'_1 = N+1 (symmetric, the antisymmetrizer (x) y_{(lam'_2, ...)},
+    which is y_lam), followed by the e-suffix of v; b' is the same with
+    the corank >= 1 part of the head.  The head is ``sft.kernel_head`` and
+    beta'_int and den are ``sft.head_correction``, embedded at width r."""
+    if not is_marginal(v, n, flavor):
+        raise ValueError(f"{v} is not marginal for the {flavor} case at N={n}")
+    if delta0 is None:
+        delta0 = FLAVOR_SPACE[flavor][1](n)
+    shape = sft.head_shape(flavor, v.lam)
+    head = sft.kernel_head(flavor, shape, delta0)
+    tail_shape = v.lam[1:] if flavor == "symplectic" else conjugate(v.lam)[len(shape):]
+    tail = young_sum(tail_shape, r - head.r, flavor != "symplectic", delta0)
+    suffix = e_suffix(v.level - 1, v.l, r).specialize(delta0)
+    head_prime = AlgebraElement(head.r, {d: c for d, c in head.terms.items()
+                                         if d.rank_corank()[1] >= 1}, delta0)
+    beta_prime, den = sft.head_correction(flavor, shape, delta0)
+    beta_prime = beta_prime.embed(r)
+    return KernelGenerator(tensor(head, tail).embed(r) * suffix,
+                           tensor(head_prime, tail).embed(r) * suffix, beta_prime,
+                           AlgebraElement.one(r, delta0).scale(den) + beta_prime, den)
 
 
 def permissible_dimension(split) -> int:

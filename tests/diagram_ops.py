@@ -1,8 +1,9 @@
 """Diagram and algebra-element helpers that only the tests read: the length
 (crossing number), the permutation sigma_D and the sign of a Brauer
-diagram, which the sign lemma and the closed-form images check, and the
+diagram, which the sign lemma and the closed-form images check, the
 coefficient lookup, coefficient map and integrality check and conversion
-of an algebra element.  The package needs none of them."""
+of an algebra element, and the tensor product of two elements, which the
+kernel-generator oracle forms.  The package needs none of them."""
 
 import itertools
 from fractions import Fraction
@@ -53,6 +54,15 @@ def coeff(x: AlgebraElement, d: BrauerDiagram):
 
 def map_coeffs(x: AlgebraElement, f) -> AlgebraElement:
     return AlgebraElement(x.r, {d: f(c) for d, c in x.terms.items()}, x.delta)
+
+
+def tensor(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x (x) y: x on the first x.r strands, y on the next y.r."""
+    if x.delta != y.delta:
+        raise ValueError("ring mismatch in tensor")
+    return AlgebraElement(x.r + y.r, {da.tensor(db): ca * cb
+                                      for da, ca in x.terms.items()
+                                      for db, cb in y.terms.items()}, x.delta)
 
 
 def has_integer_coeffs(x: AlgebraElement) -> bool:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -246,18 +247,42 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypat
     assert os.listdir(tmp_path) == []
 
 
-def test_out_write_failure_is_one_error_line(tmp_path, capsys):
-    # the target is a directory, so renaming the written file onto it fails
+@pytest.mark.parametrize("name", ["outdir", "outdir" + os.sep, "absent" + os.sep])
+def test_out_naming_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, name):
+    """An --out that is an existing directory, or that ends with a path
+    separator, is rejected before any computation."""
+    import brauercell.cli as cli
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_certify", never)
+    (tmp_path / "outdir").mkdir()
+    target = str(tmp_path) + os.sep + name
+    code = main(["certify", "--flavor", "symplectic", "--r", "5", "--N", "1",
+                 "--out", target])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot write --out {target}: Is a directory"]
+    assert os.listdir(tmp_path) == ["outdir"] and os.listdir(tmp_path / "outdir") == []
+
+
+def test_out_write_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # renaming the written file onto the target fails
+    def deny(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", deny)
     target = tmp_path / "cert.json"
-    target.mkdir()
     code = main(["certify", "--flavor", "symplectic", "--r", "2", "--N", "1",
                  "--out", str(target)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --out {target}: ")
-    assert os.listdir(tmp_path) == ["cert.json"] and os.listdir(target) == []
+    assert captured.err.splitlines() == [
+        f"error: cannot write --out {target}: Permission denied"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_field_fp_check(capsys):

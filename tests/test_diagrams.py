@@ -8,7 +8,7 @@ from brauercell.matchings import (BrauerDiagram, all_diagrams, all_permutation_d
                                   perm_mult, perm_sign, transposition)
 from brauercell.murphy import MurphyBasis, young_sum
 from brauercell.rings import Poly
-from diagram_ops import coeff, length, sign as diagram_sign
+from diagram_ops import coeff, length, sign as diagram_sign, tensor
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 
@@ -299,11 +299,19 @@ def test_walled_sign_matches_sigma_sign():
                 assert sign == diagram_sign(d)
 
 
+def test_specialize_raises_on_a_specialized_element():
+    e1 = elt(BrauerDiagram.e(1, 2))
+    e1_at_minus_2 = e1.specialize(-2)
+    assert e1_at_minus_2.delta == -2
+    with pytest.raises(ValueError):
+        e1_at_minus_2.specialize(3)
+
+
 def test_tensor_and_embed():
     e1 = elt(BrauerDiagram.e(1, 2))
     one2 = AlgebraElement.one(2)
-    assert e1.tensor(one2) == elt(BrauerDiagram.e(1, 4))
-    assert one2.tensor(e1) == elt(BrauerDiagram.e(3, 4))
+    assert tensor(e1, one2) == elt(BrauerDiagram.e(1, 4))
+    assert tensor(one2, e1) == elt(BrauerDiagram.e(3, 4))
     assert e1.embed(4) == elt(BrauerDiagram.e(1, 4))
 
 

@@ -3,10 +3,11 @@ no ``assert`` statement carries a check (``python -O`` strips them),
 nothing is imported from outside the standard library and the package
 itself (the package declares no runtime dependency), no module imports a
 private name (one beginning with ``_``) of another, no module imports
-``fractions``, and the modules of the ``dims`` path load no diagram
-algebra, coefficient ring or cellular basis (a fresh ``dims`` process
-compiles only what it runs, and a fresh ``certify`` process loads neither
-``fractions`` nor ``decimal``)."""
+``fractions``, every module-level function and class is read outside its
+own definition (no dead definitions), and the modules of the ``dims`` path
+load no diagram algebra, coefficient ring or cellular basis (a fresh
+``dims`` process compiles only what it runs, and a fresh ``certify``
+process loads neither ``fractions`` nor ``decimal``)."""
 
 import ast
 import os
@@ -16,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "brauercell").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "brauercell").glob("*.py"))
+# the benchmark's scripts call the package too, and count as its readers
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 PACKAGE = "brauercell"
 
 
@@ -72,6 +76,37 @@ def test_only_the_scalar_layer_imports_fractions(path):
              or isinstance(node, ast.ImportFrom) and not node.level
              and node.module.split(".")[0] == "fractions"]
     assert lines == [], f"{path.name}: imports fractions at lines {lines}"
+
+
+def _references(path: Path):
+    """(name, line) of every name that ``path`` reads: a ``Name``, the
+    attribute of an ``Attribute`` and the name of an imported alias."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+
+
+def test_every_module_level_definition_is_read():
+    """Each module-level function and class of the package is read somewhere
+    other than its own definition: elsewhere in the package or in the
+    benchmark's scripts, not only in the tests.  Methods are exempt, since
+    an override (``_Parser.error``) is read by its base class."""
+    refs = {path: list(_references(path)) for path in READERS}
+    dead = []
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (other != path or line not in span)
+                       for other, found in refs.items() for name, line in found):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == [], f"definitions nothing outside the tests reads: {dead}"
 
 
 # the modules a dims run loads, and what none of them may import when it is

@@ -538,7 +538,7 @@ def test_specialized_gram_and_module_vectors_match_expansion_oracle(flavor, n, r
               for row in _oracle_gram_generic(r, mb.flavor, v)]
         assert mb.gram_matrix(v, d0).rows == g0
         npaths = len(mb.paths[v])
-        left = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).with_delta(d0)
+        left = (mb.d_elements[(v, 0)].involution() * mb.generators[v]).specialize(d0)
         for t in range(npaths):
             a_t, den = split.a_elements[(v, t)]
             coeffs = expand_map(mb, left * a_t)
@@ -552,7 +552,7 @@ def per_pair_gram(mb, v: Vertex, delta0=None) -> list[list]:
     n = len(mb.paths[v])
     pairs = [(mb.elements[(v, 0, t)], mb.elements[(v, t, 0)]) for t in range(n)]
     if delta0 is not None:
-        pairs = [(a.with_delta(delta0), b.with_delta(delta0)) for a, b in pairs]
+        pairs = [(a.specialize(delta0), b.specialize(delta0)) for a, b in pairs]
     return [[mb.cell_coefficient(v, 0, left * right) for _, right in pairs]
             for left, _ in pairs]
 
@@ -618,7 +618,7 @@ def test_cell_coefficient_types():
     assert type(mb.cell_coefficient(v, 0, e1.scale(Poly.const(3)))) is int
     zero = mb.cell_coefficient(v, 0, elt(BrauerDiagram.s(1, 2)))
     assert type(zero) is int and zero == 0
-    assert mb.cell_coefficient(v, 0, e1.with_delta(-2) * e1.with_delta(-2)) == -2
+    assert mb.cell_coefficient(v, 0, e1.specialize(-2) * e1.specialize(-2)) == -2
 
 
 def _certify_with_block_fault(capsys, monkeypatch, fault) -> tuple[int, str, str]:

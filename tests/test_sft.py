@@ -11,15 +11,16 @@ from brauercell.diagrams import AlgebraElement, walled_filter
 from brauercell.exactmat import Echelon
 from brauercell.matchings import BrauerDiagram, all_diagrams, all_permutation_diagrams
 from brauercell.murphy import MurphyBasis, murphy_basis
-from brauercell.sft import (FLAVOR_DATA, SplitBasis, _is_marginal, algebra_dimension,
-                            build_kernel_generator, certify_sft,
+from brauercell.sft import (FLAVOR_DATA, SplitBasis, algebra_dimension, certify_sft,
                             expected_image_dimension, ideal_generators,
                             ideal_span_rank, image_checks, quotient_cell_modules,
                             sum_all_diagrams, walled_signed_sum)
 from brauercell.tensorrep import (FLAVOR_SPACE, TensorRep, image_lines, image_rank,
                                   image_vectors)
-from cell_ops import (kernel_elements_map_to_zero, marginal_vertices,
-                      path_revlex_gt, permissible_dimension, strictly_dominates)
+from cell_ops import (build_kernel_generator, is_marginal, kernel_elements_map_to_zero,
+                      marginal_vertices, path_revlex_gt, permissible_dimension,
+                      strictly_dominates)
+from diagram_ops import tensor
 from exact_ops import cancel_field, rank_q
 from sparse_ops import SparseMat, matmul, scale
 from tensor_ops import rep_diagram, rep_element
@@ -57,7 +58,7 @@ def test_b_generator_b2():
     # beta' = e_1 / 2, kept as the integral e_1 over den = 2
     assert g.beta_prime == elt(BrauerDiagram.e(1, 2), 1, -2)
     assert g.den == 2
-    x = murphy_basis(2, "brauer-murphy").generators[Vertex((2,), 0)].with_delta(-2)
+    x = murphy_basis(2, "brauer-murphy").generators[Vertex((2,), 0)].specialize(-2)
     assert x * g.beta_prime == g.b_prime.scale(g.den)
     assert x == g.b - g.b_prime
     with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ def test_b_generator_b2():
 def test_b_generator_level4():
     # b_((2),1) at level 4 = (all of B_2) (x) 1 followed by e_3
     g = build_kernel_generator(Vertex((2,), 1), 1, 4, "symplectic")
-    expected = sum_all_diagrams(2, -2).tensor(AlgebraElement.one(2, -2)) \
+    expected = tensor(sum_all_diagrams(2, -2), AlgebraElement.one(2, -2)) \
         * elt(BrauerDiagram.e(3, 4), 1, -2)
     assert g.b == expected
 
@@ -95,11 +96,25 @@ def test_orbit_correction_with_stabilizers():
     # even); the factorization still holds
     g = build_kernel_generator(Vertex((2, 2), 0), 3, 4, "orthogonal")
     y = murphy_basis(4, "brauer-dual-murphy").generators[Vertex((2, 2), 0)]
-    assert y.with_delta(3) * g.beta_prime == g.b_prime.scale(g.den)
-    assert y.with_delta(3) * g.beta == g.b.scale(g.den)
+    assert y.specialize(3) * g.beta_prime == g.b_prime.scale(g.den)
+    assert y.specialize(3) * g.beta == g.b.scale(g.den)
     assert g.den == 2
     assert all(type(c) is int for c in g.beta_prime.terms.values())
     assert any(c % 2 for c in g.beta_prime.terms.values())
+
+
+@pytest.mark.parametrize("flavor,n,r,shapes", [("symplectic", 1, 5, 1), ("symplectic", 2, 6, 1),
+                                               ("orthogonal", 2, 5, 2), ("orthogonal", 3, 6, 3),
+                                               ("symmetric", 2, 6, 1)])
+def test_one_orbit_correction_per_head_shape(flavor, n, r, shapes, monkeypatch):
+    """``SplitBasis`` averages each head shape over its orbits once, however
+    many marginal vertices, and paths through them, have that shape."""
+    calls = []
+    orbit_correction = sft._orbit_correction
+    monkeypatch.setattr(sft, "_orbit_correction",
+                        lambda head, group: calls.append(head) or orbit_correction(head, group))
+    SplitBasis(r, n, flavor, max_r=r)
+    assert len(calls) == shapes
 
 
 @pytest.mark.parametrize("flavor,ns,max_level", [("symplectic", (1, 2), 5),
@@ -116,7 +131,7 @@ def test_marginal_identity_and_factorization(flavor, ns, max_level):
                 if v.level != level:
                     continue
                 g = build_kernel_generator(v, n, level, flavor)
-                gen = mb.generators[v].with_delta(delta0)
+                gen = mb.generators[v].specialize(delta0)
                 assert gen == g.b - g.b_prime
                 assert gen * g.beta_prime == g.b_prime.scale(g.den)
                 assert gen * g.beta == g.b.scale(g.den)
@@ -328,12 +343,12 @@ def test_quotient_cellularity_shadow(rng):
                 if sb.pair_permissible(v, s, t):
                     labels.append((v, s, t))
                     rows.append(rep_element(
-                        rep, sb.basis.elements[(v, s, t)].with_delta(-2)).to_vector())
+                        rep, sb.basis.elements[(v, s, t)].specialize(-2)).to_vector())
     ds = all_diagrams(r)
     for _ in range(6):
         a = elt(rng.choice(ds), 1, -2)
         for (v, s, t) in labels[:4]:
-            prod = sb.basis.elements[(v, s, t)].with_delta(-2) * a
+            prod = sb.basis.elements[(v, s, t)].specialize(-2) * a
             coeffs = sparse_solve_q(rows, rep_element(rep, prod).to_vector())
             assert coeffs is not None
             for (w, u1, u2), c in zip(labels, coeffs):
@@ -410,7 +425,7 @@ def test_rep_element_from_images_matches_fold(flavor, n, r):
     images = {d: SparseMat(rep.size, rep_diagram(rep, d, rows)) for d in split.basis.diagrams}
     elements = []
     for v in split.basis.vertices:
-        gen = split.basis.generators[v].with_delta(split.delta0)
+        gen = split.basis.generators[v].specialize(split.delta0)
         for t in range(len(split.basis.paths[v])):
             a_t, den = split.a_elements[(v, t)]
             a_t = a_t.scale(Fraction(1, den))
@@ -429,7 +444,7 @@ def _factored_route(split: SplitBasis, rep: TensorRep):
     perm_vectors, kernel_zero = [], True
     for v in split.basis.vertices:
         npaths = len(split.basis.paths[v])
-        gen = split.basis.generators[v].with_delta(split.delta0)
+        gen = split.basis.generators[v].specialize(split.delta0)
         corrections = [split.a_elements[(v, t)][0] for t in range(npaths)]
         lefts = [rep_element(rep, (gen * a).involution(), rows) for a in corrections]
         rights = [rep_element(rep, a) for a in corrections]
@@ -477,11 +492,11 @@ def test_split_element_is_murphy_element_on_permissible_pairs(flavor, n, r):
     split = SplitBasis(r, n, flavor)
     for v, s, t in split.iter_pairs():
         if split.pair_permissible(v, s, t):
-            gen = split.basis.generators[v].with_delta(split.delta0)
+            gen = split.basis.generators[v].specialize(split.delta0)
             (a_s, den_s), (a_t, den_t) = split.a_elements[(v, s)], split.a_elements[(v, t)]
             assert den_s == den_t == 1
             prod = (a_s.involution() * gen) * a_t
-            assert prod == split.basis.elements[(v, s, t)].with_delta(split.delta0)
+            assert prod == split.basis.elements[(v, s, t)].specialize(split.delta0)
             assert split.element(v, s, t) == prod
 
 
@@ -504,7 +519,7 @@ def test_kernel_line_fails_without_the_correction(flavor, n, r):
     v, t = next((v, t) for v in split.basis.vertices if split.perm_pred(v)
                 for t in range(len(split.basis.paths[v]))
                 if not split.path_permissible[(v, t)])
-    split.a_elements[(v, t)] = (split.basis.d_elements[(v, t)].with_delta(split.delta0), 1)
+    split.a_elements[(v, t)] = (split.basis.d_elements[(v, t)].specialize(split.delta0), 1)
     assert _factored_route(split, TensorRep(flavor, n, r))[1] is False
     cert = certify_sft(split)
     line = next(c for c in cert.checks if c.name == "kernel elements map to zero")
@@ -525,15 +540,18 @@ def test_kernel_generator_line_agrees_with_every_kernel_element(r, n):
     assert cert.passed
 
 
-def _fresh_symmetric_split(r, n):
-    return SplitBasis(r, n, "symmetric", basis=MurphyBasis(r, "symmetric-dual"))
+def _fresh_symmetric_split(r, n, monkeypatch):
+    """A symmetric split basis on a basis of its own, not the cached one,
+    so that a test may change its data."""
+    monkeypatch.setattr(sft, "murphy_basis", lambda r, flavor, max_r=None: MurphyBasis(r, flavor))
+    return SplitBasis(r, n, "symmetric")
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (4, 2), (5, 3)])
-def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(r, n):
+def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(r, n, monkeypatch):
     """A kernel cell whose generator is replaced by that of a cell of at
     most N rows, whose image is not zero, turns the kernel line False."""
-    split = _fresh_symmetric_split(r, n)
+    split = _fresh_symmetric_split(r, n, monkeypatch)
     basis = split.basis
     kernel = next(v for v in basis.vertices if len(v.lam) > n)
     image = next(v for v in basis.vertices if len(v.lam) <= n)
@@ -545,7 +563,7 @@ def test_kernel_line_fails_on_a_generator_with_a_nonzero_image(r, n):
 
 def test_harterich_expands_no_kernel_cell(monkeypatch):
     """At r=6, N=2 the certificate reads the cells of at most 2 rows only."""
-    split = _fresh_symmetric_split(6, 2)
+    split = _fresh_symmetric_split(6, 2, monkeypatch)
     basis = split.basis
     expanded = []
     expand_cell = MurphyBasis.expand_cell
@@ -569,7 +587,7 @@ def test_corrections_equal_the_product_formula(flavor, n, r):
     for (v, ti), (a_t, den) in split.a_elements.items():
         t = basis.paths[v][ti]
         if split.path_permissible[(v, ti)]:
-            assert a_t == basis.d_elements[(v, ti)].with_delta(split.delta0)
+            assert a_t == basis.d_elements[(v, ti)].specialize(split.delta0)
             assert den == 1
             continue
         k = next(i for i, w in enumerate(t) if not split.perm_pred(w))
@@ -653,14 +671,14 @@ def test_corrections_and_split_elements_are_integral(flavor, n):
         split = SplitBasis(r, n, flavor)
         basis = split.basis
         for v in basis.vertices:
-            if _is_marginal(v, n, flavor):
+            if is_marginal(v, n, flavor):
                 g = build_kernel_generator(v, n, r, flavor, split.delta0)
                 assert all(map(_int_coeffs, (g.beta_prime, g.beta, g.b_prime)))
                 assert type(g.den) is int
         for (v, u), (a_u, den) in split.a_elements.items():
             assert _int_coeffs(a_u) and type(den) is int
             if not split.path_permissible[(v, u)]:
-                assert _int_coeffs(basis.generators[v].with_delta(split.delta0) * a_u)
+                assert _int_coeffs(basis.generators[v].specialize(split.delta0) * a_u)
                 if split.perm_pred(v):
                     assert all(type(c) is int for c in split.module_vector(v, u))
         assert all(_int_coeffs(split.element(*key)) for key in split.iter_pairs())
